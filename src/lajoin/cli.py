@@ -1,7 +1,8 @@
 """Command line interface: gen / verify / solve / matrix / sweep / arrays.
 
-Exit codes: 0 success (or all sweep rows confirmed), 1 verification failure
-or claim mismatch, 2 usage or parameter error. All output files are
+Exit codes: 0 success (sweep: no row is a mismatch; ``inconclusive`` rows
+exit 0), 1 verification failure or claim mismatch, 2 usage, parameter or
+input-file error, reported as one line on stderr. All output files are
 deterministic for a given command line.
 """
 
@@ -40,9 +41,24 @@ from .solver import SearchConfig, ConfirmationVerdict, confirm_theorem, exact_ch
 PARAM_KEYS = ("m", "n", "N", "r", "which")
 
 
-def _default_budget() -> float:
+def _budget(args) -> float:
+    """--budget, else LAJOIN_TIME_BUDGET, else 60 s; SearchConfig checks the sign."""
+    if args.budget is not None:
+        return args.budget
     raw = os.environ.get("LAJOIN_TIME_BUDGET")
-    return float(raw) if raw else 60.0
+    if not raw:
+        return 60.0
+    try:
+        return float(raw)
+    except ValueError:
+        raise ParameterError(f"LAJOIN_TIME_BUDGET must be a number, got {raw!r}") from None
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _collect_params(args) -> dict:
@@ -80,12 +96,11 @@ def _gen(args) -> int:
     if not args.family:
         return _fail_usage("gen needs --family")
     params = _collect_params(args)
+    cfg = SearchConfig(max_edges=args.max_edges, time_budget=_budget(args))
     try:
         res = build_construction(args.family, params)
         note = None
     except CitedCaseError as exc:
-        budget = args.budget if args.budget else _default_budget()
-        cfg = SearchConfig(max_edges=args.max_edges, time_budget=budget)
         if exc.graph.q > cfg.max_edges:
             return _fail_usage(f"{exc}; graph too large for the solver route (q={exc.graph.q})")
         report = exact_chi_la(exc.graph, cfg)
@@ -124,8 +139,7 @@ def _gen(args) -> int:
 
 
 def _verify(args) -> int:
-    data = json.loads(Path(args.labeling).read_text())
-    f = EdgeLabeling.from_json(data)
+    f = EdgeLabeling.from_json(_read_json(args.labeling))
     cert = verify_local_antimagic(f.graph, f, lower_bound=args.lower_bound)
     if args.format == "json":
         _write(args.out, json.dumps(cert.to_json(), sort_keys=True, indent=2) + "\n")
@@ -148,14 +162,13 @@ def _verify(args) -> int:
 
 
 def _solve(args) -> int:
-    budget = args.budget if args.budget else _default_budget()
     cfg = SearchConfig(
         max_edges=args.max_edges,
         target_colors=args.target,
-        time_budget=budget,
+        time_budget=_budget(args),
     )
     if args.input:
-        g = Graph.from_json(json.loads(Path(args.input).read_text()))
+        g = Graph.from_json(_read_json(args.input))
     elif args.family:
         try:
             res = build_construction(args.family, _collect_params(args))
@@ -171,7 +184,7 @@ def _solve(args) -> int:
 
 def _matrix(args) -> int:
     if args.input:
-        f = EdgeLabeling.from_json(json.loads(Path(args.input).read_text()))
+        f = EdgeLabeling.from_json(_read_json(args.input))
         graph = f.graph
     elif args.family:
         res = build_construction(args.family, _collect_params(args))
@@ -184,13 +197,16 @@ def _matrix(args) -> int:
     return 0
 
 
-def _parse_range(text: str | None) -> list[int] | None:
+def _parse_range(key: str, text: str | None) -> list[int] | None:
     if text is None:
         return None
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(text)]
+    except ValueError:
+        raise ParameterError(f"--{key} takes an integer or a range LO..HI, got {text!r}") from None
 
 
 def _sweep(args) -> int:
@@ -198,7 +214,7 @@ def _sweep(args) -> int:
         return _fail_usage("sweep needs --family")
     ranges = {}
     for key in ("m", "n", "N", "r"):
-        vals = _parse_range(getattr(args, key))
+        vals = _parse_range(key, getattr(args, key))
         if vals is not None:
             ranges[key] = vals
     which = [args.which] if args.which else None
@@ -210,8 +226,7 @@ def _sweep(args) -> int:
             points = [dict(p, which=w) for p in points for w in which]
     else:
         points = sweep_points(args.family, args.max_total_edges)
-    budget = args.budget if args.budget else _default_budget()
-    cfg = SearchConfig(max_edges=args.max_edges, time_budget=budget)
+    cfg = SearchConfig(max_edges=args.max_edges, time_budget=_budget(args))
     rows: list[ConfirmationVerdict] = []
     worst = 0
     for params in points:
@@ -338,8 +353,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParameterError, ArrayError, LabelingError) as exc:
         return _fail_usage(str(exc))
-    except FileNotFoundError as exc:
-        return _fail_usage(f"cannot read {exc.filename}")
+    except OSError as exc:
+        return _fail_usage(f"cannot access {exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":

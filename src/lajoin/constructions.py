@@ -914,6 +914,17 @@ GENERIC_FAMILIES = (
 ALL_FAMILIES = CONCRETE_FAMILIES + GENERIC_FAMILIES
 
 
+class _Params(dict):
+    """A family's keyword parameters; a missing one is a ParameterError."""
+
+    def __init__(self, family: str, params: dict):
+        super().__init__(params)
+        self.family = family
+
+    def __missing__(self, key):
+        raise ParameterError(f"{self.family} needs parameter {key}")
+
+
 def build_construction(
     family: str, params: dict, base: EdgeLabeling | None = None
 ) -> ConstructionResult:
@@ -922,7 +933,7 @@ def build_construction(
     Generic families label ``base`` (or the built-in seed) joined with the
     requested second part.
     """
-    p = dict(params)
+    p = _Params(family, params)
     if family == "path-join-null":
         return label_path_join_null(p["m"], p["N"])
     if family == "p7-o3":

@@ -57,8 +57,23 @@ class EdgeLabeling:
 
     @staticmethod
     def from_json(data: dict) -> "EdgeLabeling":
-        g = Graph.from_json(data["graph"])
-        labels = {edge(*item["edge"]): item["label"] for item in data["labels"]}
+        """Parse a v1 labeling; raises LabelingError on a malformed one.
+
+        Labels must be JSON integers: ``true`` and ``2.0`` compare equal to
+        1 and 2 in Python and would otherwise pass the bijection check.
+        """
+        if not isinstance(data, dict) or data.get("schema") != "v1":
+            raise LabelingError('a labeling must be a JSON object with "schema": "v1"')
+        try:
+            g = Graph.from_json(data["graph"])
+            labels = {}
+            for item in data["labels"]:
+                e, lab = item["edge"], item["label"]
+                if type(lab) is not int:
+                    raise LabelingError(f"label {lab!r} on edge {e} is not an integer")
+                labels[edge(*e)] = lab
+        except (KeyError, TypeError) as exc:
+            raise LabelingError(f"malformed labeling JSON: {exc!r}") from None
         return EdgeLabeling(g, labels)
 
     def __repr__(self):

@@ -7,10 +7,37 @@ branch, and the number of distinct finalized sums is a lower bound on the
 final color count. The chromatic number gives a global lower bound, so the
 search can stop as soon as it is attained.
 
+Edge order. Edges are labeled in finalize-soonest order: repeatedly the
+vertex with the fewest unplaced incident edges (ties: smaller degree, then
+smaller id) is taken and all its unplaced edges are appended. Vertex sums
+then become final, and the two prunes above fire, many levels earlier
+than under an order by endpoint degree.
+
+Symmetry breaking (``SearchConfig.symmetry_pruning``), one of two rules
+per graph, neither of which changes the optimum:
+
+* Regular graphs: the reflection f <-> q+1-f keeps adjacent sums distinct
+  and the color count, so label 1 is required on an earlier edge than
+  label q.
+* Non-regular graphs: twin vertices, those with equal open neighborhoods
+  (such as the null side of every G v O_N), may be permuted among
+  themselves by an automorphism. For each twin class u1 < u2 < ... with
+  smallest common neighbor x the search requires
+  f(x u1) > f(x u2) > ..., checked when the later of two such edges is
+  labeled (lex-leader constraints, Crawford et al., KR 1996). Every
+  labeling has an image under these permutations meeting all of them:
+  each class can be ordered after the class holding its x, except in
+  pairs of classes holding each other's x. Such a pair is joined
+  completely, and the largest label between the two fixes both orders.
+
+The two rules are not combined: the reflection reverses every twin
+inequality, so together they can exclude a whole symmetry orbit. Regular
+graphs therefore keep the reflection alone.
+
 Results are deterministic for a given config. Splitting the tree at the
 root (by the first edge's label) and taking the minimum over the parts
 would reproduce them exactly; nothing here depends on exploration order
-beyond the configured label order.
+beyond the fixed edge order and the configured label order.
 """
 
 from __future__ import annotations
@@ -19,7 +46,7 @@ import time
 from dataclasses import dataclass
 
 from .constructions import GENERIC_FAMILIES, CitedCaseError, build_construction
-from .graphs import Graph, ParameterError, chromatic_number_exact, known_chromatic
+from .graphs import Edge, Graph, ParameterError, chromatic_number_exact, edge, known_chromatic
 from .labelings import EdgeLabeling, verify_local_antimagic
 
 
@@ -28,9 +55,11 @@ class SearchConfig:
     """Knobs for the exact search.
 
     ``descending_labels`` controls label try-order (large first prunes
-    faster on join graphs); ``symmetry_pruning`` halves the search on
-    regular graphs by orienting the reflection that swaps labels k and
-    q+1-k. Both orders must give identical results.
+    faster on join graphs). ``symmetry_pruning`` orients the reflection
+    that swaps labels k and q+1-k on regular graphs (halving the search),
+    and orders the labels on twin vertices' edges on all other graphs (see
+    the module docstring). Every combination must give the same optimum;
+    the witness may differ. The edge order is fixed (finalize-soonest).
     """
 
     max_edges: int = 12
@@ -42,7 +71,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_edges < 1:
             raise ParameterError("max_edges must be at least 1")
-        if self.time_budget <= 0:
+        if not self.time_budget > 0:  # also rejects NaN
             raise ParameterError("time budget must be positive")
 
 
@@ -67,6 +96,42 @@ class SolveReport:
         }
 
 
+def _finalize_soonest_order(g: Graph) -> list[Edge]:
+    """Search order in which vertex sums become final as early as possible.
+
+    Repeatedly takes the vertex with the fewest unplaced incident edges
+    (ties: smaller degree, then smaller id) and appends all of its unplaced
+    edges, in neighbor order. Each such vertex's sum is final at the last
+    of its edges, so the adjacency and color-bound prunes fire early.
+    """
+    unplaced = {v: g.degree(v) for v in g.vertices}
+    placed: set[Edge] = set()
+    order: list[Edge] = []
+    while len(order) < g.q:
+        v = min(
+            (u for u in g.vertices if unplaced[u]),
+            key=lambda u: (unplaced[u], g.degree(u), u),
+        )
+        for u in g.neighbors(v):
+            e = edge(v, u)
+            if e not in placed:
+                placed.add(e)
+                order.append(e)
+                unplaced[v] -= 1
+                unplaced[u] -= 1
+    return order
+
+
+def _twin_classes(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
+    """(x, (u1 < u2 < ...)) for each class of >= 2 vertices with equal open
+    neighborhoods, x being their smallest common neighbor."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v in g.vertices:
+        if g.neighbors(v):
+            classes.setdefault(g.neighbors(v), []).append(v)
+    return [(nbrs[0], tuple(vs)) for nbrs, vs in classes.items() if len(vs) > 1]
+
+
 def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
     """Minimum color count over all proper labelings of ``g``.
 
@@ -85,8 +150,7 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
         raise ParameterError("the graph has no edges to label")
 
     q = g.q
-    # Edges in decreasing order of endpoint degrees finalizes hubs early.
-    edges = sorted(g.edges, key=lambda e: -(g.degree(e[0]) + g.degree(e[1])))
+    edges = _finalize_soonest_order(g)
     neighbors = {v: g.neighbors(v) for v in g.vertices}
     degree = {v: g.degree(v) for v in g.vertices}
 
@@ -99,7 +163,20 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
 
     label_order = range(q, 0, -1) if cfg.descending_labels else range(1, q + 1)
     regular = len(set(degree.values())) == 1
-    use_symmetry = cfg.symmetry_pruning and regular
+    use_reflection = cfg.symmetry_pruning and regular
+    # twin_checks[i]: (j, larger) pairs with j < i; edge i's label must be
+    # larger than edge j's when ``larger``, else smaller.
+    twin_checks: list[list[tuple[int, bool]]] = [[] for _ in range(q)]
+    if cfg.symmetry_pruning and not regular:
+        index = {e: i for i, e in enumerate(edges)}
+        for x, twins in _twin_classes(g):
+            chain = [index[edge(x, u)] for u in twins]
+            for hi, lo in zip(chain, chain[1:]):
+                # f(x u_k) > f(x u_k+1), checked when the later edge is labeled
+                if hi < lo:
+                    twin_checks[lo].append((hi, False))
+                else:
+                    twin_checks[hi].append((lo, True))
 
     sums = {v: 0 for v in g.vertices}
     remaining = dict(degree)
@@ -131,16 +208,19 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
                     return True
             return False
         a, b = edges[i]
+        checks = twin_checks[i]
         for lab in label_order:
             if used[lab]:
                 continue
-            if use_symmetry and q >= 2:
+            if use_reflection and q >= 2:
                 # Orient the reflection f <-> q+1-f (valid on regular
                 # graphs): label 1 must land on an earlier edge than q.
                 if lab == q and 1 not in pos_of_label:
                     continue
                 if lab == 1 and q in pos_of_label:
                     continue
+            if checks and not all((lab > assigned[j]) == larger for j, larger in checks):
+                continue
             used[lab] = True
             assigned[i] = lab
             pos_of_label[lab] = i
@@ -186,7 +266,7 @@ class ConfirmationVerdict:
 
     family: str
     params: dict
-    verdict: str  # matched | upper-bound-only | mismatch
+    verdict: str  # matched | upper-bound-only | inconclusive | mismatch | out-of-range
     claimed_chi_la: int | None
     measured_colors: int | None
     chi_lower_bound: int | None
@@ -229,7 +309,13 @@ def confirm_theorem(family: str, params: dict, cfg: SearchConfig = SearchConfig(
         g = exc.graph
         if g.q <= cfg.max_edges:
             report = exact_chi_la(g, cfg)
-            if report.chi_la == exc.cited_chi_la and report.exact:
+            if not report.exact:
+                # A best-so-far count is only an upper bound on the optimum.
+                return ConfirmationVerdict(
+                    family, params, "inconclusive", exc.cited_chi_la, None, None,
+                    report.chi_la, "exact search ran out of time before settling the cited value",
+                )
+            if report.chi_la == exc.cited_chi_la:
                 return ConfirmationVerdict(
                     family, params, "matched", exc.cited_chi_la, report.chi_la,
                     None, report.chi_la, "cited value confirmed by exact search",

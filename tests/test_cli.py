@@ -166,3 +166,58 @@ def test_env_var_budget(tmp_path, monkeypatch):
     assert run_cli("solve", "--family", "path-join-null", "--m", "1", "--N", "2",
                    "--out", str(out)) == 0
     assert json.loads(out.read_text())["chi_la"] == 3
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_nonpositive_budget_exits_2(budget):
+    for argv in (
+        ["solve", "--family", "path-join-null", "--m", "1", "--N", "2"],
+        ["gen", "--family", "cycle-join-null", "--m", "3", "--n", "3"],
+        ["sweep", "--family", "path-join-null", "--m", "1", "--N", "2"],
+    ):
+        proc = run_subprocess(*argv, "--budget", budget)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.count("\n") == 1 and "budget" in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["verify"], ["matrix", "--input"], ["solve", "--input"]])
+def test_malformed_json_exits_2(tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_text('{"schema": "v1", ')
+    proc = run_subprocess(*command, str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_malformed_sweep_range_exits_2():
+    proc = run_subprocess("sweep", "--family", "path-join-null", "--m", "x..3", "--N", "1")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --m takes an integer or a range LO..HI, got 'x..3'\n"
+
+
+def test_missing_family_parameter_exits_2():
+    proc = run_subprocess("gen", "--family", "path-join-null", "--m", "3")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: path-join-null needs parameter N\n"
+
+
+def test_bool_label_is_rejected(tmp_path):
+    prefix = tmp_path / "p"
+    assert run_cli("gen", "--family", "path-join-null", "--m", "2", "--N", "3",
+                   "--out", str(prefix)) == 0
+    path = prefix.with_suffix(".labeling.json")
+    data = json.loads(path.read_text())
+    for item in data["labels"]:
+        if item["label"] == 1:
+            item["label"] = True
+    path.write_text(json.dumps(data))
+    proc = run_subprocess("verify", str(path))
+    assert proc.returncode == 2 and "not an integer" in proc.stderr
+
+
+def test_sweep_timeout_is_inconclusive_not_mismatch(tmp_path):
+    out = tmp_path / "sweep.txt"
+    code = run_cli("sweep", "--family", "path-join-null", "--m", "3", "--N", "1",
+                   "--budget", "1e-6", "--out", str(out))
+    assert code == 0
+    assert "inconclusive" in out.read_text()

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -278,3 +279,26 @@ def test_labeling_json_round_trip():
     back = EdgeLabeling.from_json(data)
     assert back.labels == res.labeling.labels
     assert back.graph == res.graph
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["labels"][0].update(label=True),
+        lambda d: d["labels"][0].update(label=float(d["labels"][0]["label"])),
+        lambda d: d.pop("schema"),
+        lambda d: d.update(schema="v2"),
+        lambda d: d.pop("labels"),
+        lambda d: d["labels"][0].pop("edge"),
+    ],
+    ids=["bool-label", "float-label", "no-schema", "wrong-schema", "no-labels", "no-edge"],
+)
+def test_labeling_from_json_rejects_malformed(mutate):
+    res = label_path_join_null(2, 3)
+    data = json.loads(json.dumps(res.labeling.to_json()))
+    first = min(data["labels"], key=lambda item: item["label"])
+    data["labels"].remove(first)
+    data["labels"].insert(0, first)  # label 1, so True and 1.0 keep a bijection
+    mutate(data)
+    with pytest.raises(LabelingError):
+        EdgeLabeling.from_json(data)

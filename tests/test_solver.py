@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from conftest import random_graph
 from lajoin.graphs import Graph, ParameterError, build_family, chromatic_number_exact, delete_edge, join
 from lajoin.labelings import verify_local_antimagic
 from lajoin.solver import SearchConfig, confirm_theorem, exact_chi_la
@@ -58,6 +60,47 @@ def test_config_invariance(kind, params):
         cfg = SearchConfig(symmetry_pruning=sym, descending_labels=desc)
         results.add(exact_chi_la(g, cfg).chi_la)
     assert len(results) == 1
+
+
+def brute_chi_la(g):
+    """Minimum color count over all q! bijections; None if none is proper."""
+    best = None
+    for perm in itertools.permutations(range(1, g.q + 1)):
+        sums = [0] * (g.n + 1)
+        for (a, b), lab in zip(g.edges, perm):
+            sums[a] += lab
+            sums[b] += lab
+        if any(sums[a] == sums[b] for a, b in g.edges):
+            continue
+        count = len(set(sums[1:]))
+        if best is None or count < best:
+            best = count
+    return best
+
+
+def oracle_corpus():
+    rng = random.Random(20261017)
+    graphs = []
+    while len(graphs) < 40:
+        g = random_graph(rng, 3, 7)
+        if g.q <= 7:
+            graphs.append(g)
+    # twin-heavy joins: the null side is one class of twins
+    graphs += [join(build_family("path", 2), build_family("null", n)) for n in (1, 2, 3)]
+    graphs.append(join(build_family("cycle", 3), build_family("null", 1)))
+    # two twin classes, each holding the other's smallest common neighbor
+    graphs.append(build_family("complete-bipartite", 2, 3))
+    return graphs
+
+
+def test_brute_force_oracle_all_configs():
+    for g in oracle_corpus():
+        expected = brute_chi_la(g)
+        for sym, desc in itertools.product((True, False), repeat=2):
+            report = exact_chi_la(g, SearchConfig(symmetry_pruning=sym, descending_labels=desc))
+            assert report.exact and report.chi_la == expected, (g.edges, sym, desc)
+            if expected is not None:
+                assert verify_local_antimagic(g, report.witness).color_count == expected
 
 
 def test_edge_order_invariance():
@@ -156,3 +199,10 @@ def test_report_json_shape():
     data = report.to_json()
     assert data["schema"] == "v1" and data["chi_la"] == 3
     assert data["witness"]["labels"]
+
+
+def test_confirm_cited_timeout_is_inconclusive():
+    # the 11-edge fan needs far more than the first deadline check's nodes
+    verdict = confirm_theorem("path-join-null", {"m": 3, "N": 1}, SearchConfig(time_budget=1e-6))
+    assert verdict.verdict == "inconclusive"
+    assert verdict.claimed_chi_la == 3
