@@ -9,6 +9,7 @@ deterministic for a given command line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,13 +71,12 @@ def _collect_params(args) -> dict:
     return params
 
 
-def _add_param_flags(sub, ranges=False):
-    kind = str if ranges else None
+def _add_param_flags(sub):
     sub.add_argument("--family", required=False, choices=ALL_FAMILIES)
-    sub.add_argument("--m", type=kind or int)
-    sub.add_argument("--n", type=kind or int)
-    sub.add_argument("--N", type=kind or int)
-    sub.add_argument("--r", type=kind or int)
+    sub.add_argument("--m", type=int)
+    sub.add_argument("--n", type=int)
+    sub.add_argument("--N", type=int)
+    sub.add_argument("--r", type=int)
     sub.add_argument("--which", choices=["cycle-edge", "join-edge"])
 
 
@@ -278,7 +278,16 @@ def _arrays(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lajoin`` argument parser, built once per process.
+
+    Every ``main`` call shares this one parser: ``parse_args`` keeps no
+    state between calls and each subcommand is bound through
+    ``set_defaults(func=...)``. Callers must not mutate it (no
+    ``add_argument``, ``set_defaults`` or ``add_subparsers``), because the
+    change would leak into every later call.
+    """
     parser = argparse.ArgumentParser(
         prog="lajoin",
         description=(

@@ -10,14 +10,24 @@ offsets, and they survive joins and edge deletions.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
 Edge = tuple[int, int]
 
+# [0-9], not \d: \d also matches non-ASCII digits, so "u1" and "u\u0661"
+# (Arabic-Indic one) would both pass as index 1.
+_ROLE = re.compile(r"[uv][1-9][0-9]*")
+
 
 class ParameterError(ValueError):
     """A routine was called outside its documented parameter range."""
+
+
+def is_int_pair(x) -> bool:
+    """True for a JSON edge: a list of two integers (``true`` is no integer)."""
+    return isinstance(x, list) and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
 
 
 def edge(a: int, b: int) -> Edge:
@@ -116,14 +126,38 @@ class Graph:
 
     @staticmethod
     def from_json(data: dict) -> "Graph":
-        verts = data["vertices"]
+        """Parse a v1 graph; raises ParameterError on a malformed one.
+
+        The document must be an object with a ``vertices`` list of
+        ``{"id", "role"}`` objects and an ``edges`` list of integer pairs.
+        Roles must be unique and match ``u<i>`` or ``v<j>`` with i, j >= 1,
+        the only roles the library builds; matrix export sorts by their
+        index. The role check is made here and not in ``__post_init__``,
+        which runs for every graph built in code, where roles are valid by
+        construction.
+        """
+        if not isinstance(data, dict):
+            raise ParameterError("a graph must be a JSON object")
+        verts, pairs = data.get("vertices"), data.get("edges")
+        if not isinstance(verts, list) or not all(
+            isinstance(v, dict) and type(v.get("id")) is int and isinstance(v.get("role"), str)
+            for v in verts
+        ):
+            raise ParameterError('graph "vertices" must be a list of {"id": int, "role": str} objects')
+        if not isinstance(pairs, list) or not all(is_int_pair(e) for e in pairs):
+            raise ParameterError('graph "edges" must be a list of integer pairs')
         ids = [v["id"] for v in verts]
         if sorted(ids) != list(range(1, len(ids) + 1)):
             raise ParameterError("vertex ids must be exactly 1..n")
         roles = [""] * len(ids)
         for v in verts:
-            roles[v["id"] - 1] = v["role"]
-        edges = tuple(edge(a, b) for a, b in data["edges"])
+            role = v["role"]
+            if not _ROLE.fullmatch(role):
+                raise ParameterError(f"vertex role {role!r} is not u<i> or v<j> with i, j >= 1")
+            roles[v["id"] - 1] = role
+        if len(set(roles)) != len(roles):
+            raise ParameterError("vertex roles must be unique")
+        edges = tuple(edge(a, b) for a, b in pairs)
         return Graph(len(ids), edges, tuple(roles), _family_from_json(data.get("family")))
 
     def __repr__(self):
@@ -139,6 +173,10 @@ def _family_to_json(family):
 def _family_from_json(data):
     if data is None:
         return None
+    if not isinstance(data, list) or not all(
+        x is None or type(x) in (str, int, list) for x in data
+    ):
+        raise ParameterError('graph "family" must be null or a list of strings, integers and lists')
     return tuple(_family_from_json(x) if isinstance(x, list) else x for x in data)
 
 

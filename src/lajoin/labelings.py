@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Edge, Graph, ParameterError, edge
+from .graphs import Edge, Graph, ParameterError, edge, is_int_pair
 
 
 class LabelingError(ValueError):
@@ -59,21 +59,29 @@ class EdgeLabeling:
     def from_json(data: dict) -> "EdgeLabeling":
         """Parse a v1 labeling; raises LabelingError on a malformed one.
 
-        Labels must be JSON integers: ``true`` and ``2.0`` compare equal to
-        1 and 2 in Python and would otherwise pass the bijection check.
+        Labels and edge endpoints must be JSON integers: ``true`` and ``2.0``
+        compare equal to 1 and 2 in Python and would otherwise pass the
+        bijection check. A malformed ``graph`` is reported as a LabelingError
+        too.
         """
         if not isinstance(data, dict) or data.get("schema") != "v1":
             raise LabelingError('a labeling must be a JSON object with "schema": "v1"')
         try:
             g = Graph.from_json(data["graph"])
+            if not isinstance(data["labels"], list):
+                raise LabelingError('"labels" must be a list of {"edge", "label"} objects')
             labels = {}
             for item in data["labels"]:
                 e, lab = item["edge"], item["label"]
+                if not is_int_pair(e):
+                    raise LabelingError(f"edge {e!r} is not a pair of integers")
                 if type(lab) is not int:
                     raise LabelingError(f"label {lab!r} on edge {e} is not an integer")
                 labels[edge(*e)] = lab
         except (KeyError, TypeError) as exc:
             raise LabelingError(f"malformed labeling JSON: {exc!r}") from None
+        except ParameterError as exc:
+            raise LabelingError(f"malformed labeling: {exc}") from None
         return EdgeLabeling(g, labels)
 
     def __repr__(self):
@@ -333,16 +341,14 @@ def export_matrix(g: Graph, f: EdgeLabeling) -> LabelingMatrix:
             e = edge(u, v)
             row.append(f.labels.get(e))
         grid.append(tuple(row))
-    u_side = []
-    for u in us:
-        own = sum(
-            lab for (a, b), lab in f.labels.items() if (a == u or b == u) and a in u_set and b in u_set
-        )
-        u_side.append(own)
+    u_own = {u: 0 for u in us}
     v_own = {v: 0 for v in vs}
     has_v_edges = False
     for (a, b), lab in f.labels.items():
-        if a in v_set and b in v_set:
+        if a in u_set and b in u_set:
+            u_own[a] += lab
+            u_own[b] += lab
+        elif a in v_set and b in v_set:
             has_v_edges = True
             v_own[a] += lab
             v_own[b] += lab
@@ -350,7 +356,7 @@ def export_matrix(g: Graph, f: EdgeLabeling) -> LabelingMatrix:
         u_names=tuple(g.role_of(u) for u in us),
         v_names=tuple(g.role_of(v) for v in vs),
         grid=tuple(grid),
-        u_side=tuple(u_side),
+        u_side=tuple(u_own[u] for u in us),
         u_margins=tuple(sums[u] for u in us),
         v_side=tuple(v_own[v] for v in vs) if has_v_edges else None,
         v_margins=tuple(sums[v] for v in vs),

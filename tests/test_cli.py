@@ -1,10 +1,20 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lajoin.cli import main
+import lajoin
+import lajoin.cli as cli
+from lajoin.cli import build_parser, main
+from lajoin.constructions import build_construction
 
 
 def run_cli(*argv):
@@ -13,8 +23,13 @@ def run_cli(*argv):
 
 
 def run_subprocess(*argv):
+    # The child imports the same lajoin as this process, also when it was
+    # found through pytest's ``pythonpath`` setting rather than PYTHONPATH.
+    src = str(Path(lajoin.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "lajoin.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "lajoin.cli", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -221,3 +236,183 @@ def test_sweep_timeout_is_inconclusive_not_mismatch(tmp_path):
                    "--budget", "1e-6", "--out", str(out))
     assert code == 0
     assert "inconclusive" in out.read_text()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_does_not_leak_flags(tmp_path, monkeypatch):
+    seen = []
+
+    def budget(args):
+        seen.append(args)
+        return 60.0
+
+    monkeypatch.setattr(cli, "_budget", budget)
+    flags = ["gen", "--family", "path-join-null", "--m", "2", "--N", "3"]
+    assert run_cli(*flags, "--budget", "5", "--matrix", "--out", str(tmp_path / "a")) == 0
+    assert run_cli(*flags, "--out", str(tmp_path / "b")) == 0
+    assert [a.budget for a in seen] == [5.0, None]
+    assert [a.matrix for a in seen] == [True, False]
+
+
+def test_empty_graph_file_exits_2(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    proc = run_subprocess("solve", "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_bad_role_exits_2_for_verify_and_matrix(tmp_path):
+    prefix = tmp_path / "p"
+    assert run_cli("gen", "--family", "path-join-null", "--m", "3", "--N", "2",
+                   "--out", str(prefix)) == 0
+    path = prefix.with_suffix(".labeling.json")
+    data = json.loads(path.read_text())
+    data["graph"]["vertices"][0]["role"] = "ux"
+    path.write_text(json.dumps(data))
+    for command in (["verify"], ["matrix", "--input"]):
+        proc = run_subprocess(*command, str(path))
+        assert proc.returncode == 2, command
+        assert proc.stderr.count("\n") == 1 and "'ux'" in proc.stderr
+
+
+# -- malformed input fuzz ----------------------------------------------------
+
+# P_2 v C_3: own edges on both sides, join edges between them.
+_LABELING = build_construction("path-join-cycle", {"m": 2, "n": 3}).labeling.to_json()
+_GRAPH = _LABELING["graph"]
+_ROLE = re.compile(r"[uv][1-9][0-9]*")
+
+# The simplest value of each JSON kind. Empty containers and integral
+# floats are what slips past a loose check: an empty "labels" dict iterates
+# like an empty list, and 1.0 == 1 in Python.
+_SIMPLEST = {"int": 0, "float": 1.0, "bool": True, "str": "", "null": None, "list": [], "dict": {}}
+_VALUES = {
+    "int": st.integers(-3, 20),
+    "float": st.floats(),
+    "bool": st.booleans(),
+    "str": st.text(max_size=4),
+    "null": st.none(),
+    "list": st.lists(st.integers(-3, 20), max_size=3),
+    "dict": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+_BAD_ROLES = st.one_of(
+    st.sampled_from(["", "u", "v", "u0", "v01", "ux", "w1", "U1", "u1 ", "u-1", "u1_0", "u\u0661"]),
+    st.text(max_size=5),
+).filter(lambda r: not _ROLE.fullmatch(r))
+
+# (path, kinds a valid value there has); "i" is any index into the list
+# before it. Every slot is required except "family", which may be left out
+# but, when present, must be null or a list. A graph's "schema" is not read.
+_GRAPH_SLOTS = [
+    (("family",), ("list", "null")),
+    (("vertices",), ("list",)),
+    (("vertices", "i"), ("dict",)),
+    (("vertices", "i", "id"), ("int",)),
+    (("vertices", "i", "role"), ("str",)),
+    (("edges",), ("list",)),
+    (("edges", "i"), ("list",)),
+    (("edges", "i", "i"), ("int",)),
+]
+_LABELING_SLOTS = [
+    (("schema",), ()),  # only the string "v1" is accepted
+    (("graph",), ("dict",)),
+    (("labels",), ("list",)),
+    (("labels", "i"), ("dict",)),
+    (("labels", "i", "edge"), ("list",)),
+    (("labels", "i", "edge", "i"), ("int",)),
+    (("labels", "i", "label"), ("int",)),
+] + [(("graph", *path), kinds) for path, kinds in _GRAPH_SLOTS]
+
+
+def _locate(doc, path, index):
+    """The container holding the slot at ``path``, and the slot's key.
+
+    ``index(n)`` picks the position for each "i" in a list of length n.
+    """
+    parent, node = None, doc
+    for step in path:
+        key = index(len(node)) if step == "i" else step
+        parent, node = node, node[key]
+    return parent, key
+
+
+@st.composite
+def malformed_documents(draw):
+    """A labeling or graph document with one structural fault."""
+    doc = copy.deepcopy(draw(st.sampled_from([_LABELING, _GRAPH])))
+    slots = _LABELING_SLOTS if "labels" in doc else _GRAPH_SLOTS
+    vertices = doc["graph"]["vertices"] if "graph" in doc else doc["vertices"]
+    faults = ["top-level", "drop-key", "wrong-type", "bad-role", "duplicate-role"]
+    if "labels" in doc:
+        faults.append("inexact-label")
+    fault = draw(st.sampled_from(faults))
+
+    def index(n):
+        return draw(st.integers(0, n - 1))
+
+    if fault == "top-level":
+        return draw(st.one_of(*(v for k, v in _VALUES.items() if k != "dict"),
+                              st.lists(st.just(doc), max_size=2)))
+    if fault == "drop-key":
+        path = draw(st.sampled_from(
+            [p for p, _ in slots if p[-1] not in ("i", "family")]
+        ))
+        parent, key = _locate(doc, path, index)
+        del parent[key]
+    elif fault == "wrong-type":
+        path, kinds = draw(st.sampled_from(slots))
+        value = draw(st.one_of(*(v for k, v in _VALUES.items() if k not in kinds)))
+        parent, key = _locate(doc, path, index)
+        parent[key] = "v2" if value == "v1" else value
+    elif fault == "bad-role":
+        draw(st.sampled_from(vertices))["role"] = draw(_BAD_ROLES)
+    elif fault == "duplicate-role":
+        i, j = draw(st.lists(st.integers(0, len(vertices) - 1), min_size=2, max_size=2, unique=True))
+        vertices[i]["role"] = vertices[j]["role"]
+    else:
+        draw(st.sampled_from(doc["labels"]))["label"] = draw(
+            st.one_of(st.booleans(), st.floats(allow_nan=True, allow_infinity=True))
+        )
+    return doc
+
+
+def _assert_rejected(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in (["verify"], ["matrix", "--input"], ["solve", "--input"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, str(path)])
+        assert code == 2, (command, doc)
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+_DROP = object()
+
+
+def test_every_slot_fault_exits_2(tmp_path):
+    # Each required key dropped, and each slot (first index) given the
+    # simplest value of every kind it must not have.
+    for base, slots in ((_LABELING, _LABELING_SLOTS), (_GRAPH, _GRAPH_SLOTS)):
+        for path, kinds in slots:
+            values = [v for k, v in _SIMPLEST.items() if k not in kinds]
+            if path[-1] not in ("i", "family"):
+                values.append(_DROP)
+            for value in values:
+                doc = copy.deepcopy(base)
+                parent, key = _locate(doc, path, lambda n: 0)
+                if value is _DROP:
+                    del parent[key]
+                else:
+                    parent[key] = value
+                _assert_rejected(tmp_path, doc)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=malformed_documents())
+def test_malformed_input_fuzz_exits_2(tmp_path, doc):
+    _assert_rejected(tmp_path, doc)

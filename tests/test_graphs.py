@@ -134,3 +134,42 @@ def test_json_round_trip():
     g2 = Graph.from_json(g.to_json())
     assert g2 == g
     assert g2.family == g.family
+
+
+def _graph_doc():
+    return join(build_family("path", 2), build_family("null", 2)).to_json()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.pop("vertices"),
+        lambda d: d.pop("edges"),
+        lambda d: d.update(vertices={}),
+        lambda d: d["vertices"].__setitem__(0, 1),
+        lambda d: d["vertices"][0].update(id=True),
+        lambda d: d["vertices"][0].pop("role"),
+        lambda d: d["vertices"][0].update(role="ux"),
+        lambda d: d["vertices"][0].update(role="u0"),
+        lambda d: d["vertices"][0].update(role="u\u0661"),  # Arabic-Indic digit one
+        lambda d: d["vertices"][0].update(role="v1"),
+        lambda d: d["edges"][0].__setitem__(1, 2.0),
+        lambda d: d["edges"].__setitem__(0, [1, 2, 3]),
+        lambda d: d.update(family=5),
+        lambda d: d.update(family=["join", {}]),
+    ],
+    ids=["no-vertices", "no-edges", "vertices-dict", "vertex-int", "bool-id",
+         "no-role", "role-ux", "role-u0", "role-unicode-digit", "duplicate-role",
+         "float-endpoint", "edge-triple", "family-int", "family-dict-item"],
+)
+def test_graph_from_json_rejects_malformed(mutate):
+    data = _graph_doc()
+    mutate(data)
+    with pytest.raises(ParameterError):
+        Graph.from_json(data)
+
+
+@pytest.mark.parametrize("data", [[_graph_doc()], None, "graph", 3])
+def test_graph_from_json_rejects_non_object(data):
+    with pytest.raises(ParameterError):
+        Graph.from_json(data)

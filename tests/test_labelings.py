@@ -7,10 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_graph, random_labeling
 from lajoin.constructions import (
+    ALL_FAMILIES,
+    GENERIC_FAMILIES,
     _cycle_null_labeling,
+    build_construction,
     label_cycle_join_cycle,
     label_cycle_join_null,
     label_path_join_null,
+    sweep_points,
 )
 from lajoin.graphs import ParameterError, build_family, join
 from lajoin.labelings import (
@@ -254,6 +258,30 @@ def test_matrix_margins_internal_consistency():
         assert col + mat.v_side[j] == mat.v_margins[j]
 
 
+def test_matrix_own_side_sums_match_definition():
+    # u_side / v_side against their per-vertex definition: the labels on
+    # edges with both endpoints on that vertex's side of the join.
+    families = [f for f in ALL_FAMILIES if f not in GENERIC_FAMILIES]
+    assert {"path-join-cycle", "complete-join-odd-cycle"} <= set(families)
+    checked = 0
+    for family in families:
+        for params in sweep_points(family, 40):
+            res = build_construction(family, params)
+            g, labels = res.graph, res.labeling.labels
+            us, vs = g.u_vertices, g.v_vertices
+
+            def own(x, side):
+                return sum(lab for (a, b), lab in labels.items() if x in (a, b) and {a, b} <= set(side))
+
+            mat = export_matrix(g, res.labeling)
+            assert mat.u_side == tuple(own(u, us) for u in us), (family, params)
+            has_v_edges = any({a, b} <= set(vs) for a, b in labels)
+            expected_v = tuple(own(v, vs) for v in vs) if has_v_edges else None
+            assert mat.v_side == expected_v, (family, params)
+            checked += 1
+    assert checked == 89
+
+
 def test_matrix_requires_join():
     g = build_family("path", 4)
     f = EdgeLabeling(g, {(1, 2): 1, (2, 3): 2, (3, 4): 3})
@@ -290,8 +318,13 @@ def test_labeling_json_round_trip():
         lambda d: d.update(schema="v2"),
         lambda d: d.pop("labels"),
         lambda d: d["labels"][0].pop("edge"),
+        lambda d: d.update(labels={}),
+        lambda d: d["labels"][0]["edge"].__setitem__(0, float(d["labels"][0]["edge"][0])),
+        lambda d: d["graph"]["vertices"][0].update(role="ux"),
+        lambda d: d["graph"].pop("vertices"),
     ],
-    ids=["bool-label", "float-label", "no-schema", "wrong-schema", "no-labels", "no-edge"],
+    ids=["bool-label", "float-label", "no-schema", "wrong-schema", "no-labels", "no-edge",
+         "labels-not-list", "float-endpoint", "bad-role", "graph-no-vertices"],
 )
 def test_labeling_from_json_rejects_malformed(mutate):
     res = label_path_join_null(2, 3)
