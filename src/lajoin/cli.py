@@ -56,9 +56,12 @@ def _budget(args) -> float:
 
 
 def _read_json(path: str):
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and integer
+    # literals over Python's 4300-digit conversion limit; RecursionError,
+    # arrays or objects nested past the recursion limit.
     try:
         return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParameterError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -286,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     state between calls and each subcommand is bound through
     ``set_defaults(func=...)``. Callers must not mutate it (no
     ``add_argument``, ``set_defaults`` or ``add_subparsers``), because the
-    change would leak into every later call.
+    change would leak into every later call. The sharing saves time only
+    where ``main`` runs many times in one process (tests, library
+    callers); the ``lajoin`` console script runs it once per process.
     """
     parser = argparse.ArgumentParser(
         prog="lajoin",

@@ -17,8 +17,13 @@ from functools import cached_property
 Edge = tuple[int, int]
 
 # [0-9], not \d: \d also matches non-ASCII digits, so "u1" and "u\u0661"
-# (Arabic-Indic one) would both pass as index 1.
-_ROLE = re.compile(r"[uv][1-9][0-9]*")
+# (Arabic-Indic one) would both pass as index 1. At most nine digits, so
+# that ``int`` can always convert the index: Python refuses strings of more
+# than 4300 digits.
+_ROLE = re.compile(r"[uv][1-9][0-9]{0,8}")
+# Library descriptors nest at most three lists deep; a deeper one read from
+# a file would only exhaust the recursion limit.
+_MAX_FAMILY_DEPTH = 32
 
 
 class ParameterError(ValueError):
@@ -130,11 +135,12 @@ class Graph:
 
         The document must be an object with a ``vertices`` list of
         ``{"id", "role"}`` objects and an ``edges`` list of integer pairs.
-        Roles must be unique and match ``u<i>`` or ``v<j>`` with i, j >= 1,
-        the only roles the library builds; matrix export sorts by their
-        index. The role check is made here and not in ``__post_init__``,
-        which runs for every graph built in code, where roles are valid by
-        construction.
+        Roles must be unique and match ``u<i>`` or ``v<j>`` with
+        1 <= i, j < 10**9, the form of every role the library builds;
+        matrix export sorts by their index. The role check is made here and
+        not in ``__post_init__``, which runs for every graph built in code,
+        where roles are valid by construction. ``family``, when present, is
+        null or a list nested at most 32 deep.
         """
         if not isinstance(data, dict):
             raise ParameterError("a graph must be a JSON object")
@@ -170,14 +176,16 @@ def _family_to_json(family):
     return [_family_to_json(x) if isinstance(x, tuple) else x for x in family]
 
 
-def _family_from_json(data):
+def _family_from_json(data, depth=1):
     if data is None:
         return None
     if not isinstance(data, list) or not all(
         x is None or type(x) in (str, int, list) for x in data
     ):
         raise ParameterError('graph "family" must be null or a list of strings, integers and lists')
-    return tuple(_family_from_json(x) if isinstance(x, list) else x for x in data)
+    if depth > _MAX_FAMILY_DEPTH:
+        raise ParameterError(f'graph "family" nests more than {_MAX_FAMILY_DEPTH} lists deep')
+    return tuple(_family_from_json(x, depth + 1) if isinstance(x, list) else x for x in data)
 
 
 def build_family(kind: str, *params: int) -> Graph:

@@ -284,7 +284,7 @@ def test_bad_role_exits_2_for_verify_and_matrix(tmp_path):
 # P_2 v C_3: own edges on both sides, join edges between them.
 _LABELING = build_construction("path-join-cycle", {"m": 2, "n": 3}).labeling.to_json()
 _GRAPH = _LABELING["graph"]
-_ROLE = re.compile(r"[uv][1-9][0-9]*")
+_ROLE = re.compile(r"[uv][1-9][0-9]{0,8}")
 
 # The simplest value of each JSON kind. Empty containers and integral
 # floats are what slips past a loose check: an empty "labels" dict iterates
@@ -300,7 +300,8 @@ _VALUES = {
     "dict": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 }
 _BAD_ROLES = st.one_of(
-    st.sampled_from(["", "u", "v", "u0", "v01", "ux", "w1", "U1", "u1 ", "u-1", "u1_0", "u\u0661"]),
+    st.sampled_from(["", "u", "v", "u0", "v01", "ux", "w1", "U1", "u1 ", "u-1", "u1_0", "u\u0661",
+                     "u1" + "0" * 9, "v1" + "0" * 4400]),
     st.text(max_size=5),
 ).filter(lambda r: not _ROLE.fullmatch(r))
 
@@ -380,9 +381,10 @@ def malformed_documents(draw):
     return doc
 
 
-def _assert_rejected(tmp_path, doc):
+def _assert_rejected(tmp_path, doc, text=None):
+    """Every input command exits 2 with one line on ``doc`` (or raw ``text``)."""
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc) if text is None else text)
     for command in (["verify"], ["matrix", "--input"], ["solve", "--input"]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -410,6 +412,34 @@ def test_every_slot_fault_exits_2(tmp_path):
                 else:
                     parent[key] = value
                 _assert_rejected(tmp_path, doc)
+
+
+def _deep_family(depth):
+    graph = json.dumps(_GRAPH)
+    return graph[:-1] + ', "family": ' + "[" * depth + "]" * depth + "}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Integer literals past Python's 4300-digit conversion limit make
+        # json.loads raise a plain ValueError, not JSONDecodeError.
+        json.dumps(_GRAPH).replace('"id": 1,', '"id": 1' + "0" * 4400 + ",", 1),
+        json.dumps(_LABELING).replace('"label": ', '"label": 1' + "0" * 4400, 1),
+        # Nested past the recursion limit: json.loads raises RecursionError.
+        _deep_family(100_000),
+        "[" * 100_000 + "]" * 100_000,
+        # Parses, but nests deeper than any family descriptor may.
+        _deep_family(600),
+        # A role index that int() refuses: it would pass verify and then
+        # crash matrix export, which sorts by the index.
+        json.dumps(_LABELING).replace('"role": "u1"', '"role": "u1' + "0" * 4400 + '"', 1),
+    ],
+    ids=["id-4401-digits", "label-4401-digits", "family-100000-deep", "array-100000-deep",
+         "family-600-deep", "role-4401-digits"],
+)
+def test_oversized_json_exits_2(tmp_path, text):
+    _assert_rejected(tmp_path, None, text)
 
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -153,20 +154,33 @@ def _graph_doc():
         lambda d: d["vertices"][0].update(role="u0"),
         lambda d: d["vertices"][0].update(role="u\u0661"),  # Arabic-Indic digit one
         lambda d: d["vertices"][0].update(role="v1"),
+        lambda d: d["vertices"][0].update(role="u1" + "0" * 9),
+        lambda d: d["vertices"][0].update(role="u1" + "0" * 4400),
         lambda d: d["edges"][0].__setitem__(1, 2.0),
         lambda d: d["edges"].__setitem__(0, [1, 2, 3]),
         lambda d: d.update(family=5),
         lambda d: d.update(family=["join", {}]),
+        lambda d: d.update(family=json.loads("[" * 33 + "]" * 33)),
     ],
     ids=["no-vertices", "no-edges", "vertices-dict", "vertex-int", "bool-id",
          "no-role", "role-ux", "role-u0", "role-unicode-digit", "duplicate-role",
-         "float-endpoint", "edge-triple", "family-int", "family-dict-item"],
+         "role-10-digits", "role-4401-digits", "float-endpoint", "edge-triple",
+         "family-int", "family-dict-item", "family-33-deep"],
 )
 def test_graph_from_json_rejects_malformed(mutate):
     data = _graph_doc()
     mutate(data)
     with pytest.raises(ParameterError):
         Graph.from_json(data)
+
+
+def test_graph_from_json_role_and_family_limits():
+    data = _graph_doc()
+    for v, role in zip(data["vertices"], ["u999999999", "u10", "v1", "v2"]):
+        v["role"] = role
+    data["family"] = json.loads("[" * 32 + "]" * 32)
+    g = Graph.from_json(data)
+    assert [g.role_of(v) for v in g.u_vertices] == ["u10", "u999999999"]
 
 
 @pytest.mark.parametrize("data", [[_graph_doc()], None, "graph", 3])
