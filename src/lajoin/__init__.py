@@ -18,6 +18,7 @@ from .arrays import (
 )
 from .constructions import (
     ALL_FAMILIES,
+    FAMILIES,
     CitedCaseError,
     ConstructionResult,
     antimagic_complete,

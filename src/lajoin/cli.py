@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .arrays import (
@@ -25,6 +26,7 @@ from .arrays import (
 )
 from .constructions import (
     ALL_FAMILIES,
+    FAMILIES,
     CitedCaseError,
     ConstructionResult,
     build_construction,
@@ -39,7 +41,9 @@ from .labelings import (
 )
 from .solver import SearchConfig, ConfirmationVerdict, confirm_theorem, exact_chi_la
 
-PARAM_KEYS = ("m", "n", "N", "r", "which")
+# Every family parameter, each a flag, and the values ``--which`` takes.
+PARAM_KEYS = tuple(dict.fromkeys(key for fam in FAMILIES for key in fam.params))
+WHICH_VALUES = tuple(dict.fromkeys(w for fam in FAMILIES for w in fam.which_values))
 
 
 def _budget(args) -> float:
@@ -66,21 +70,17 @@ def _read_json(path: str):
 
 
 def _collect_params(args) -> dict:
-    params = {}
+    return {key: getattr(args, key) for key in PARAM_KEYS if getattr(args, key) is not None}
+
+
+def _add_param_flags(sub, required: bool = False, number=int):
+    """--family and one flag per family parameter; sweep reads numbers as ranges."""
+    sub.add_argument("--family", required=required, choices=ALL_FAMILIES)
     for key in PARAM_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    return params
-
-
-def _add_param_flags(sub):
-    sub.add_argument("--family", required=False, choices=ALL_FAMILIES)
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--N", type=int)
-    sub.add_argument("--r", type=int)
-    sub.add_argument("--which", choices=["cycle-edge", "join-edge"])
+        if key == "which":
+            sub.add_argument("--which", choices=WHICH_VALUES)
+        else:
+            sub.add_argument(f"--{key}", type=number)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -171,7 +171,9 @@ def _solve(args) -> int:
         time_budget=_budget(args),
     )
     if args.input:
-        g = Graph.from_json(_read_json(args.input))
+        # A file's family descriptor is not evidence: the solver would take
+        # its chromatic lower bound from it.
+        g = replace(Graph.from_json(_read_json(args.input)), family=None)
     elif args.family:
         try:
             res = build_construction(args.family, _collect_params(args))
@@ -200,9 +202,7 @@ def _matrix(args) -> int:
     return 0
 
 
-def _parse_range(key: str, text: str | None) -> list[int] | None:
-    if text is None:
-        return None
+def _parse_range(key: str, text: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
@@ -216,10 +216,9 @@ def _sweep(args) -> int:
     if not args.family:
         return _fail_usage("sweep needs --family")
     ranges = {}
-    for key in ("m", "n", "N", "r"):
-        vals = _parse_range(key, getattr(args, key))
-        if vals is not None:
-            ranges[key] = vals
+    for key in PARAM_KEYS:
+        if key != "which" and getattr(args, key) is not None:
+            ranges[key] = _parse_range(key, getattr(args, key))
     which = [args.which] if args.which else None
     if ranges or which:
         points = [{}]
@@ -335,12 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     mat.set_defaults(func=_matrix)
 
     sw = sub.add_parser("sweep", help="confirm a family's claims over parameter ranges")
-    sw.add_argument("--family", required=True, choices=ALL_FAMILIES)
-    sw.add_argument("--m")
-    sw.add_argument("--n")
-    sw.add_argument("--N")
-    sw.add_argument("--r")
-    sw.add_argument("--which", choices=["cycle-edge", "join-edge"])
+    _add_param_flags(sw, required=True, number=str)
     sw.add_argument("--max-total-edges", type=int, default=400)
     sw.add_argument("--max-edges", type=int, default=12, help="solver cutoff per instance")
     sw.add_argument("--budget", type=float)

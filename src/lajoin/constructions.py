@@ -10,11 +10,17 @@ Families whose small parameter points are only settled by citation in the
 literature (half-wheels, fans, wheels, the K_{1,1,n} joins) raise
 CitedCaseError carrying the graph and the cited value; callers may route
 those to the exact solver.
+
+``FAMILIES`` is the registry: one record per family states its parameters,
+generator, closed-form edge count, sweep domain and excluded points, and
+``build_construction``, ``sweep_points`` and the CLI flags are read from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from .arrays import drop_column_and_rotate, magic_rectangle, nearly_magic_rectangle, siamese_magic_square
 from .graphs import Edge, Graph, ParameterError, build_family, edge, join
@@ -24,6 +30,8 @@ from .labelings import (
     check_deletion_certificate,
     complement_labeling,
     delete_labeled_edge,
+    verify_local_antimagic,
+    vertex_sums,
 )
 
 
@@ -53,17 +61,24 @@ class ConstructionResult:
     notes: tuple[str, ...] = ()
 
 
-def _claimed(colors, count: int, family: str, params) -> frozenset[int]:
-    # The closed forms of a scheme can collide at isolated parameter points
-    # (the schemes here have exactly one such point each); refuse rather
-    # than return a labeling that cannot meet its claim.
+def _result(
+    family: str, params: dict, g: Graph, f: EdgeLabeling, colors, count: int, notes: tuple[str, ...] = ()
+) -> ConstructionResult:
+    # The closed forms of a scheme can collide at isolated parameter points;
+    # refuse rather than return a labeling that cannot meet its claim.
     colors = frozenset(colors)
     if len(colors) != count:
         raise ParameterError(
             f"{family} {params}: the scheme's color values collide at this point; "
             "no labeling with the claimed color count is available"
         )
-    return colors
+    return ConstructionResult(family, params, g, f, colors, count, notes)
+
+
+# The one point of each scheme below whose closed-form colors collide, as
+# (m, n); the generator refuses it and the sweep skips it.
+CYCLE_CYCLE_COLLISION = (3, 6)  # C_2m v C_{2n-1}, with or without its label-1 edge
+JOIN_EDGE_COLLISION = (4, 3)  # (C_2m v O_{2n-1}) minus the join edge
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +186,6 @@ def _complete_labels(r: int) -> dict[Edge, int]:
     return lab
 
 
-def _vertex_sums(labels: dict[Edge, int], n: int) -> dict[int, int]:
-    sums = {v: 0 for v in range(1, n + 1)}
-    for (a, b), lab in labels.items():
-        sums[a] += lab
-        sums[b] += lab
-    return sums
-
-
 def _assemble(
     graph: Graph,
     first_n: int,
@@ -275,9 +282,7 @@ def label_path_join_null(m: int, null_order: int) -> ConstructionResult:
             m * (4 * n * n + 3 * n - 1) - n,
             m * (4 * m * n + 2 * m - 1),
         }
-    return ConstructionResult(
-        "path-join-null", params, g, f, _claimed(colors, 3, "path-join-null", params), 3
-    )
+    return _result("path-join-null", params, g, f, colors, 3)
 
 
 def label_p7_o3() -> ConstructionResult:
@@ -295,7 +300,7 @@ def label_p7_o3() -> ConstructionResult:
     }
     join_labels = {(i, j + 1): grid[i][j] for i in grid for j in range(3)}
     f = _assemble(g, 7, path_labels, join_labels)
-    return ConstructionResult("p7-o3", {}, g, f, frozenset({51, 65, 119}), 3)
+    return _result("p7-o3", {}, g, f, {51, 65, 119}, 3)
 
 
 def label_path_join_cycle(m: int, n: int) -> ConstructionResult:
@@ -318,8 +323,8 @@ def label_path_join_cycle(m: int, n: int) -> ConstructionResult:
             14 * n - 4,
             14 * n - 3,
         }
-        return ConstructionResult(
-            "path-join-cycle", params, g, f, _claimed(colors, 5, "path-join-cycle", params), 5,
+        return _result(
+            "path-join-cycle", params, g, f, colors, 5,
             notes=("first-side sums recomputed by direct summation",),
         )
     f = _assemble(
@@ -337,9 +342,7 @@ def label_path_join_cycle(m: int, n: int) -> ConstructionResult:
         v_base + 2 * n - 3,
         v_base + 2 * n - 2,
     }
-    return ConstructionResult(
-        "path-join-cycle", params, g, f, _claimed(colors, 5, "path-join-cycle", params), 5
-    )
+    return _result("path-join-cycle", params, g, f, colors, 5)
 
 
 def label_path_join_complete(m: int, r: int) -> ConstructionResult:
@@ -351,15 +354,7 @@ def label_path_join_complete(m: int, r: int) -> ConstructionResult:
         # P_2 v K_r is the complete graph on r + 2 vertices.
         g = join(build_family("path", 2), build_family("complete", r))
         f = EdgeLabeling(g, _complete_labels(g.n))
-        sums = f.sums
-        return ConstructionResult(
-            "path-join-complete",
-            params,
-            g,
-            f,
-            _claimed(sums.values(), r + 2, "path-join-complete", params),
-            r + 2,
-        )
+        return _result("path-join-complete", params, g, f, f.sums.values(), r + 2)
     if r == 1:
         g = join(build_family("path", 2 * m), build_family("null", 1))
         raise CitedCaseError(
@@ -369,14 +364,8 @@ def label_path_join_complete(m: int, r: int) -> ConstructionResult:
         )
     if r == 3:
         # K_3 is the 3-cycle; reuse the path-cycle scheme.
-        routed = label_path_join_cycle(m, 2)
-        return ConstructionResult(
-            "path-join-complete",
-            params,
-            routed.graph,
-            routed.labeling,
-            routed.claimed_colors,
-            routed.claimed_chi_la,
+        return replace(
+            label_path_join_cycle(m, 2), family="path-join-complete", params=params,
             notes=("K_3 handled as the 3-cycle",),
         )
     g = join(build_family("path", 2 * m), build_family("complete", r))
@@ -393,11 +382,9 @@ def label_path_join_complete(m: int, r: int) -> ConstructionResult:
         joins[(2 * m, 2)] = 6 * m - 1
         f = _assemble(g, 2 * m, _path_labels(m), joins, {(1, 2): 6 * m})
         colors = {9 * m - 2, 11 * m - 2, 8 * m * m + 3 * m, 8 * m * m + 7 * m}
-        return ConstructionResult(
-            "path-join-complete", params, g, f, _claimed(colors, 4, "path-join-complete", params), 4
-        )
+        return _result("path-join-complete", params, g, f, colors, 4)
     h = _complete_labels(r)
-    h_sums = _vertex_sums(h, r)
+    h_sums = vertex_sums(h, r)
     if r % 2 == 0:
         n = r // 2
         q0 = 4 * m * n + 2 * m - 1
@@ -419,14 +406,7 @@ def label_path_join_complete(m: int, r: int) -> ConstructionResult:
     shifted = {e: lab + q0 for e, lab in h.items()}
     f = _assemble(g, 2 * m, _path_labels(m), joins, shifted)
     v_colors = {h_sums[v] + v_join_sum + (r - 1) * q0 for v in range(1, r + 1)}
-    return ConstructionResult(
-        "path-join-complete",
-        params,
-        g,
-        f,
-        _claimed(u_colors | v_colors, r + 2, "path-join-complete", params),
-        r + 2,
-    )
+    return _result("path-join-complete", params, g, f, u_colors | v_colors, r + 2)
 
 
 def _cycle_null_labeling(m: int, n: int) -> tuple[Graph, EdgeLabeling]:
@@ -458,14 +438,7 @@ def label_cycle_join_null(m: int, n: int) -> ConstructionResult:
             "wheels C_2m v O_1 are covered by cited work; use the exact solver", g, 3
         )
     g, f = _cycle_null_labeling(m, n)
-    return ConstructionResult(
-        "cycle-join-null",
-        params,
-        g,
-        f,
-        _claimed(_cycle_null_colors(m, n).values(), 3, "cycle-join-null", params),
-        3,
-    )
+    return _result("cycle-join-null", params, g, f, _cycle_null_colors(m, n).values(), 3)
 
 
 def label_odd_cycle_join_even_null(n: int) -> ConstructionResult:
@@ -496,17 +469,10 @@ def label_odd_cycle_join_even_null(n: int) -> ConstructionResult:
         k + 1 + 2 * n * (n + 1),
         k + 1 + (4 + 2 * n) * (n + 1),
     }
-    return ConstructionResult(
-        "odd-cycle-join-even-null",
-        {"n": n},
-        g,
-        f,
-        _claimed(colors, 4, "odd-cycle-join-even-null", {"n": n}),
-        4,
-    )
+    return _result("odd-cycle-join-even-null", {"n": n}, g, f, colors, 4)
 
 
-def label_cycle_join_null_minus_edge(m: int, n: int, which: str) -> ConstructionResult:
+def label_cycle_join_null_minus_edge(m: int, n: int, which: str = "cycle-edge") -> ConstructionResult:
     """C_2m v O_{2n-1} with one edge removed, still three colors.
 
     ``which`` picks the canonical deleted edge: "cycle-edge" removes the
@@ -524,13 +490,12 @@ def label_cycle_join_null_minus_edge(m: int, n: int, which: str) -> Construction
         e = edge(2 * m - 1, 2 * m)
         lab = f
     elif which == "join-edge":
-        if (m, n) == (4, 3):
-            # Unique exceptional point: after reflecting and deleting, the
-            # even-cycle class and the null-side class land on the same sum
-            # (4mn(n-m)+mn+2m^2+2m-n-1 = 0 exactly at m=4, n=3), so this
-            # scheme cannot certify it.
+        if (m, n) == JOIN_EDGE_COLLISION:
+            # After reflecting and deleting, the even-cycle class and the
+            # null-side class land on the same sum (4mn(n-m)+mn+2m^2+2m-n-1
+            # = 0 exactly here), so this scheme cannot certify the point.
             raise ParameterError(
-                "join-edge deletion at m=4, n=3 merges two color classes; "
+                f"join-edge deletion at m={m}, n={n} merges two color classes; "
                 "no certificate is available for this point"
             )
         ok, witness = check_complement_valid(g, f)
@@ -549,26 +514,18 @@ def label_cycle_join_null_minus_edge(m: int, n: int, which: str) -> Construction
         raise RuntimeError(f"deletion certificate failed for {e}")
     h, f2 = delete_labeled_edge(g, lab, e)
     colors = {base["u_odd"] - deg_u, base["u_even"] - deg_u, base["v"] - deg_v}
-    return ConstructionResult(
-        "cycle-join-null-minus-edge",
-        params,
-        h,
-        f2,
-        _claimed(colors, 3, "cycle-join-null-minus-edge", params),
-        3,
-    )
+    return _result("cycle-join-null-minus-edge", params, h, f2, colors, 3)
 
 
 def label_cycle_join_cycle(m: int, n: int) -> ConstructionResult:
     """Even cycle joined with an odd cycle: C_2m v C_{2n-1}, five colors."""
     if m < 2 or n < 2:
         raise ParameterError("need m, n >= 2")
-    if (m, n) == (3, 6):
-        # Unique collision point of the closed forms: the odd-cycle-side
-        # even class equals the first-side odd class (both 393), so the
-        # scheme does not produce five colors here.
+    if (m, n) == CYCLE_CYCLE_COLLISION:
+        # The odd-cycle-side even class equals the first-side odd class
+        # (both 393), so the scheme does not produce five colors here.
         raise ParameterError(
-            "the two-cycle join scheme merges two color classes at m=3, n=6; "
+            f"the two-cycle join scheme merges two color classes at m={m}, n={n}; "
             "no five-color labeling is available from this construction"
         )
     params = {"m": m, "n": n}
@@ -587,9 +544,7 @@ def label_cycle_join_cycle(m: int, n: int) -> ConstructionResult:
         v_base + 2 * n - 1,
         v_base + 2 * n,
     }
-    return ConstructionResult(
-        "cycle-join-cycle", params, g, f, _claimed(colors, 5, "cycle-join-cycle", params), 5
-    )
+    return _result("cycle-join-cycle", params, g, f, colors, 5)
 
 
 def label_cycle_join_cycle_minus_edge(m: int, n: int, which: str = "cycle-edge") -> ConstructionResult:
@@ -621,14 +576,7 @@ def label_cycle_join_cycle_minus_edge(m: int, n: int, which: str = "cycle-edge")
         v_base + 2 * n - 1 - deg_v,
         v_base + 2 * n - deg_v,
     }
-    return ConstructionResult(
-        "cycle-join-cycle-minus-edge",
-        {"m": m, "n": n},
-        h,
-        f2,
-        _claimed(colors, 5, "cycle-join-cycle-minus-edge", {"m": m, "n": n}),
-        5,
-    )
+    return _result("cycle-join-cycle-minus-edge", {"m": m, "n": n}, h, f2, colors, 5)
 
 
 def label_cycle_join_complete(m: int, r: int) -> ConstructionResult:
@@ -644,29 +592,21 @@ def label_cycle_join_complete(m: int, r: int) -> ConstructionResult:
             "wheels C_2m v K_1 are covered by cited work; use the exact solver", g, 3
         )
     if r == 3:
-        routed = label_cycle_join_cycle(m, 2)
-        return ConstructionResult(
-            "cycle-join-complete",
-            params,
-            routed.graph,
-            routed.labeling,
-            routed.claimed_colors,
-            routed.claimed_chi_la,
+        return replace(
+            label_cycle_join_cycle(m, 2), family="cycle-join-complete", params=params,
             notes=("K_3 handled as the 3-cycle",),
         )
     n = (r + 1) // 2
     g = join(build_family("cycle", 2 * m), build_family("complete", r))
     joins = {k: lab + 1 for k, lab in _odd_null_join(m, n).items()}
     h = _complete_labels(r)
-    h_sums = _vertex_sums(h, r)
+    h_sums = vertex_sums(h, r)
     shifted = {e: lab + 4 * m * n for e, lab in h.items()}
     f = _assemble(g, 2 * m, _even_cycle_labels(m), joins, shifted)
     base = _cycle_null_colors(m, n)
     v_colors = {h_sums[v] + base["v"] + (r - 1) * 4 * m * n for v in range(1, r + 1)}
     colors = {base["u_odd"], base["u_even"]} | v_colors
-    return ConstructionResult(
-        "cycle-join-complete", params, g, f, _claimed(colors, r + 2, "cycle-join-complete", params), r + 2
-    )
+    return _result("cycle-join-complete", params, g, f, colors, r + 2)
 
 
 def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
@@ -690,7 +630,7 @@ def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
         k_labels = {(1, 2): 1}
     else:
         k_labels = _complete_labels(2 * n)
-    k_sums = _vertex_sums(k_labels, 2 * n)
+    k_sums = vertex_sums(k_labels, 2 * n)
     # Rename so odd positions carry the n smallest sums in order.
     ranked = sorted(range(1, 2 * n + 1), key=lambda v: (k_sums[v], v))
     positions = list(range(1, 2 * n + 1, 2)) + list(range(2, 2 * n + 1, 2))
@@ -709,14 +649,7 @@ def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
         u_colors.add(sorted_sums[n + i - 1] + k_shift_part + join_part + m)
     tail = 2 * n * count + 2 * n * n * count + n
     v_colors = {3 * m - 1 + tail, 2 * m - 1 + tail, 2 * m + tail}
-    return ConstructionResult(
-        "complete-join-odd-cycle",
-        params,
-        g,
-        f,
-        _claimed(u_colors | v_colors, 2 * n + 3, "complete-join-odd-cycle", params),
-        2 * n + 3,
-    )
+    return _result("complete-join-odd-cycle", params, g, f, u_colors | v_colors, 2 * n + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -724,12 +657,46 @@ def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
 
 
 def _require_proper(g: Graph, f: EdgeLabeling) -> dict[int, int]:
-    from .labelings import verify_local_antimagic
-
     cert = verify_local_antimagic(g, f)
     if not cert.ok:
         raise ParameterError("the supplied labeling must be a proper local antimagic labeling")
     return f.sums
+
+
+def _clash(f: EdgeLabeling, u_shift: int, new_colors: set[int]) -> int | None:
+    """First vertex of the labeled first part whose shifted sum is a new color.
+
+    Each generic scheme shifts every first-part sum by ``u_shift`` and adds
+    ``new_colors``; it assumes no shifted sum lands on a new color. The
+    generators refuse a point where one does, and the sweep skips it.
+    """
+    return next((u for u, s in f.sums.items() if s + u_shift in new_colors), None)
+
+
+def _null_colors(g: Graph, n: int) -> tuple[int, set[int]]:
+    # G v O_n: the first-part shift and the one color of the null side.
+    p, e = g.n, g.q
+    return n * e + n * (p * n + 1) // 2, {p * e + p * (p * n + 1) // 2}
+
+
+def _bipartite_parts_ok(m: int, n: int) -> bool:
+    return m != n and m >= 2 and n >= 2 and m % 2 == n % 2
+
+
+def _bipartite_colors(g: Graph, m: int, n: int) -> tuple[int, set[int]]:
+    # G v K_{m,n}: the first-part shift and the colors of the m- and n-sides.
+    p, e = g.n, g.q
+    t_rect = p * (m + n) + 1
+    x_color = p * e + p * t_rect // 2 + n * e + n * p * (m + n) + n * (m * n + 1) // 2
+    y_color = p * e + p * t_rect // 2 + m * e + m * p * (m + n) + m * (m * n + 1) // 2
+    return (m + n) * e + (m + n) * t_rect // 2, {x_color, y_color}
+
+
+def _cycle_colors(g: Graph, m: int) -> tuple[int, set[int]]:
+    # G v C_m: the first-part shift and the cycle base plus m, m+1, (3m+1)/2.
+    p, e = g.n, g.q
+    base = p * e + p * (p * m + 1) // 2 + 2 * (e + p * m)
+    return m * e + m * (p * m + 1) // 2, {base + m, base + m + 1, base + (3 * m + 1) // 2}
 
 
 def label_generic_join_null(g: Graph, f: EdgeLabeling, n: int) -> ConstructionResult:
@@ -746,25 +713,16 @@ def label_generic_join_null(g: Graph, f: EdgeLabeling, n: int) -> ConstructionRe
     if p % 2 != n % 2:
         raise ParameterError("the part orders must share parity")
     sums = _require_proper(g, f)
-    forbidden = (p - n) * (2 * e + p * n + 1) // 2
-    for u in g.vertices:
-        if sums[u] == forbidden:
-            raise ParameterError(f"vertex {u} carries the forbidden sum {forbidden}")
+    u_shift, new_colors = _null_colors(g, n)
+    u = _clash(f, u_shift, new_colors)
+    if u is not None:
+        raise ParameterError(f"vertex {u} carries the forbidden sum {sums[u]}")
     joined = join(g, build_family("null", n))
     rect = magic_rectangle(p, n)
     joins = {(i, j): rect.entries[i - 1][j - 1] + e for i in range(1, p + 1) for j in range(1, n + 1)}
     lab = _assemble(joined, p, dict(f.labels), joins)
-    u_shift = n * e + n * (p * n + 1) // 2
-    colors = {s + u_shift for s in sums.values()} | {p * e + p * (p * n + 1) // 2}
-    t = len(set(sums.values()))
-    return ConstructionResult(
-        "generic-join-null",
-        {"n": n},
-        joined,
-        lab,
-        _claimed(colors, t + 1, "generic-join-null", {"n": n}),
-        t + 1,
-    )
+    colors = {s + u_shift for s in sums.values()} | new_colors
+    return _result("generic-join-null", {"n": n}, joined, lab, colors, len(set(sums.values())) + 1)
 
 
 def label_generic_join_complete_bipartite(
@@ -780,16 +738,13 @@ def label_generic_join_complete_bipartite(
     p, e = g.n, g.q
     if p < 3 or p % 2 == 1:
         raise ParameterError("need an even first-part order >= 4")
-    if m == n or m < 2 or n < 2 or m % 2 != n % 2:
+    if not _bipartite_parts_ok(m, n):
         raise ParameterError("need m != n, both >= 2, of equal parity")
     sums = _require_proper(g, f)
-    t_rect = p * (m + n) + 1
-    x_color = p * e + p * t_rect // 2 + n * e + n * p * (m + n) + n * (m * n + 1) // 2
-    y_color = p * e + p * t_rect // 2 + m * e + m * p * (m + n) + m * (m * n + 1) // 2
-    u_shift = (m + n) * e + (m + n) * t_rect // 2
-    for u in g.vertices:
-        if sums[u] + u_shift in (x_color, y_color):
-            raise ParameterError(f"vertex {u} carries a forbidden sum")
+    u_shift, new_colors = _bipartite_colors(g, m, n)
+    u = _clash(f, u_shift, new_colors)
+    if u is not None:
+        raise ParameterError(f"vertex {u} carries a forbidden sum")
     joined = join(g, build_family("complete-bipartite", m, n))
     big = magic_rectangle(p, m + n)
     small = magic_rectangle(m, n)
@@ -802,15 +757,10 @@ def label_generic_join_complete_bipartite(
         for k in range(1, n + 1)
     }
     lab = _assemble(joined, p, dict(f.labels), joins, v_labels)
-    colors = {s + u_shift for s in sums.values()} | {x_color, y_color}
-    t = len(set(sums.values()))
-    return ConstructionResult(
-        "generic-join-complete-bipartite",
-        {"m": m, "n": n},
-        joined,
-        lab,
-        _claimed(colors, t + 2, "generic-join-complete-bipartite", {"m": m, "n": n}),
-        t + 2,
+    colors = {s + u_shift for s in sums.values()} | new_colors
+    return _result(
+        "generic-join-complete-bipartite", {"m": m, "n": n}, joined, lab, colors,
+        len(set(sums.values())) + 2,
     )
 
 
@@ -827,102 +777,111 @@ def label_generic_join_cycle(g: Graph, f: EdgeLabeling, m: int) -> ConstructionR
     if m < 3 or m % 2 == 0:
         raise ParameterError("the cycle order must be odd and >= 3 for this scheme")
     sums = _require_proper(g, f)
-    base = p * e + p * (p * m + 1) // 2 + 2 * (e + p * m)
-    new_colors = {base + m, base + m + 1, base + (3 * m + 1) // 2}
-    u_shift = m * e + m * (p * m + 1) // 2
-    for u in g.vertices:
-        if sums[u] + u_shift in new_colors:
-            raise ParameterError(f"vertex {u} carries a forbidden sum")
+    u_shift, new_colors = _cycle_colors(g, m)
+    u = _clash(f, u_shift, new_colors)
+    if u is not None:
+        raise ParameterError(f"vertex {u} carries a forbidden sum")
     joined = join(g, build_family("cycle", m))
     rect = magic_rectangle(p, m)
     joins = {(i, j): rect.entries[i - 1][j - 1] + e for i in range(1, p + 1) for j in range(1, m + 1)}
     lab = _assemble(joined, p, dict(f.labels), joins, _wrapped_cycle_labels(m, e + p * m))
     colors = {s + u_shift for s in sums.values()} | new_colors
-    t = len(set(sums.values()))
-    return ConstructionResult(
-        "generic-join-cycle",
-        {"m": m},
-        joined,
-        lab,
-        _claimed(colors, t + 3, "generic-join-cycle", {"m": m}),
-        t + 3,
-    )
+    return _result("generic-join-cycle", {"m": m}, joined, lab, colors, len(set(sums.values())) + 3)
 
 
 # ---------------------------------------------------------------------------
-# dispatch table and parameter sweeps
+# the family registry
 
 
-def _generic_exclusion_ok(family: str, g: Graph, f: EdgeLabeling, params: dict) -> bool:
-    # The generic schemes hypothesize that no first-part sum hits the new
-    # colors; points violating that are out of range, not failures.
-    p, e = g.n, g.q
-    sums = set(f.sums.values())
-    if family == "generic-join-null":
-        n = params["n"]
-        return (p - n) * (2 * e + p * n + 1) // 2 not in sums
-    if family == "generic-join-complete-bipartite":
-        m, n = params["m"], params["n"]
-        t_rect = p * (m + n) + 1
-        x_color = p * e + p * t_rect // 2 + n * e + n * p * (m + n) + n * (m * n + 1) // 2
-        y_color = p * e + p * t_rect // 2 + m * e + m * p * (m + n) + m * (m * n + 1) // 2
-        u_shift = (m + n) * e + (m + n) * t_rect // 2
-        return all(s + u_shift not in (x_color, y_color) for s in sums)
-    if family == "generic-join-cycle":
-        m = params["m"]
-        base = p * e + p * (p * m + 1) // 2 + 2 * (e + p * m)
-        new = {base + m, base + m + 1, base + (3 * m + 1) // 2}
-        u_shift = m * e + m * (p * m + 1) // 2
-        return all(s + u_shift not in new for s in sums)
-    return True
+def _cycle_cycle_collision(seed, m: int, n: int) -> bool:
+    return (m, n) == CYCLE_CYCLE_COLLISION
+
+
+# A NamedTuple rather than a frozen dataclass: the class is built at every
+# import, and a dataclass takes about 1 ms longer to build.
+class Family(NamedTuple):
+    """What lajoin knows about one family, and the one place it says so.
+
+    ``params`` name the generator's parameters in its order; a ``which``
+    among them is last, optional, and defaults to ``cycle-edge``. ``q``
+    is the closed-form edge count of the built graph. The sweep walks
+    ``which`` over ``which_values``, outermost, then each ``(parameter,
+    start, step)`` axis in turn; the axes follow ``params`` in order, and
+    ``q(*values)`` and ``excluded(seed, *values)`` take a point's values in
+    that order. ``excluded``, when set, names the points the sweep skips.
+    Generic families label a caller's graph; ``seed`` is their default
+    one, ``(kind, order)`` of a base family with edges labeled 1..q in
+    order, and it is also the graph the sweep and ``q`` assume.
+    """
+
+    name: str
+    params: tuple[str, ...]
+    build: Callable[..., ConstructionResult]
+    q: Callable[..., int]
+    axes: tuple[tuple[str, int, int], ...] = ()
+    which_values: tuple[str, ...] = ()
+    excluded: Callable[..., bool] | None = None
+    seed: tuple[str, int] | None = None
+
+
+# In FAMILIES.md order. Cited points (fans, wheels, double-apex joins) and
+# the K_3 reroutes lie outside the axes.
+FAMILIES = (
+    Family("path-join-null", ("m", "N"), label_path_join_null,
+           q=lambda m, N: 2 * m - 1 + 2 * m * N, axes=(("m", 2, 1), ("N", 2, 1))),
+    Family("p7-o3", (), label_p7_o3, q=lambda: 27),
+    Family("path-join-cycle", ("m", "n"), label_path_join_cycle,
+           q=lambda m, n: 4 * m * n + 2 * n - 2, axes=(("m", 1, 1), ("n", 2, 1))),
+    Family("path-join-complete", ("m", "r"), label_path_join_complete,
+           q=lambda m, r: 2 * m - 1 + 2 * m * r + r * (r - 1) // 2, axes=(("m", 2, 1), ("r", 2, 1))),
+    Family("cycle-join-null", ("m", "n"), label_cycle_join_null,
+           q=lambda m, n: 4 * m * n, axes=(("m", 2, 1), ("n", 2, 1))),
+    Family("odd-cycle-join-even-null", ("n",), label_odd_cycle_join_even_null,
+           q=lambda n: (2 * n + 1) ** 2, axes=(("n", 1, 1),)),
+    Family("cycle-join-null-minus-edge", ("m", "n", "which"), label_cycle_join_null_minus_edge,
+           q=lambda m, n, which: 4 * m * n - 1, axes=(("m", 2, 1), ("n", 2, 1)),
+           which_values=("cycle-edge", "join-edge"),
+           excluded=lambda seed, m, n, which: which == "join-edge" and (m, n) == JOIN_EDGE_COLLISION),
+    Family("cycle-join-cycle", ("m", "n"), label_cycle_join_cycle,
+           q=lambda m, n: 4 * m * n + 2 * n - 1, axes=(("m", 2, 1), ("n", 2, 1)),
+           excluded=_cycle_cycle_collision),
+    Family("cycle-join-cycle-minus-edge", ("m", "n", "which"), label_cycle_join_cycle_minus_edge,
+           q=lambda m, n: 4 * m * n + 2 * n - 2, axes=(("m", 2, 1), ("n", 2, 1)),
+           excluded=_cycle_cycle_collision),
+    Family("cycle-join-complete", ("m", "r"), label_cycle_join_complete,
+           q=lambda m, r: 2 * m * (r + 1) + r * (r - 1) // 2, axes=(("m", 2, 1), ("r", 5, 2))),
+    Family("complete-join-odd-cycle", ("n", "m"), label_complete_join_odd_cycle,
+           q=lambda n, m: (2 * n + 1) * (2 * m - 1) + n * (2 * n - 1), axes=(("n", 1, 1), ("m", 2, 1))),
+    Family("generic-join-null", ("n",), label_generic_join_null,
+           q=lambda n: 4 + 4 * n, axes=(("n", 2, 2),), seed=("cycle", 4),
+           excluded=lambda seed, n: _clash(seed, *_null_colors(seed.graph, n)) is not None),
+    Family("generic-join-complete-bipartite", ("m", "n"), label_generic_join_complete_bipartite,
+           q=lambda m, n: 3 + 4 * (m + n) + m * n, axes=(("m", 2, 1), ("n", 2, 1)), seed=("path", 4),
+           excluded=lambda seed, m, n: not _bipartite_parts_ok(m, n)
+           or _clash(seed, *_bipartite_colors(seed.graph, m, n)) is not None),
+    Family("generic-join-cycle", ("m",), label_generic_join_cycle,
+           q=lambda m: 3 + 4 * m, axes=(("m", 3, 2),), seed=("complete", 3),
+           excluded=lambda seed, m: _clash(seed, *_cycle_colors(seed.graph, m)) is not None),
+)
+
+_BY_NAME = {fam.name: fam for fam in FAMILIES}
+ALL_FAMILIES = tuple(_BY_NAME)
+GENERIC_FAMILIES = tuple(fam.name for fam in FAMILIES if fam.seed)
+
+
+def _family(name: str) -> Family:
+    if name not in _BY_NAME:
+        raise ParameterError(f"unknown family {name!r}")
+    return _BY_NAME[name]
 
 
 def generic_seed(family: str) -> tuple[Graph, EdgeLabeling]:
-    """Default labeled first parts used by the CLI and sweeps for generic families."""
-    if family == "generic-join-null":
-        g = build_family("cycle", 4)
-        return g, EdgeLabeling(g, {(1, 2): 1, (2, 3): 2, (3, 4): 3, (1, 4): 4})
-    if family == "generic-join-complete-bipartite":
-        g = build_family("path", 4)
-        return g, EdgeLabeling(g, {(1, 2): 1, (2, 3): 2, (3, 4): 3})
-    if family == "generic-join-cycle":
-        g = build_family("complete", 3)
-        return g, EdgeLabeling(g, {(1, 2): 1, (1, 3): 2, (2, 3): 3})
-    raise ParameterError(f"no generic seed for {family!r}")
-
-
-CONCRETE_FAMILIES = (
-    "path-join-null",
-    "p7-o3",
-    "path-join-cycle",
-    "path-join-complete",
-    "cycle-join-null",
-    "odd-cycle-join-even-null",
-    "cycle-join-null-minus-edge",
-    "cycle-join-cycle",
-    "cycle-join-cycle-minus-edge",
-    "cycle-join-complete",
-    "complete-join-odd-cycle",
-)
-
-GENERIC_FAMILIES = (
-    "generic-join-null",
-    "generic-join-complete-bipartite",
-    "generic-join-cycle",
-)
-
-ALL_FAMILIES = CONCRETE_FAMILIES + GENERIC_FAMILIES
-
-
-class _Params(dict):
-    """A family's keyword parameters; a missing one is a ParameterError."""
-
-    def __init__(self, family: str, params: dict):
-        super().__init__(params)
-        self.family = family
-
-    def __missing__(self, key):
-        raise ParameterError(f"{self.family} needs parameter {key}")
+    """Default labeled first part of a generic family, used by the CLI and sweeps."""
+    fam = _BY_NAME.get(family)
+    if fam is None or fam.seed is None:
+        raise ParameterError(f"no generic seed for {family!r}")
+    g = build_family(*fam.seed)
+    return g, EdgeLabeling(g, dict(zip(g.edges, range(1, g.q + 1))))
 
 
 def build_construction(
@@ -930,159 +889,59 @@ def build_construction(
 ) -> ConstructionResult:
     """Run the named family generator with keyword parameters.
 
-    Generic families label ``base`` (or the built-in seed) joined with the
-    requested second part.
+    A parameter the family does not take, or a missing one other than
+    ``which``, is a ParameterError. Generic families label ``base`` (or
+    the built-in seed) joined with the requested second part.
     """
-    p = _Params(family, params)
-    if family == "path-join-null":
-        return label_path_join_null(p["m"], p["N"])
-    if family == "p7-o3":
-        return label_p7_o3()
-    if family == "path-join-cycle":
-        return label_path_join_cycle(p["m"], p["n"])
-    if family == "path-join-complete":
-        return label_path_join_complete(p["m"], p["r"])
-    if family == "cycle-join-null":
-        return label_cycle_join_null(p["m"], p["n"])
-    if family == "odd-cycle-join-even-null":
-        return label_odd_cycle_join_even_null(p["n"])
-    if family == "cycle-join-null-minus-edge":
-        return label_cycle_join_null_minus_edge(p["m"], p["n"], p.get("which", "cycle-edge"))
-    if family == "cycle-join-cycle":
-        return label_cycle_join_cycle(p["m"], p["n"])
-    if family == "cycle-join-cycle-minus-edge":
-        return label_cycle_join_cycle_minus_edge(p["m"], p["n"], p.get("which", "cycle-edge"))
-    if family == "cycle-join-complete":
-        return label_cycle_join_complete(p["m"], p["r"])
-    if family == "complete-join-odd-cycle":
-        return label_complete_join_odd_cycle(p["n"], p["m"])
-    if family in GENERIC_FAMILIES:
-        if base is None:
-            g, f = generic_seed(family)
-        else:
-            g, f = base.graph, base
-        if family == "generic-join-null":
-            return label_generic_join_null(g, f, p["n"])
-        if family == "generic-join-complete-bipartite":
-            return label_generic_join_complete_bipartite(g, f, p["m"], p["n"])
-        return label_generic_join_cycle(g, f, p["m"])
-    raise ParameterError(f"unknown family {family!r}")
+    fam = _family(family)
+    for key in params:
+        if key not in fam.params:
+            raise ParameterError(f"{family} does not take parameter {key}")
+    for key in fam.params:
+        if key not in params and key != "which":
+            raise ParameterError(f"{family} needs parameter {key}")
+    args = [params[key] for key in fam.params if key in params]
+    if fam.seed is None:
+        return fam.build(*args)
+    f = base if base is not None else generic_seed(family)[1]
+    return fam.build(f.graph, f, *args)
 
 
 def sweep_points(family: str, max_edges: int = 400) -> list[dict]:
     """All formula-backed parameter points of a family within the edge budget.
 
-    Cited cases (fans, wheels, double-apex joins) are excluded; they have
-    no construction here and are handled by the solver route.
+    Walks the family's axes outermost first. An axis stops at the first
+    value whose edge count, with every later axis at its start, exceeds
+    ``max_edges``; excluded points are skipped.
     """
-    pts: list[dict] = []
-    if family == "path-join-null":
-        for m in range(2, max_edges):
-            if 6 * m - 1 > max_edges:
+    fam = _family(family)
+    seed = generic_seed(family)[1] if fam.seed else None
+    names = [key for key, _, _ in fam.axes] + ["which"]
+    points: list[dict] = []
+
+    def walk(depth: int, values: list) -> None:
+        # ``values``: the axes before ``depth`` as chosen, the later ones at
+        # their start, then ``which`` when the family sweeps it.
+        key, start, step = fam.axes[depth]
+        innermost = depth == len(fam.axes) - 1
+        point = dict(zip(names, values))  # copied per point: cheaper than a new dict
+        for value in itertools.count(start, step):
+            values[depth] = value
+            if fam.q(*values) > max_edges:
                 break
-            for nn in range(2, max_edges):
-                if 2 * m - 1 + 2 * m * nn > max_edges:
-                    break
-                pts.append({"m": m, "N": nn})
-    elif family == "p7-o3":
-        pts.append({})
-    elif family == "path-join-cycle":
-        for n in range(2, max_edges):
-            if 6 * n - 2 <= max_edges:
-                pts.append({"m": 1, "n": n})
-        for m in range(2, max_edges):
-            if 4 * m * 2 + 2 * 2 - 2 > max_edges:
-                break
-            for n in range(2, max_edges):
-                if 4 * m * n + 2 * n - 2 > max_edges:
-                    break
-                pts.append({"m": m, "n": n})
-    elif family == "path-join-complete":
-        for m in range(2, max_edges):
-            if 6 * m > max_edges:
-                break
-            for r in range(2, max_edges):
-                if 2 * m - 1 + 2 * m * r + r * (r - 1) // 2 > max_edges:
-                    break
-                pts.append({"m": m, "r": r})
-    elif family == "cycle-join-null":
-        for m in range(2, max_edges):
-            if 8 * m > max_edges:
-                break
-            for n in range(2, max_edges):
-                if 4 * m * n > max_edges:
-                    break
-                pts.append({"m": m, "n": n})
-    elif family == "odd-cycle-join-even-null":
-        n = 1
-        while (2 * n + 1) ** 2 <= max_edges:
-            pts.append({"n": n})
-            n += 1
-    elif family == "cycle-join-null-minus-edge":
-        for which in ("cycle-edge", "join-edge"):
-            for m in range(2, max_edges):
-                if 8 * m - 1 > max_edges:
-                    break
-                for n in range(2, max_edges):
-                    if 4 * m * n - 1 > max_edges:
-                        break
-                    if which == "join-edge" and (m, n) == (4, 3):
-                        continue  # the one point the deletion scheme cannot certify
-                    pts.append({"m": m, "n": n, "which": which})
-    elif family in ("cycle-join-cycle", "cycle-join-cycle-minus-edge"):
-        extra = 0 if family == "cycle-join-cycle" else -1
-        for m in range(2, max_edges):
-            if 8 * m + 3 + extra > max_edges:
-                break
-            for n in range(2, max_edges):
-                if 4 * m * n + 2 * n - 1 + extra > max_edges:
-                    break
-                if (m, n) == (3, 6):
-                    continue  # the one point where the scheme's colors collide
-                pts.append({"m": m, "n": n})
-    elif family == "cycle-join-complete":
-        for m in range(2, max_edges):
-            if 2 * m * 6 + 10 > max_edges:
-                break
-            for r in range(5, max_edges, 2):
-                n = (r + 1) // 2
-                if 4 * m * n + (n - 1) * r > max_edges:
-                    break
-                pts.append({"m": m, "r": r})
-    elif family == "complete-join-odd-cycle":
-        for n in range(1, max_edges):
-            if (2 * n + 1) * 3 + n * (2 * n - 1) > max_edges:
-                break
-            for m in range(2, max_edges):
-                if (2 * n + 1) * (2 * m - 1) + n * (2 * n - 1) > max_edges:
-                    break
-                pts.append({"n": n, "m": m})
-    elif family == "generic-join-null":
-        g, f = generic_seed(family)
-        for n in range(2, max_edges, 2):
-            if g.q + g.n * n > max_edges:
-                break
-            if _generic_exclusion_ok(family, g, f, {"n": n}):
-                pts.append({"n": n})
-    elif family == "generic-join-complete-bipartite":
-        g, f = generic_seed(family)
-        for m in range(2, max_edges):
-            if g.q + g.n * (m + 2) + 2 * m > max_edges and m > 2:
-                break
-            for n in range(2, max_edges):
-                if m == n or m % 2 != n % 2:
-                    continue
-                if g.q + g.n * (m + n) + m * n > max_edges:
-                    break
-                if _generic_exclusion_ok(family, g, f, {"m": m, "n": n}):
-                    pts.append({"m": m, "n": n})
-    elif family == "generic-join-cycle":
-        g, f = generic_seed(family)
-        for m in range(3, max_edges, 2):
-            if g.q + g.n * m + m > max_edges:
-                break
-            if _generic_exclusion_ok(family, g, f, {"m": m}):
-                pts.append({"m": m})
-    else:
-        raise ParameterError(f"unknown family {family!r}")
-    return pts
+            if not innermost:
+                walk(depth + 1, values)
+            elif fam.excluded is None or not fam.excluded(seed, *values):
+                point[key] = value  # an existing key keeps its place
+                points.append(point.copy())
+        values[depth] = start
+
+    for which in fam.which_values or (None,):
+        values = [start for _, start, _ in fam.axes] + ([] if which is None else [which])
+        if fam.q(*values) > max_edges:
+            continue
+        if fam.axes:
+            walk(0, values)
+        else:
+            points.append({})
+    return points

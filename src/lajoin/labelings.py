@@ -117,6 +117,15 @@ class LabelingCertificate:
         }
 
 
+def vertex_sums(labels: dict[Edge, int], n: int) -> dict[int, int]:
+    """Sum of the incident labels at each of the vertices 1..n; no checks."""
+    sums = {v: 0 for v in range(1, n + 1)}
+    for (a, b), lab in labels.items():
+        sums[a] += lab
+        sums[b] += lab
+    return sums
+
+
 def induced_sums(g: Graph, labels: dict[Edge, int] | EdgeLabeling) -> dict[int, int]:
     """Vertex sums of incident labels; rejects non-bijective labelings."""
     if isinstance(labels, EdgeLabeling):
@@ -125,11 +134,7 @@ def induced_sums(g: Graph, labels: dict[Edge, int] | EdgeLabeling) -> dict[int, 
         raise LabelingError("labels must be defined on exactly the edge set")
     if sorted(labels.values()) != list(range(1, g.q + 1)):
         raise LabelingError("labels must be a bijection onto 1..q")
-    sums = {v: 0 for v in g.vertices}
-    for (a, b), lab in labels.items():
-        sums[a] += lab
-        sums[b] += lab
-    return sums
+    return vertex_sums(labels, g.n)
 
 
 def verify_local_antimagic(
@@ -141,15 +146,10 @@ def verify_local_antimagic(
     offending adjacent pair is recorded when the labeling is not proper.
     """
     labels = f.labels
-    bijection_ok = set(labels) == set(g.edges) and sorted(labels.values()) == list(
-        range(1, g.q + 1)
-    )
     if set(labels) != set(g.edges):
         return LabelingCertificate(False, False, {}, 0, lower_bound, None, None)
-    sums = {v: 0 for v in g.vertices}
-    for (a, b), lab in labels.items():
-        sums[a] += lab
-        sums[b] += lab
+    bijection_ok = sorted(labels.values()) == list(range(1, g.q + 1))
+    sums = vertex_sums(labels, g.n)
     failure = None
     for a, b in g.edges:
         if sums[a] == sums[b]:

@@ -154,12 +154,7 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
     neighbors = {v: g.neighbors(v) for v in g.vertices}
     degree = {v: g.degree(v) for v in g.vertices}
 
-    try:
-        lower = chromatic_number_exact(g) if g.n <= 16 else None
-    except ParameterError:
-        lower = None
-    if lower is None:
-        lower = known_chromatic(g.family) or 2
+    lower = _chi_lower(g) or 2
 
     label_order = range(q, 0, -1) if cfg.descending_labels else range(1, q + 1)
     regular = len(set(degree.values())) == 1
@@ -288,6 +283,12 @@ class ConfirmationVerdict:
 
 
 def _chi_lower(g: Graph) -> int | None:
+    """The chromatic number, a lower bound on the color count, when cheap.
+
+    Taken from the family descriptor when it fixes one, else computed
+    exactly on at most 16 vertices. The descriptor is trusted, so a graph
+    read from a file must have it cleared first.
+    """
     known = known_chromatic(g.family)
     if known is not None:
         return known

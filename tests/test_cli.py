@@ -216,6 +216,46 @@ def test_missing_family_parameter_exits_2():
     assert proc.stderr == "error: path-join-null needs parameter N\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gen", "--family", "p7-o3", "--m", "3"], "p7-o3 does not take parameter m"),
+        (["gen", "--family", "cycle-join-null", "--m", "2", "--n", "2", "--r", "3"],
+         "cycle-join-null does not take parameter r"),
+        (["matrix", "--family", "path-join-null", "--m", "2", "--n", "3"],
+         "path-join-null does not take parameter n"),
+        (["gen", "--family", "path-join-null", "--m", "3"], "path-join-null needs parameter N"),
+        (["solve", "--family", "complete-join-odd-cycle", "--m", "2"],
+         "complete-join-odd-cycle needs parameter n"),
+    ],
+)
+def test_parameter_a_family_does_not_take_or_lacks_exits_2(capsys, argv, message):
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("family", [["cycle", "x"], [], ["complete", 9], ["path", 17]])
+def test_solve_input_ignores_the_files_family_descriptor(tmp_path, family):
+    # 17 vertices: past the exact chromatic number's 16, where the solver's
+    # lower bound would otherwise come from the descriptor.
+    doc = {
+        "schema": "v1",
+        "vertices": [{"id": v, "role": f"u{v}"} for v in range(1, 18)],
+        "edges": [[1, 2], [2, 3]],
+    }
+    reports = []
+    for descriptor in (None, family):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(dict(doc, family=descriptor)))
+        out = tmp_path / "r.json"
+        assert run_cli("solve", "--input", str(path), "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        del report["elapsed"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["chi_la"] == 4 and reports[0]["exact"] is True
+
+
 def test_bool_label_is_rejected(tmp_path):
     prefix = tmp_path / "p"
     assert run_cli("gen", "--family", "path-join-null", "--m", "2", "--N", "3",

@@ -1,8 +1,17 @@
+import hashlib
 import itertools
+import json
+import re
+from pathlib import Path
 
 import pytest
 
 from lajoin.constructions import (
+    ALL_FAMILIES,
+    CYCLE_CYCLE_COLLISION,
+    FAMILIES,
+    GENERIC_FAMILIES,
+    JOIN_EDGE_COLLISION,
     CitedCaseError,
     antimagic_complete,
     build_construction,
@@ -425,3 +434,85 @@ def test_sweep_points_counts_are_stable():
     }
     for family, count in expected.items():
         assert len(sweep_points(family, 400)) == count
+
+
+def test_sweep_lists_are_pinned_with_their_order():
+    # sha256 of the sweep lists before the family registry replaced the
+    # per-family loops. The benchmark's point and edge totals and its
+    # cli-roundtrip strata depend on this order, not only on the counts.
+    expected = {
+        40: "011e6a7b456cefc134a1d0d67becd91150d576c732f7f33fcdf986b4385e93f4",
+        400: "c3edc1364ce6c9184b2b8035f2248f086d016f6921770fd35a409574bf2e41a6",
+    }
+    for budget, digest in expected.items():
+        text = json.dumps([sweep_points(f, budget) for f in ALL_FAMILIES])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, budget
+
+
+@pytest.mark.parametrize("budget", [1, 10, 26, 27, 40, 400])
+def test_swept_points_fit_the_budget_and_the_closed_form_q(budget):
+    for fam in FAMILIES:
+        for params in sweep_points(fam.name, budget):
+            q = build_construction(fam.name, params).graph.q
+            assert q <= budget, (fam.name, params)
+            assert fam.q(**params) == q, (fam.name, params)
+
+
+def test_generic_seed_only_for_generic_families():
+    assert GENERIC_FAMILIES == (
+        "generic-join-null", "generic-join-complete-bipartite", "generic-join-cycle"
+    )
+    with pytest.raises(ParameterError, match="no generic seed"):
+        generic_seed("cycle-join-null")
+
+
+def test_build_construction_checks_parameter_names():
+    with pytest.raises(ParameterError, match="p7-o3 does not take parameter m"):
+        build_construction("p7-o3", {"m": 3})
+    with pytest.raises(ParameterError, match="cycle-join-null does not take parameter which"):
+        build_construction("cycle-join-null", {"m": 2, "n": 2, "which": "cycle-edge"})
+    default = build_construction("cycle-join-null-minus-edge", {"m": 2, "n": 2})
+    assert default.params["which"] == "cycle-edge"
+
+
+def test_collision_points_are_refused_and_skipped():
+    m, n = CYCLE_CYCLE_COLLISION
+    for family in ("cycle-join-cycle", "cycle-join-cycle-minus-edge"):
+        with pytest.raises(ParameterError, match="merges two color classes"):
+            build_construction(family, {"m": m, "n": n})
+        assert {"m": m, "n": n} not in sweep_points(family, 400)
+    m, n = JOIN_EDGE_COLLISION
+    params = {"m": m, "n": n, "which": "join-edge"}
+    with pytest.raises(ParameterError, match="merges two color classes"):
+        build_construction("cycle-join-null-minus-edge", params)
+    swept = sweep_points("cycle-join-null-minus-edge", 400)
+    assert params not in swept and dict(params, which="cycle-edge") in swept
+
+
+@pytest.mark.parametrize("family", GENERIC_FAMILIES)
+def test_generic_exclusions_match_the_generators(family):
+    # Every point the sweep skips inside the budget is one the generator
+    # refuses, and every point it keeps builds.
+    fam = next(f for f in FAMILIES if f.name == family)
+    kept = sweep_points(family, 400)
+    for values in itertools.product(range(2, 24), repeat=len(fam.params)):
+        params = dict(zip(fam.params, values))
+        if fam.q(**params) > 400:
+            continue
+        if params in kept:
+            build_construction(family, params)
+        else:
+            with pytest.raises(ParameterError):
+                build_construction(family, params)
+
+
+def test_families_md_lists_the_registry():
+    # Each table row: the family, then the flags named in its Parameters
+    # cell (an escaped pipe inside a cell is not a cell border).
+    text = (Path(__file__).resolve().parents[1] / "FAMILIES.md").read_text()
+    rows = []
+    for line in text.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if cells and cells[0].startswith("`"):
+            rows.append((cells[0].strip("`"), re.findall(r"--(\w+)", cells[2])))
+    assert rows == [(fam.name, list(fam.params)) for fam in FAMILIES]

@@ -28,6 +28,7 @@ from lajoin.labelings import (
     induced_sums,
     two_color_infeasible,
     verify_local_antimagic,
+    vertex_sums,
 )
 
 
@@ -57,6 +58,22 @@ def test_induced_sums_rejects_bad_domain():
         induced_sums(g, {(1, 2): 1})
     with pytest.raises(LabelingError):
         induced_sums(g, {(1, 2): 1, (2, 3): 1})
+
+
+def test_vertex_sums_covers_every_vertex_and_checks_nothing():
+    # Vertex 4 has no edge; the repeated label is summed as given, since
+    # the bijection checks belong to induced_sums and the verifier.
+    assert vertex_sums({(1, 2): 5, (2, 3): 5}, 4) == {1: 5, 2: 10, 3: 5, 4: 0}
+    res = label_cycle_join_null(3, 3)
+    assert vertex_sums(res.labeling.labels, res.graph.n) == induced_sums(res.graph, res.labeling)
+
+
+def test_verify_reports_labels_off_the_edge_set():
+    g = build_family("path", 3)
+    cert = verify_local_antimagic(g, EdgeLabeling(g, {(1, 2): 1, (1, 3): 2}))
+    assert (cert.bijection_ok, cert.proper, cert.color_count, cert.color_classes) == (False, False, 0, {})
+    cert = verify_local_antimagic(g, EdgeLabeling(g, {(1, 2): 2, (2, 3): 2}))
+    assert not cert.bijection_ok and cert.proper and cert.color_count == 2
 
 
 def test_verify_triangle():

@@ -1,12 +1,13 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import random_graph
 from lajoin.graphs import Graph, ParameterError, build_family, chromatic_number_exact, delete_edge, join
 from lajoin.labelings import verify_local_antimagic
-from lajoin.solver import SearchConfig, confirm_theorem, exact_chi_la
+from lajoin.solver import SearchConfig, _chi_lower, confirm_theorem, exact_chi_la
 
 
 def test_triangle():
@@ -206,3 +207,14 @@ def test_confirm_cited_timeout_is_inconclusive():
     verdict = confirm_theorem("path-join-null", {"m": 3, "N": 1}, SearchConfig(time_budget=1e-6))
     assert verdict.verdict == "inconclusive"
     assert verdict.claimed_chi_la == 3
+
+
+def test_chi_lower_reads_the_descriptor_then_counts_small_graphs():
+    # One lower bound for both exact_chi_la and confirm_theorem.
+    big = join(build_family("cycle", 5), build_family("null", 14))  # 19 vertices
+    assert _chi_lower(big) == 4
+    assert _chi_lower(replace(big, family=None)) is None
+    small = join(build_family("cycle", 5), build_family("null", 2))
+    assert _chi_lower(replace(small, family=None)) == 4
+    # Deleting a cycle edge leaves P_5 v O_2; the descriptor fixes no bound.
+    assert _chi_lower(delete_edge(small, (1, 2))) == 3
