@@ -112,7 +112,6 @@ def _gen(args) -> int:
         res = ConstructionResult(
             args.family, params, exc.graph, report.witness,
             frozenset(report.witness.sums.values()), report.chi_la,
-            notes=("labeled by the exact solver (cited parameter point)",),
         )
         note = f"solver route: chi_la={report.chi_la} exact={report.exact}"
     cert = verify_local_antimagic(res.graph, res.labeling)

@@ -58,11 +58,10 @@ class ConstructionResult:
     labeling: EdgeLabeling
     claimed_colors: frozenset[int]
     claimed_chi_la: int
-    notes: tuple[str, ...] = ()
 
 
 def _result(
-    family: str, params: dict, g: Graph, f: EdgeLabeling, colors, count: int, notes: tuple[str, ...] = ()
+    family: str, params: dict, g: Graph, f: EdgeLabeling, colors, count: int
 ) -> ConstructionResult:
     # The closed forms of a scheme can collide at isolated parameter points;
     # refuse rather than return a labeling that cannot meet its claim.
@@ -72,7 +71,7 @@ def _result(
             f"{family} {params}: the scheme's color values collide at this point; "
             "no labeling with the claimed color count is available"
         )
-    return ConstructionResult(family, params, g, f, colors, count, notes)
+    return ConstructionResult(family, params, g, f, colors, count)
 
 
 # The one point of each scheme below whose closed-form colors collide, as
@@ -109,6 +108,14 @@ def _wrapped_cycle_labels(count: int, base: int) -> dict[Edge, int]:
         a, b = (j, j + 1) if j < count else (1, count)
         lab[(a, b)] = base + j // 2 if j % 2 == 0 else base + count - (j - 1) // 2
     return lab
+
+
+def _wrapped_cycle_colors(join_sum: int, base: int, count: int) -> set[int]:
+    # The three colors of _wrapped_cycle_labels(count, base) when each cycle
+    # vertex also carries ``join_sum`` from the join: its own labels add
+    # 2*base plus count, count + 1 or (3*count + 1)/2. three_color_odd_cycle
+    # has the same sums at base 0.
+    return {join_sum + 2 * base + c for c in (count, count + 1, (3 * count + 1) // 2)}
 
 
 def _even_null_join(m: int, n: int) -> dict[tuple[int, int], int]:
@@ -172,6 +179,19 @@ def _null2_join(m: int) -> dict[tuple[int, int], int]:
             J[(i, 1)] = 6 * m - 1 if i == 2 * m else 6 * m - (i + 2) // 2
             J[(i, 2)] = 3 * m + (i - 2) // 2
     return J
+
+
+def _path_null_join(m: int, N: int) -> tuple[dict[tuple[int, int], int], set[int], int]:
+    # P_2m v O_N for m, N >= 2: the join labels, the two path-side colors
+    # under _path_labels(m), and the sum every null vertex gets from the join.
+    if N == 2:
+        return _null2_join(m), {9 * m - 2, 11 * m - 2}, 8 * m * m - m
+    n = (N + 1) // 2
+    if N % 2 == 0:
+        u_colors = {m * (4 * n * n + n + 3) - n - 1, m * (4 * n * n + 7 * n + 1) - n - 1}
+        return _even_null_join(m, n), u_colors, m * (4 * m * n + 4 * m - 1)
+    u_colors = {m * (4 * n * n - 3 * n + 3) - n - 1, m * (4 * n * n + 3 * n - 1) - n}
+    return _odd_null_join(m, n), u_colors, m * (4 * m * n + 2 * m - 1)
 
 
 def _complete_labels(r: int) -> dict[Edge, int]:
@@ -262,27 +282,9 @@ def label_path_join_null(m: int, null_order: int) -> ConstructionResult:
             4 if m == 2 else 3,
         )
     g = join(build_family("path", 2 * m), build_family("null", null_order))
-    path = _path_labels(m)
-    if null_order == 2:
-        f = _assemble(g, 2 * m, path, _null2_join(m))
-        colors = {9 * m - 2, 11 * m - 2, 8 * m * m - m}
-    elif null_order % 2 == 0:
-        n = null_order // 2
-        f = _assemble(g, 2 * m, path, _even_null_join(m, n))
-        colors = {
-            m * (4 * n * n + n + 3) - n - 1,
-            m * (4 * n * n + 7 * n + 1) - n - 1,
-            m * (4 * m * n + 4 * m - 1),
-        }
-    else:
-        n = (null_order + 1) // 2
-        f = _assemble(g, 2 * m, path, _odd_null_join(m, n))
-        colors = {
-            m * (4 * n * n - 3 * n + 3) - n - 1,
-            m * (4 * n * n + 3 * n - 1) - n,
-            m * (4 * m * n + 2 * m - 1),
-        }
-    return _result("path-join-null", params, g, f, colors, 3)
+    joins, u_colors, v_sum = _path_null_join(m, null_order)
+    f = _assemble(g, 2 * m, _path_labels(m), joins)
+    return _result("path-join-null", params, g, f, u_colors | {v_sum}, 3)
 
 
 def label_p7_o3() -> ConstructionResult:
@@ -311,37 +313,18 @@ def label_path_join_cycle(m: int, n: int) -> ConstructionResult:
     count = 2 * n - 1
     g = join(build_family("path", 2 * m), build_family("cycle", count))
     if m == 1:
+        # The path edge contributes to both endpoints, so the first-side
+        # sums, by direct summation, are 2n^2+3n-1 and 6n^2-n.
+        u_labels = {(1, 2): 4 * n - 1}
         joins = {(1, j): j for j in range(1, count + 1)}
         joins.update({(2, j): 4 * n - 1 - j for j in range(1, count + 1)})
-        f = _assemble(g, 2, {(1, 2): 4 * n - 1}, joins, _wrapped_cycle_labels(count, 4 * n - 1))
-        # First-side sums by direct summation: the path edge contributes to
-        # both endpoints, so they are 2n^2+3n-1 and 6n^2-n.
-        colors = {
-            2 * n * n + 3 * n - 1,
-            6 * n * n - n,
-            15 * n - 4,
-            14 * n - 4,
-            14 * n - 3,
-        }
-        return _result(
-            "path-join-cycle", params, g, f, colors, 5,
-            notes=("first-side sums recomputed by direct summation",),
-        )
-    f = _assemble(
-        g,
-        2 * m,
-        _path_labels(m),
-        _odd_null_join(m, n),
-        _wrapped_cycle_labels(count, 4 * m * n - 1),
-    )
-    v_base = m * (4 * m * n + 2 * m + 8 * n - 1)
-    colors = {
-        m * (4 * n * n - 3 * n + 3) - n - 1,
-        m * (4 * n * n + 3 * n - 1) - n,
-        v_base + 3 * n - 3,
-        v_base + 2 * n - 3,
-        v_base + 2 * n - 2,
-    }
+        u_colors, v_sum = {2 * n * n + 3 * n - 1, 6 * n * n - n}, 4 * n - 1
+    else:
+        u_labels = _path_labels(m)
+        joins, u_colors, v_sum = _path_null_join(m, count)
+    base = 4 * m * n - 1
+    f = _assemble(g, 2 * m, u_labels, joins, _wrapped_cycle_labels(count, base))
+    colors = u_colors | _wrapped_cycle_colors(v_sum, base, count)
     return _result("path-join-cycle", params, g, f, colors, 5)
 
 
@@ -364,65 +347,53 @@ def label_path_join_complete(m: int, r: int) -> ConstructionResult:
         )
     if r == 3:
         # K_3 is the 3-cycle; reuse the path-cycle scheme.
-        return replace(
-            label_path_join_cycle(m, 2), family="path-join-complete", params=params,
-            notes=("K_3 handled as the 3-cycle",),
-        )
+        return replace(label_path_join_cycle(m, 2), family="path-join-complete", params=params)
+    # The P_2m v O_r labels, then K_r's lexicographic labels above them.
     g = join(build_family("path", 2 * m), build_family("complete", r))
-    if r == 2:
-        joins: dict[tuple[int, int], int] = {}
-        for i in range(1, 2 * m + 1):
-            if i % 2 == 1:
-                joins[(i, 1)] = 2 * m + (i - 1) // 2
-                joins[(i, 2)] = 5 * m - (i + 1) // 2
-            elif i != 2 * m:
-                joins[(i, 1)] = 6 * m - (i + 2) // 2
-                joins[(i, 2)] = 3 * m + (i - 2) // 2
-        joins[(2 * m, 1)] = 4 * m - 1
-        joins[(2 * m, 2)] = 6 * m - 1
-        f = _assemble(g, 2 * m, _path_labels(m), joins, {(1, 2): 6 * m})
-        colors = {9 * m - 2, 11 * m - 2, 8 * m * m + 3 * m, 8 * m * m + 7 * m}
-        return _result("path-join-complete", params, g, f, colors, 4)
+    joins, u_colors, v_sum = _path_null_join(m, r)
+    q0 = 2 * m - 1 + 2 * m * r
     h = _complete_labels(r)
     h_sums = vertex_sums(h, r)
-    if r % 2 == 0:
-        n = r // 2
-        q0 = 4 * m * n + 2 * m - 1
-        joins = _even_null_join(m, n)
-        u_colors = {
-            m * (4 * n * n + n + 3) - n - 1,
-            m * (4 * n * n + 7 * n + 1) - n - 1,
-        }
-        v_join_sum = m * (4 * m * n + 4 * m - 1)
-    else:
-        n = (r + 1) // 2
-        q0 = 4 * m * n - 1
-        joins = _odd_null_join(m, n)
-        u_colors = {
-            m * (4 * n * n - 3 * n + 3) - n - 1,
-            m * (4 * n * n + 3 * n - 1) - n,
-        }
-        v_join_sum = m * (4 * m * n + 2 * m - 1)
-    shifted = {e: lab + q0 for e, lab in h.items()}
-    f = _assemble(g, 2 * m, _path_labels(m), joins, shifted)
-    v_colors = {h_sums[v] + v_join_sum + (r - 1) * q0 for v in range(1, r + 1)}
+    v_colors = {h_sums[v] + v_sum + (r - 1) * q0 for v in range(1, r + 1)}
+    if r == 2:
+        # Both K_2 ends would get one sum; swapping u_2m's two join labels
+        # moves them 2m apart.
+        joins[(2 * m, 1)], joins[(2 * m, 2)] = joins[(2 * m, 2)], joins[(2 * m, 1)]
+        v_colors = {v_sum + q0 + 1 - 2 * m, v_sum + q0 + 1 + 2 * m}
+    f = _assemble(g, 2 * m, _path_labels(m), joins, {e: lab + q0 for e, lab in h.items()})
     return _result("path-join-complete", params, g, f, u_colors | v_colors, r + 2)
 
 
-def _cycle_null_labeling(m: int, n: int) -> tuple[Graph, EdgeLabeling]:
-    # C_2m v O_{2n-1} for m, n >= 2: path-null join labels shifted by one
-    # plus the cycle labels that put 1 on (u_{2m-1}, u_{2m}).
-    g = join(build_family("cycle", 2 * m), build_family("null", 2 * n - 1))
+def _cycle_join(
+    m: int, n: int, second: Graph, v_labels: dict[Edge, int] | None = None
+) -> tuple[Graph, EdgeLabeling]:
+    # C_2m v second for m, n >= 2, second having 2n - 1 vertices: the
+    # P_2m v O_{2n-1} join labels shifted by one, the cycle labels that put
+    # 1 on (u_{2m-1}, u_{2m}), and ``v_labels`` on second's own edges.
+    g = join(build_family("cycle", 2 * m), second)
     joins = {k: lab + 1 for k, lab in _odd_null_join(m, n).items()}
-    return g, _assemble(g, 2 * m, _even_cycle_labels(m), joins)
+    return g, _assemble(g, 2 * m, _even_cycle_labels(m), joins, v_labels)
 
 
-def _cycle_null_colors(m: int, n: int) -> dict[str, int]:
-    return {
-        "u_odd": m * (4 * n * n - 3 * n + 3) + n,
-        "u_even": m * (4 * n * n + 3 * n - 1) + n + 1,
-        "v": m * (4 * m * n + 2 * m + 1),
-    }
+def _cycle_null_colors(m: int, n: int) -> tuple[set[int], int]:
+    # _cycle_join's two cycle-side colors and the sum every second-side
+    # vertex gets from the join.
+    u_colors = {m * (4 * n * n - 3 * n + 3) + n, m * (4 * n * n + 3 * n - 1) + n + 1}
+    return u_colors, m * (4 * m * n + 2 * m + 1)
+
+
+def _minus_label_one(
+    family: str, params: dict, g: Graph, f: EdgeLabeling, e: Edge,
+    classes: list[tuple[set[int], int]], count: int,
+) -> ConstructionResult:
+    # Deletes e, which carries label 1. ``classes`` pairs each set of claimed
+    # colors with the degree in g of the vertices that carry them: with e
+    # gone and every other label lowered by one, each such sum drops by
+    # that degree.
+    if not check_deletion_certificate(g, f, e):
+        raise RuntimeError(f"deletion certificate failed for {e}")
+    h, f2 = delete_labeled_edge(g, f, e)
+    return _result(family, params, h, f2, {c - d for colors, d in classes for c in colors}, count)
 
 
 def label_cycle_join_null(m: int, n: int) -> ConstructionResult:
@@ -437,8 +408,9 @@ def label_cycle_join_null(m: int, n: int) -> ConstructionResult:
         raise CitedCaseError(
             "wheels C_2m v O_1 are covered by cited work; use the exact solver", g, 3
         )
-    g, f = _cycle_null_labeling(m, n)
-    return _result("cycle-join-null", params, g, f, _cycle_null_colors(m, n).values(), 3)
+    g, f = _cycle_join(m, n, build_family("null", 2 * n - 1))
+    u_colors, v_sum = _cycle_null_colors(m, n)
+    return _result("cycle-join-null", params, g, f, u_colors | {v_sum}, 3)
 
 
 def label_odd_cycle_join_even_null(n: int) -> ConstructionResult:
@@ -482,14 +454,14 @@ def label_cycle_join_null_minus_edge(m: int, n: int, which: str = "cycle-edge") 
     """
     if m < 2 or n < 2:
         raise ParameterError("need m, n >= 2")
+    if which not in ("cycle-edge", "join-edge"):
+        raise ParameterError(f"which must be cycle-edge or join-edge, got {which!r}")
     params = {"m": m, "n": n, "which": which}
-    g, f = _cycle_null_labeling(m, n)
-    base = _cycle_null_colors(m, n)
-    deg_u, deg_v = 2 * n + 1, 2 * m
-    if which == "cycle-edge":
-        e = edge(2 * m - 1, 2 * m)
-        lab = f
-    elif which == "join-edge":
+    g, f = _cycle_join(m, n, build_family("null", 2 * n - 1))
+    u_colors, v_sum = _cycle_null_colors(m, n)
+    classes = [(u_colors, 2 * n + 1), ({v_sum}, 2 * m)]
+    e = edge(2 * m - 1, 2 * m)
+    if which == "join-edge":
         if (m, n) == JOIN_EDGE_COLLISION:
             # After reflecting and deleting, the even-cycle class and the
             # null-side class land on the same sum (4mn(n-m)+mn+2m^2+2m-n-1
@@ -501,20 +473,10 @@ def label_cycle_join_null_minus_edge(m: int, n: int, which: str = "cycle-edge") 
         ok, witness = check_complement_valid(g, f)
         if not ok:
             raise RuntimeError(f"complement conditions failed at {witness}")
-        lab = complement_labeling(g, f)
-        base = {
-            "u_odd": deg_u * (4 * m * n + 1) - base["u_odd"],
-            "u_even": deg_u * (4 * m * n + 1) - base["u_even"],
-            "v": deg_v * (4 * m * n + 1) - base["v"],
-        }
+        f = complement_labeling(g, f)
+        classes = [({d * (g.q + 1) - c for c in colors}, d) for colors, d in classes]
         e = edge(2 * m, 2 * m + 1)
-    else:
-        raise ParameterError(f"which must be cycle-edge or join-edge, got {which!r}")
-    if not check_deletion_certificate(g, lab, e):
-        raise RuntimeError(f"deletion certificate failed for {e}")
-    h, f2 = delete_labeled_edge(g, lab, e)
-    colors = {base["u_odd"] - deg_u, base["u_even"] - deg_u, base["v"] - deg_v}
-    return _result("cycle-join-null-minus-edge", params, h, f2, colors, 3)
+    return _minus_label_one("cycle-join-null-minus-edge", params, g, f, e, classes, 3)
 
 
 def label_cycle_join_cycle(m: int, n: int) -> ConstructionResult:
@@ -528,23 +490,11 @@ def label_cycle_join_cycle(m: int, n: int) -> ConstructionResult:
             f"the two-cycle join scheme merges two color classes at m={m}, n={n}; "
             "no five-color labeling is available from this construction"
         )
-    params = {"m": m, "n": n}
     count = 2 * n - 1
-    g = join(build_family("cycle", 2 * m), build_family("cycle", count))
-    joins = {k: lab + 1 for k, lab in _odd_null_join(m, n).items()}
-    f = _assemble(
-        g, 2 * m, _even_cycle_labels(m), joins, _wrapped_cycle_labels(count, 4 * m * n)
-    )
-    base = _cycle_null_colors(m, n)
-    v_base = m * (4 * m * n + 2 * m + 8 * n + 1)
-    colors = {
-        base["u_odd"],
-        base["u_even"],
-        v_base + 3 * n - 1,
-        v_base + 2 * n - 1,
-        v_base + 2 * n,
-    }
-    return _result("cycle-join-cycle", params, g, f, colors, 5)
+    g, f = _cycle_join(m, n, build_family("cycle", count), _wrapped_cycle_labels(count, 4 * m * n))
+    u_colors, v_sum = _cycle_null_colors(m, n)
+    colors = u_colors | _wrapped_cycle_colors(v_sum, 4 * m * n, count)
+    return _result("cycle-join-cycle", {"m": m, "n": n}, g, f, colors, 5)
 
 
 def label_cycle_join_cycle_minus_edge(m: int, n: int, which: str = "cycle-edge") -> ConstructionResult:
@@ -561,22 +511,14 @@ def label_cycle_join_cycle_minus_edge(m: int, n: int, which: str = "cycle-edge")
             "open problem with no claimed color count"
         )
     base = label_cycle_join_cycle(m, n)
-    g, f = base.graph, base.labeling
-    e = edge(2 * m - 1, 2 * m)
-    if not check_deletion_certificate(g, f, e):
-        raise RuntimeError(f"deletion certificate failed for {e}")
-    h, f2 = delete_labeled_edge(g, f, e)
-    deg_u, deg_v = 2 * n + 1, 2 * m + 2
-    parts = _cycle_null_colors(m, n)
-    v_base = m * (4 * m * n + 2 * m + 8 * n + 1)
-    colors = {
-        parts["u_odd"] - deg_u,
-        parts["u_even"] - deg_u,
-        v_base + 3 * n - 1 - deg_v,
-        v_base + 2 * n - 1 - deg_v,
-        v_base + 2 * n - deg_v,
-    }
-    return _result("cycle-join-cycle-minus-edge", {"m": m, "n": n}, h, f2, colors, 5)
+    u_colors, _ = _cycle_null_colors(m, n)
+    # The five claimed colors are distinct, so the odd-cycle side holds the
+    # three that are not the even cycle's.
+    classes = [(u_colors, 2 * n + 1), (base.claimed_colors - u_colors, 2 * m + 2)]
+    return _minus_label_one(
+        "cycle-join-cycle-minus-edge", {"m": m, "n": n}, base.graph, base.labeling,
+        edge(2 * m - 1, 2 * m), classes, 5,
+    )
 
 
 def label_cycle_join_complete(m: int, r: int) -> ConstructionResult:
@@ -592,21 +534,15 @@ def label_cycle_join_complete(m: int, r: int) -> ConstructionResult:
             "wheels C_2m v K_1 are covered by cited work; use the exact solver", g, 3
         )
     if r == 3:
-        return replace(
-            label_cycle_join_cycle(m, 2), family="cycle-join-complete", params=params,
-            notes=("K_3 handled as the 3-cycle",),
-        )
+        return replace(label_cycle_join_cycle(m, 2), family="cycle-join-complete", params=params)
     n = (r + 1) // 2
-    g = join(build_family("cycle", 2 * m), build_family("complete", r))
-    joins = {k: lab + 1 for k, lab in _odd_null_join(m, n).items()}
     h = _complete_labels(r)
     h_sums = vertex_sums(h, r)
     shifted = {e: lab + 4 * m * n for e, lab in h.items()}
-    f = _assemble(g, 2 * m, _even_cycle_labels(m), joins, shifted)
-    base = _cycle_null_colors(m, n)
-    v_colors = {h_sums[v] + base["v"] + (r - 1) * 4 * m * n for v in range(1, r + 1)}
-    colors = {base["u_odd"], base["u_even"]} | v_colors
-    return _result("cycle-join-complete", params, g, f, colors, r + 2)
+    g, f = _cycle_join(m, n, build_family("complete", r), shifted)
+    u_colors, v_sum = _cycle_null_colors(m, n)
+    v_colors = {h_sums[v] + v_sum + (r - 1) * 4 * m * n for v in range(1, r + 1)}
+    return _result("cycle-join-complete", params, g, f, u_colors | v_colors, r + 2)
 
 
 def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
@@ -626,10 +562,7 @@ def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
     v_labels = dict(cycle.labels)
     rect = nearly_magic_rectangle(2 * n, count)
     joins = {(i + 1, j + 1): rect.entries[i][j] + count for i in range(2 * n) for j in range(count)}
-    if n == 1:
-        k_labels = {(1, 2): 1}
-    else:
-        k_labels = _complete_labels(2 * n)
+    k_labels = _complete_labels(2 * n)
     k_sums = vertex_sums(k_labels, 2 * n)
     # Rename so odd positions carry the n smallest sums in order.
     ranked = sorted(range(1, 2 * n + 1), key=lambda v: (k_sums[v], v))
@@ -647,20 +580,12 @@ def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
     for i in range(1, n + 1):
         u_colors.add(sorted_sums[i - 1] + k_shift_part + join_part + m - 1)
         u_colors.add(sorted_sums[n + i - 1] + k_shift_part + join_part + m)
-    tail = 2 * n * count + 2 * n * n * count + n
-    v_colors = {3 * m - 1 + tail, 2 * m - 1 + tail, 2 * m + tail}
+    v_colors = _wrapped_cycle_colors(2 * n * count + 2 * n * n * count + n, 0, count)
     return _result("complete-join-odd-cycle", params, g, f, u_colors | v_colors, 2 * n + 3)
 
 
 # ---------------------------------------------------------------------------
 # generic join schemes (caller supplies the already-labeled first part)
-
-
-def _require_proper(g: Graph, f: EdgeLabeling) -> dict[int, int]:
-    cert = verify_local_antimagic(g, f)
-    if not cert.ok:
-        raise ParameterError("the supplied labeling must be a proper local antimagic labeling")
-    return f.sums
 
 
 def _clash(f: EdgeLabeling, u_shift: int, new_colors: set[int]) -> int | None:
@@ -693,10 +618,34 @@ def _bipartite_colors(g: Graph, m: int, n: int) -> tuple[int, set[int]]:
 
 
 def _cycle_colors(g: Graph, m: int) -> tuple[int, set[int]]:
-    # G v C_m: the first-part shift and the cycle base plus m, m+1, (3m+1)/2.
+    # G v C_m: the first-part shift and the colors of the wrapped cycle.
     p, e = g.n, g.q
-    base = p * e + p * (p * m + 1) // 2 + 2 * (e + p * m)
-    return m * e + m * (p * m + 1) // 2, {base + m, base + m + 1, base + (3 * m + 1) // 2}
+    join_sum = p * e + p * (p * m + 1) // 2
+    return m * e + m * (p * m + 1) // 2, _wrapped_cycle_colors(join_sum, e + p * m, m)
+
+
+def _generic_join(
+    family: str, params: dict, g: Graph, f: EdgeLabeling, second: Graph,
+    u_shift: int, new_colors: set[int], v_labels: dict[Edge, int] | None = None,
+) -> ConstructionResult:
+    # G v second: join edges take a magic (|V(G)|, |V(second)|)-rectangle
+    # shifted by |E(G)|, second's own edges take ``v_labels``. Every sum of
+    # G shifts by ``u_shift`` and second adds ``new_colors``.
+    if not verify_local_antimagic(g, f).ok:
+        raise ParameterError("the supplied labeling must be a proper local antimagic labeling")
+    sums = f.sums
+    u = _clash(f, u_shift, new_colors)
+    if u is not None:
+        raise ParameterError(f"vertex {u} carries the forbidden sum {sums[u]}")
+    p, e, cols = g.n, g.q, second.n
+    joined = join(g, second)
+    rect = magic_rectangle(p, cols)
+    joins = {
+        (i, j): rect.entries[i - 1][j - 1] + e for i in range(1, p + 1) for j in range(1, cols + 1)
+    }
+    lab = _assemble(joined, p, dict(f.labels), joins, v_labels)
+    colors = {s + u_shift for s in sums.values()} | new_colors
+    return _result(family, params, joined, lab, colors, len(set(sums.values())) + len(new_colors))
 
 
 def label_generic_join_null(g: Graph, f: EdgeLabeling, n: int) -> ConstructionResult:
@@ -707,22 +656,13 @@ def label_generic_join_null(g: Graph, f: EdgeLabeling, n: int) -> ConstructionRe
     shift uniformly. Requires order >= 3, n >= 2, equal parities, and that
     no original sum equals the forbidden crossing value.
     """
-    p, e = g.n, g.q
-    if p < 3 or n < 2:
+    if g.n < 3 or n < 2:
         raise ParameterError("need |V(G)| >= 3 and n >= 2")
-    if p % 2 != n % 2:
+    if g.n % 2 != n % 2:
         raise ParameterError("the part orders must share parity")
-    sums = _require_proper(g, f)
-    u_shift, new_colors = _null_colors(g, n)
-    u = _clash(f, u_shift, new_colors)
-    if u is not None:
-        raise ParameterError(f"vertex {u} carries the forbidden sum {sums[u]}")
-    joined = join(g, build_family("null", n))
-    rect = magic_rectangle(p, n)
-    joins = {(i, j): rect.entries[i - 1][j - 1] + e for i in range(1, p + 1) for j in range(1, n + 1)}
-    lab = _assemble(joined, p, dict(f.labels), joins)
-    colors = {s + u_shift for s in sums.values()} | new_colors
-    return _result("generic-join-null", {"n": n}, joined, lab, colors, len(set(sums.values())) + 1)
+    return _generic_join(
+        "generic-join-null", {"n": n}, g, f, build_family("null", n), *_null_colors(g, n)
+    )
 
 
 def label_generic_join_complete_bipartite(
@@ -740,27 +680,15 @@ def label_generic_join_complete_bipartite(
         raise ParameterError("need an even first-part order >= 4")
     if not _bipartite_parts_ok(m, n):
         raise ParameterError("need m != n, both >= 2, of equal parity")
-    sums = _require_proper(g, f)
-    u_shift, new_colors = _bipartite_colors(g, m, n)
-    u = _clash(f, u_shift, new_colors)
-    if u is not None:
-        raise ParameterError(f"vertex {u} carries a forbidden sum")
-    joined = join(g, build_family("complete-bipartite", m, n))
-    big = magic_rectangle(p, m + n)
     small = magic_rectangle(m, n)
-    joins = {
-        (i, j): big.entries[i - 1][j - 1] + e for i in range(1, p + 1) for j in range(1, m + n + 1)
-    }
     v_labels = {
         (j, m + k): e + p * (m + n) + small.entries[j - 1][k - 1]
         for j in range(1, m + 1)
         for k in range(1, n + 1)
     }
-    lab = _assemble(joined, p, dict(f.labels), joins, v_labels)
-    colors = {s + u_shift for s in sums.values()} | new_colors
-    return _result(
-        "generic-join-complete-bipartite", {"m": m, "n": n}, joined, lab, colors,
-        len(set(sums.values())) + 2,
+    return _generic_join(
+        "generic-join-complete-bipartite", {"m": m, "n": n}, g, f,
+        build_family("complete-bipartite", m, n), *_bipartite_colors(g, m, n), v_labels,
     )
 
 
@@ -771,22 +699,14 @@ def label_generic_join_cycle(g: Graph, f: EdgeLabeling, m: int) -> ConstructionR
     edges take the wrapped top range. The three new colors are the cycle
     base plus m, m+1, and (3m+1)/2.
     """
-    p, e = g.n, g.q
-    if p < 3 or p % 2 == 0:
+    if g.n < 3 or g.n % 2 == 0:
         raise ParameterError("need an odd first-part order >= 3")
     if m < 3 or m % 2 == 0:
         raise ParameterError("the cycle order must be odd and >= 3 for this scheme")
-    sums = _require_proper(g, f)
-    u_shift, new_colors = _cycle_colors(g, m)
-    u = _clash(f, u_shift, new_colors)
-    if u is not None:
-        raise ParameterError(f"vertex {u} carries a forbidden sum")
-    joined = join(g, build_family("cycle", m))
-    rect = magic_rectangle(p, m)
-    joins = {(i, j): rect.entries[i - 1][j - 1] + e for i in range(1, p + 1) for j in range(1, m + 1)}
-    lab = _assemble(joined, p, dict(f.labels), joins, _wrapped_cycle_labels(m, e + p * m))
-    colors = {s + u_shift for s in sums.values()} | new_colors
-    return _result("generic-join-cycle", {"m": m}, joined, lab, colors, len(set(sums.values())) + 3)
+    return _generic_join(
+        "generic-join-cycle", {"m": m}, g, f, build_family("cycle", m), *_cycle_colors(g, m),
+        _wrapped_cycle_labels(m, g.q + g.n * m),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -884,14 +804,12 @@ def generic_seed(family: str) -> tuple[Graph, EdgeLabeling]:
     return g, EdgeLabeling(g, dict(zip(g.edges, range(1, g.q + 1))))
 
 
-def build_construction(
-    family: str, params: dict, base: EdgeLabeling | None = None
-) -> ConstructionResult:
+def build_construction(family: str, params: dict) -> ConstructionResult:
     """Run the named family generator with keyword parameters.
 
     A parameter the family does not take, or a missing one other than
-    ``which``, is a ParameterError. Generic families label ``base`` (or
-    the built-in seed) joined with the requested second part.
+    ``which``, is a ParameterError. Generic families label their seed
+    joined with the requested second part.
     """
     fam = _family(family)
     for key in params:
@@ -903,8 +821,7 @@ def build_construction(
     args = [params[key] for key in fam.params if key in params]
     if fam.seed is None:
         return fam.build(*args)
-    f = base if base is not None else generic_seed(family)[1]
-    return fam.build(f.graph, f, *args)
+    return fam.build(*generic_seed(family), *args)
 
 
 def sweep_points(family: str, max_edges: int = 400) -> list[dict]:

@@ -102,13 +102,6 @@ class Graph:
     def role_of(self, v: int) -> str:
         return self.roles[v - 1]
 
-    def vertex_by_role(self, role: str) -> int:
-        return self._role_index[role]
-
-    @cached_property
-    def _role_index(self) -> dict[str, int]:
-        return {role: i + 1 for i, role in enumerate(self.roles)}
-
     @cached_property
     def u_vertices(self) -> tuple[int, ...]:
         """First-side vertices, ordered by their role index."""
@@ -278,16 +271,20 @@ def known_chromatic(family) -> int | None:
     return None
 
 
-def chromatic_number_exact(g: Graph, max_vertices: int = 16) -> int:
+# The largest graph chromatic_number_exact accepts.
+CHROMATIC_MAX_VERTICES = 16
+
+
+def chromatic_number_exact(g: Graph) -> int:
     """Exact chromatic number by branch-and-bound, for small graphs only.
 
     A greedy clique provides the lower bound; vertices are colored in
-    DSATUR order. Graphs larger than ``max_vertices`` are rejected
+    DSATUR order. Graphs beyond ``CHROMATIC_MAX_VERTICES`` are rejected
     because join families admit the additive formula instead.
     """
-    if g.n > max_vertices:
+    if g.n > CHROMATIC_MAX_VERTICES:
         raise ParameterError(
-            f"graph has {g.n} > {max_vertices} vertices; for join families use "
+            f"graph has {g.n} > {CHROMATIC_MAX_VERTICES} vertices; for join families use "
             "chi(A v B) = chi(A) + chi(B) via known_chromatic instead"
         )
     if g.q == 0:

@@ -11,7 +11,6 @@ what broke (bijection, adjacency) so callers can surface the reason.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,9 +27,6 @@ class EdgeLabeling:
 
     graph: Graph
     labels: dict[Edge, int]
-
-    def label(self, e: Edge) -> int:
-        return self.labels[edge(*e)]
 
     @property
     def q(self) -> int:
@@ -363,7 +359,3 @@ def export_matrix(g: Graph, f: EdgeLabeling) -> LabelingMatrix:
     )
     matrix.validate()
     return matrix
-
-
-def labeling_to_json_str(f: EdgeLabeling) -> str:
-    return json.dumps(f.to_json(), sort_keys=True, indent=2) + "\n"

@@ -13,8 +13,8 @@ smaller id) is taken and all its unplaced edges are appended. Vertex sums
 then become final, and the two prunes above fire, many levels earlier
 than under an order by endpoint degree.
 
-Symmetry breaking (``SearchConfig.symmetry_pruning``), one of two rules
-per graph, neither of which changes the optimum:
+Symmetry breaking, one of two rules per graph, neither of which changes
+the optimum:
 
 * Regular graphs: the reflection f <-> q+1-f keeps adjacent sums distinct
   and the color count, so label 1 is required on an earlier edge than
@@ -34,10 +34,11 @@ The two rules are not combined: the reflection reverses every twin
 inequality, so together they can exclude a whole symmetry orbit. Regular
 graphs therefore keep the reflection alone.
 
-Results are deterministic for a given config. Splitting the tree at the
-root (by the first edge's label) and taking the minimum over the parts
-would reproduce them exactly; nothing here depends on exploration order
-beyond the fixed edge order and the configured label order.
+Labels are tried largest first, which prunes faster on join graphs.
+Results are deterministic. Splitting the tree at the root (by the first
+edge's label) and taking the minimum over the parts would reproduce them
+exactly; nothing here depends on exploration order beyond the fixed edge
+and label orders.
 """
 
 from __future__ import annotations
@@ -46,26 +47,24 @@ import time
 from dataclasses import dataclass
 
 from .constructions import GENERIC_FAMILIES, CitedCaseError, build_construction
-from .graphs import Edge, Graph, ParameterError, chromatic_number_exact, edge, known_chromatic
+from .graphs import (
+    CHROMATIC_MAX_VERTICES,
+    Edge,
+    Graph,
+    ParameterError,
+    chromatic_number_exact,
+    edge,
+    known_chromatic,
+)
 from .labelings import EdgeLabeling, verify_local_antimagic
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the exact search.
-
-    ``descending_labels`` controls label try-order (large first prunes
-    faster on join graphs). ``symmetry_pruning`` orients the reflection
-    that swaps labels k and q+1-k on regular graphs (halving the search),
-    and orders the labels on twin vertices' edges on all other graphs (see
-    the module docstring). Every combination must give the same optimum;
-    the witness may differ. The edge order is fixed (finalize-soonest).
-    """
+    """Limits of the exact search: its size, an early-stop target, its time."""
 
     max_edges: int = 12
     target_colors: int | None = None
-    symmetry_pruning: bool = True
-    descending_labels: bool = True
     time_budget: float = 60.0
 
     def __post_init__(self):
@@ -156,13 +155,12 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
 
     lower = _chi_lower(g) or 2
 
-    label_order = range(q, 0, -1) if cfg.descending_labels else range(1, q + 1)
+    label_order = range(q, 0, -1)
     regular = len(set(degree.values())) == 1
-    use_reflection = cfg.symmetry_pruning and regular
     # twin_checks[i]: (j, larger) pairs with j < i; edge i's label must be
     # larger than edge j's when ``larger``, else smaller.
     twin_checks: list[list[tuple[int, bool]]] = [[] for _ in range(q)]
-    if cfg.symmetry_pruning and not regular:
+    if not regular:
         index = {e: i for i, e in enumerate(edges)}
         for x, twins in _twin_classes(g):
             chain = [index[edge(x, u)] for u in twins]
@@ -177,7 +175,6 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
     remaining = dict(degree)
     assigned: list[int] = [0] * q  # edge index -> label, 0 = unassigned
     used = [False] * (q + 1)
-    pos_of_label = {}  # label -> edge index, for the reflection constraint
     best: list = [None, None]  # [count, labels snapshot]
     nodes = 0
     deadline = time.monotonic() + cfg.time_budget
@@ -207,18 +204,17 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
         for lab in label_order:
             if used[lab]:
                 continue
-            if use_reflection and q >= 2:
+            if regular and q >= 2:
                 # Orient the reflection f <-> q+1-f (valid on regular
                 # graphs): label 1 must land on an earlier edge than q.
-                if lab == q and 1 not in pos_of_label:
+                if lab == q and not used[1]:
                     continue
-                if lab == 1 and q in pos_of_label:
+                if lab == 1 and used[q]:
                     continue
             if checks and not all((lab > assigned[j]) == larger for j, larger in checks):
                 continue
             used[lab] = True
             assigned[i] = lab
-            pos_of_label[lab] = i
             sums[a] += lab
             sums[b] += lab
             remaining[a] -= 1
@@ -238,7 +234,6 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
                 return True
             used[lab] = False
             assigned[i] = 0
-            del pos_of_label[lab]
             sums[a] -= lab
             sums[b] -= lab
             remaining[a] += 1
@@ -286,13 +281,13 @@ def _chi_lower(g: Graph) -> int | None:
     """The chromatic number, a lower bound on the color count, when cheap.
 
     Taken from the family descriptor when it fixes one, else computed
-    exactly on at most 16 vertices. The descriptor is trusted, so a graph
-    read from a file must have it cleared first.
+    exactly on at most ``CHROMATIC_MAX_VERTICES`` vertices. The descriptor
+    is trusted, so a graph read from a file must have it cleared first.
     """
     known = known_chromatic(g.family)
     if known is not None:
         return known
-    if g.n <= 16:
+    if g.n <= CHROMATIC_MAX_VERTICES:
         return chromatic_number_exact(g)
     return None
 

@@ -353,13 +353,24 @@ def test_generic_join_null_seed():
     assert_verified(res)
 
 
-def test_generic_join_null_rejects_forbidden_sum():
-    # a vertex with no edges carries sum 0, which is the forbidden value
-    # when the part orders are equal
-    g = Graph(4, ((1, 2), (2, 3)), ("u1", "u2", "u3", "u4"))
-    f = EdgeLabeling(g, {(1, 2): 1, (2, 3): 2})
-    with pytest.raises(ParameterError, match="vertex 4"):
-        label_generic_join_null(g, f, 4)
+@pytest.mark.parametrize("family", GENERIC_FAMILIES)
+def test_generic_join_null_rejects_forbidden_sum(family):
+    # All three schemes refuse a clash with one message naming the sum.
+    if family == "generic-join-null":
+        # a vertex with no edges carries sum 0, which is the forbidden value
+        # when the part orders are equal
+        g = Graph(4, ((1, 2), (2, 3)), ("u1", "u2", "u3", "u4"))
+        f = EdgeLabeling(g, {(1, 2): 1, (2, 3): 2})
+        with pytest.raises(ParameterError, match="vertex 4 carries the forbidden sum 0"):
+            label_generic_join_null(g, f, 4)
+        return
+    # on the seeds, points the sweep skips
+    params, message = {
+        "generic-join-complete-bipartite": ({"m": 2, "n": 6}, "vertex 3 carries the forbidden sum 5"),
+        "generic-join-cycle": ({"m": 7}, "vertex 1 carries the forbidden sum 3"),
+    }[family]
+    with pytest.raises(ParameterError, match=message):
+        build_construction(family, params)
 
 
 def test_generic_join_null_parity():
@@ -447,6 +458,36 @@ def test_sweep_lists_are_pinned_with_their_order():
     for budget, digest in expected.items():
         text = json.dumps([sweep_points(f, budget) for f in ALL_FAMILIES])
         assert hashlib.sha256(text.encode()).hexdigest() == digest, budget
+
+
+def test_sweep_labelings_are_pinned():
+    # sha256 per family of each point's labeling JSON, sorted claimed colors
+    # and claimed count at budget 150 (844 points), taken before the shared
+    # closed forms were factored out of the generators. A change to any
+    # label or claim fails here, not only one to the parameter lists.
+    expected = {
+        "path-join-null": "9732b047a281604cfd90a480e0bbddf913855b16b7b63761b78c15bd9b6c5ef1",
+        "p7-o3": "9b627ddf694586396e915279a9cbcff06d0ba20cb7ff7dd0611efd676b5e3901",
+        "path-join-cycle": "2f5ce57ab161afc80cc99a6127b336925b25d59bc00a33fcc7ee7f6356b72ddf",
+        "path-join-complete": "86a6ef1e4c2dc64ad6bec881905708ebd647d6203e2bbc25456d69e93077dc57",
+        "cycle-join-null": "99a5f0606a60d7820b3bc107c44d964b4ee18c1e0686876eac08915680f220d0",
+        "odd-cycle-join-even-null": "fb98f86579092e5bfd3c1b46ab38f736aa561fb31713131c6be7b30e6ababab2",
+        "cycle-join-null-minus-edge": "91b059c138c220f15614d828633f5dbd68a33149befc94b59446f976d61ebbda",
+        "cycle-join-cycle": "b9d254b8d981b48aedd1ca12f1ed6bd3ad0ff4d189ef5e450148f978c8d1e3bc",
+        "cycle-join-cycle-minus-edge": "82b324f6bd7a2ee6eb054bec34b84c42cf9353d536437ce2565c303efc7a3062",
+        "cycle-join-complete": "3c9b349546bc61143999320621f0d76d111f5ab10007eb17cb9747a2113133c4",
+        "complete-join-odd-cycle": "a7959bf84eb281b77d69bb97a12867d3569ee1d51bd7f4dc55e48c6b5e7dee3e",
+        "generic-join-null": "3cc90b4cc5553147cf00d2fba3951ab4965dc6f7f387486fcc5e3f06663186b2",
+        "generic-join-complete-bipartite": "f39d091e6c95240ee7925018f0035d6d64d3209782f9bce0f127ac8810f00f38",
+        "generic-join-cycle": "baf4997f02442d7056d1906e93798afed151aeaa0ae6d8a51dbb716b759f5762",
+    }
+    for family in ALL_FAMILIES:
+        rows = []
+        for params in sweep_points(family, 150):
+            res = build_construction(family, params)
+            rows.append([params, res.labeling.to_json(), sorted(res.claimed_colors), res.claimed_chi_la])
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == expected[family], family
 
 
 @pytest.mark.parametrize("budget", [1, 10, 26, 27, 40, 400])

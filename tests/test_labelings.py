@@ -9,7 +9,6 @@ from conftest import random_graph, random_labeling
 from lajoin.constructions import (
     ALL_FAMILIES,
     GENERIC_FAMILIES,
-    _cycle_null_labeling,
     build_construction,
     label_cycle_join_cycle,
     label_cycle_join_null,
@@ -152,7 +151,8 @@ def test_complement_valid_star():
 
 def test_complement_valid_for_half_wheel_labeling():
     # the reflected labeling drives the join-edge deletion scheme
-    g, f = _cycle_null_labeling(2, 2)
+    res = label_cycle_join_null(2, 2)
+    g, f = res.graph, res.labeling
     ok, _ = check_complement_valid(g, f)
     assert ok
 
@@ -235,7 +235,8 @@ def test_two_color_infeasible_matches_exhaustive(kind, params, parts):
 
 
 def test_deletion_certificate_half_wheel_cycle_edge():
-    g, f = _cycle_null_labeling(2, 2)
+    res = label_cycle_join_null(2, 2)
+    g, f = res.graph, res.labeling
     assert check_deletion_certificate(g, f, (3, 4)) is True  # label-1 cycle edge
     two = f.edge_with_label(2)
     assert check_deletion_certificate(g, f, two) is False
@@ -254,7 +255,8 @@ def test_deletion_certificate_needs_uniform_degrees():
 
 
 def test_delete_labeled_edge_shifts_by_degree():
-    g, f = _cycle_null_labeling(2, 2)
+    res = label_cycle_join_null(2, 2)
+    g, f = res.graph, res.labeling
     h, f2 = delete_labeled_edge(g, f, (3, 4))
     for v in g.vertices:
         assert f2.sums[v] == f.sums[v] - g.degree(v)

@@ -49,20 +49,6 @@ def test_single_edge_graph_has_no_labeling():
     assert report.chi_la is None
 
 
-@pytest.mark.parametrize(
-    "kind,params",
-    [("cycle", (4,)), ("cycle", (5,)), ("complete", (4,)), ("path", (5,)),
-     ("complete-bipartite", (2, 3))],
-)
-def test_config_invariance(kind, params):
-    g = build_family(kind, *params)
-    results = set()
-    for sym, desc in itertools.product((True, False), repeat=2):
-        cfg = SearchConfig(symmetry_pruning=sym, descending_labels=desc)
-        results.add(exact_chi_la(g, cfg).chi_la)
-    assert len(results) == 1
-
-
 def brute_chi_la(g):
     """Minimum color count over all q! bijections; None if none is proper."""
     best = None
@@ -91,17 +77,19 @@ def oracle_corpus():
     graphs.append(join(build_family("cycle", 3), build_family("null", 1)))
     # two twin classes, each holding the other's smallest common neighbor
     graphs.append(build_family("complete-bipartite", 2, 3))
+    # regular graphs, where the label reflection is oriented, and a path
+    graphs += [build_family("cycle", 4), build_family("cycle", 5), build_family("complete", 4)]
+    graphs.append(build_family("path", 5))
     return graphs
 
 
 def test_brute_force_oracle_all_configs():
     for g in oracle_corpus():
         expected = brute_chi_la(g)
-        for sym, desc in itertools.product((True, False), repeat=2):
-            report = exact_chi_la(g, SearchConfig(symmetry_pruning=sym, descending_labels=desc))
-            assert report.exact and report.chi_la == expected, (g.edges, sym, desc)
-            if expected is not None:
-                assert verify_local_antimagic(g, report.witness).color_count == expected
+        report = exact_chi_la(g)
+        assert report.exact and report.chi_la == expected, g.edges
+        if expected is not None:
+            assert verify_local_antimagic(g, report.witness).color_count == expected
 
 
 def test_edge_order_invariance():
@@ -148,7 +136,7 @@ def test_timeout_reports_inexact():
     # proving this optimum needs a full exhaust (the chromatic bound is 3
     # but the optimum is 4), so a tiny budget must report inexact
     g = join(build_family("path", 4), build_family("null", 1))
-    cfg = SearchConfig(time_budget=1e-6, symmetry_pruning=False)
+    cfg = SearchConfig(time_budget=1e-6)
     report = exact_chi_la(g, cfg)
     assert not report.exact
     if report.witness is not None:
