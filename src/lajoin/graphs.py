@@ -47,8 +47,9 @@ class Graph:
     """An immutable simple graph with role-tagged, 1-based vertices.
 
     ``family`` is a structural descriptor such as ``("path", 6)``,
-    ``("join", A, B)`` or ``("minus-edge", parent, e)``; constructions use
-    it to validate they were handed the shape they expect.
+    ``("join", A, B)`` or ``("minus-edge", parent, e)``. It labels output
+    and is never used as evidence: every property, the chromatic lower
+    bound included, is computed from ``n`` and ``edges``.
     """
 
     n: int
@@ -243,34 +244,6 @@ def delete_edge(g: Graph, e: Edge) -> Graph:
     return Graph(g.n, edges, g.roles, ("minus-edge", g.family, e))
 
 
-def known_chromatic(family) -> int | None:
-    """Chromatic number from the family descriptor alone, when determined.
-
-    Join graphs use chi(A v B) = chi(A) + chi(B); families whose chromatic
-    number is not forced by the descriptor (e.g. after edge deletion)
-    return None.
-    """
-    if family is None:
-        return None
-    kind = family[0]
-    if kind == "path":
-        return 1 if family[1] == 1 else 2
-    if kind == "cycle":
-        return 2 if family[1] % 2 == 0 else 3
-    if kind == "null":
-        return 1
-    if kind == "complete":
-        return family[1]
-    if kind == "complete-bipartite":
-        return 2
-    if kind == "join":
-        ca, cb = known_chromatic(family[1]), known_chromatic(family[2])
-        if ca is None or cb is None:
-            return None
-        return ca + cb
-    return None
-
-
 # The largest graph chromatic_number_exact accepts.
 CHROMATIC_MAX_VERTICES = 16
 
@@ -279,13 +252,13 @@ def chromatic_number_exact(g: Graph) -> int:
     """Exact chromatic number by branch-and-bound, for small graphs only.
 
     A greedy clique provides the lower bound; vertices are colored in
-    DSATUR order. Graphs beyond ``CHROMATIC_MAX_VERTICES`` are rejected
-    because join families admit the additive formula instead.
+    DSATUR order. Graphs beyond ``CHROMATIC_MAX_VERTICES`` are rejected;
+    ``chromatic_lower_bound`` splits a join into its parts instead.
     """
     if g.n > CHROMATIC_MAX_VERTICES:
         raise ParameterError(
-            f"graph has {g.n} > {CHROMATIC_MAX_VERTICES} vertices; for join families use "
-            "chi(A v B) = chi(A) + chi(B) via known_chromatic instead"
+            f"graph has {g.n} > {CHROMATIC_MAX_VERTICES} vertices; for join graphs use "
+            "chi(A v B) = chi(A) + chi(B) via chromatic_lower_bound instead"
         )
     if g.q == 0:
         return 1
@@ -346,6 +319,59 @@ def chromatic_number_exact(g: Graph) -> int:
 
     backtrack(0)
     return best
+
+
+def chromatic_lower_bound(g: Graph) -> int:
+    """A lower bound on chi(g), read from ``g.n`` and ``g.edges`` alone.
+
+    Every graph is the join of its co-components, the connected components
+    of its complement, so chi(g) is the sum of their chromatic numbers
+    (chi(A v B) = chi(A) + chi(B)). A co-component adds 1 if it is
+    edgeless, 2 if bipartite, its exact chromatic number if it has at most
+    ``CHROMATIC_MAX_VERTICES`` vertices, and otherwise 3, since it has an
+    odd cycle. The bound is chi(g) itself unless some co-component is both
+    large and not bipartite.
+    """
+    adj = {v: set(nbrs) for v, nbrs in g.adjacency.items()}
+    unvisited = set(g.vertices)
+    total = 0
+    while unvisited:
+        # BFS in the complement, stepping to the unvisited non-neighbours.
+        part = [unvisited.pop()]
+        for v in part:
+            found = unvisited - adj[v]
+            unvisited -= found
+            part.extend(found)
+        total += _co_component_chromatic(adj, sorted(part))
+    return total
+
+
+def _co_component_chromatic(adj: dict[int, set[int]], part: list[int]) -> int:
+    """chi of the graph induced on ``part``, or 3 when that is only a bound."""
+    inside = set(part)
+    side: dict[int, bool] = {}
+    has_edge = odd = False
+    for root in part:
+        if root in side:
+            continue
+        side[root] = False
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u in adj[v] & inside:
+                has_edge = True
+                if u not in side:
+                    side[u] = not side[v]
+                    stack.append(u)
+                elif side[u] == side[v]:
+                    odd = True
+    if not odd:
+        return 2 if has_edge else 1
+    if len(part) > CHROMATIC_MAX_VERTICES:
+        return 3
+    index = {v: i for i, v in enumerate(part, 1)}
+    edges = tuple((index[a], index[b]) for a in part for b in adj[a] & inside if a < b)
+    return chromatic_number_exact(Graph(len(part), edges, tuple(f"u{i}" for i in index.values())))
 
 
 def graph_to_json_str(g: Graph) -> str:

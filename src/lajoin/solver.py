@@ -47,15 +47,7 @@ import time
 from dataclasses import dataclass
 
 from .constructions import GENERIC_FAMILIES, CitedCaseError, build_construction
-from .graphs import (
-    CHROMATIC_MAX_VERTICES,
-    Edge,
-    Graph,
-    ParameterError,
-    chromatic_number_exact,
-    edge,
-    known_chromatic,
-)
+from .graphs import Edge, Graph, ParameterError, chromatic_lower_bound, edge
 from .labelings import EdgeLabeling, verify_local_antimagic
 
 
@@ -153,7 +145,7 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
     neighbors = {v: g.neighbors(v) for v in g.vertices}
     degree = {v: g.degree(v) for v in g.vertices}
 
-    lower = _chi_lower(g) or 2
+    lower = chromatic_lower_bound(g)
 
     label_order = range(q, 0, -1)
     regular = len(set(degree.values())) == 1
@@ -277,21 +269,6 @@ class ConfirmationVerdict:
         }
 
 
-def _chi_lower(g: Graph) -> int | None:
-    """The chromatic number, a lower bound on the color count, when cheap.
-
-    Taken from the family descriptor when it fixes one, else computed
-    exactly on at most ``CHROMATIC_MAX_VERTICES`` vertices. The descriptor
-    is trusted, so a graph read from a file must have it cleared first.
-    """
-    known = known_chromatic(g.family)
-    if known is not None:
-        return known
-    if g.n <= CHROMATIC_MAX_VERTICES:
-        return chromatic_number_exact(g)
-    return None
-
-
 def confirm_theorem(family: str, params: dict, cfg: SearchConfig = SearchConfig()) -> ConfirmationVerdict:
     """Run a family construction and confirm its claim as far as feasible.
 
@@ -353,8 +330,8 @@ def confirm_theorem(family: str, params: dict, cfg: SearchConfig = SearchConfig(
                 family, params, verdict, res.claimed_chi_la, measured, None,
                 report.chi_la, detail,
             )
-    lower = _chi_lower(res.graph)
-    if lower is not None and lower == res.claimed_chi_la:
+    lower = chromatic_lower_bound(res.graph)
+    if lower == res.claimed_chi_la:
         return ConfirmationVerdict(
             family, params, "matched", res.claimed_chi_la, measured, lower, None,
             "claim meets the chromatic lower bound",

@@ -236,8 +236,9 @@ def test_parameter_a_family_does_not_take_or_lacks_exits_2(capsys, argv, message
 
 @pytest.mark.parametrize("family", [["cycle", "x"], [], ["complete", 9], ["path", 17]])
 def test_solve_input_ignores_the_files_family_descriptor(tmp_path, family):
-    # 17 vertices: past the exact chromatic number's 16, where the solver's
-    # lower bound would otherwise come from the descriptor.
+    # 17 vertices: past the exact chromatic number's 16. The lower bound is
+    # computed from the edges, so the descriptor changes only the label the
+    # witness graph carries.
     doc = {
         "schema": "v1",
         "vertices": [{"id": v, "role": f"u{v}"} for v in range(1, 18)],
@@ -250,6 +251,7 @@ def test_solve_input_ignores_the_files_family_descriptor(tmp_path, family):
         out = tmp_path / "r.json"
         assert run_cli("solve", "--input", str(path), "--out", str(out)) == 0
         report = json.loads(out.read_text())
+        assert report["witness"]["graph"].pop("family") == descriptor
         del report["elapsed"]
         reports.append(report)
     assert reports[0] == reports[1]

@@ -1,5 +1,7 @@
 import itertools
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,11 +9,11 @@ from lajoin.graphs import (
     Graph,
     ParameterError,
     build_family,
+    chromatic_lower_bound,
     chromatic_number_exact,
     delete_edge,
     edge,
     join,
-    known_chromatic,
 )
 
 
@@ -114,12 +116,12 @@ def test_chromatic_small():
 
 def test_chromatic_rejects_large():
     g = join(build_family("path", 10), build_family("null", 10))
-    with pytest.raises(ParameterError, match="known_chromatic"):
+    with pytest.raises(ParameterError, match="chromatic_lower_bound"):
         chromatic_number_exact(g)
 
 
 def test_chromatic_join_additivity():
-    # exact search agrees with chi(A v B) = chi(A) + chi(B)
+    # exact search and the co-component bound agree with chi(A v B) = chi(A) + chi(B)
     parts = [("path", 2), ("path", 3), ("path", 4), ("cycle", 3), ("cycle", 4),
              ("cycle", 5), ("null", 1), ("null", 3), ("complete", 3), ("complete-bipartite", 2, 2)]
     for pa, pb in itertools.combinations(parts, 2):
@@ -127,7 +129,67 @@ def test_chromatic_join_additivity():
         if a.n + b.n > 12:
             continue
         g = join(a, b)
-        assert chromatic_number_exact(g) == known_chromatic(g.family)
+        expected = chromatic_number_exact(a) + chromatic_number_exact(b)
+        assert chromatic_number_exact(g) == chromatic_lower_bound(g) == expected
+
+
+def _dense_random_graph(rng: random.Random, n: int) -> Graph:
+    """G(n, p) with p drawn per graph, so dense graphs whose complements
+    split into several co-components come up as often as sparse ones."""
+    p = rng.random()
+    edges = tuple(
+        (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if rng.random() < p
+    )
+    return Graph(n, edges, tuple(f"u{i}" for i in range(1, n + 1)))
+
+
+def _shuffled(g: Graph, rng: random.Random) -> Graph:
+    """``g`` with its vertex ids permuted, so a join's parts interleave."""
+    perm = list(g.vertices)
+    rng.shuffle(perm)
+    edges = tuple(sorted(edge(perm[a - 1], perm[b - 1]) for a, b in g.edges))
+    return Graph(g.n, edges, g.roles)
+
+
+def test_chromatic_lower_bound_is_exact_on_random_graphs():
+    rng = random.Random(4242)
+    for _ in range(3000):
+        g = _dense_random_graph(rng, rng.randint(1, 12))
+        assert chromatic_lower_bound(g) == chromatic_number_exact(g), g.edges
+
+
+def test_chromatic_lower_bound_is_exact_on_random_joins():
+    rng = random.Random(2112)
+    for _ in range(1000):
+        k = rng.choice((2, 3))
+        sizes = [rng.randint(1, 16 // k) for _ in range(k)]
+        parts = [_dense_random_graph(rng, n) for n in sizes]
+        g = parts[0]
+        for part in parts[1:]:
+            g = join(g, part)
+        g = _shuffled(g, rng)
+        expected = sum(chromatic_number_exact(part) for part in parts)
+        assert chromatic_lower_bound(g) == chromatic_number_exact(g) == expected, g.edges
+
+
+@pytest.mark.parametrize("m,n", [(3, 11), (3, 14), (5, 7), (9, 1)])
+def test_chromatic_lower_bound_on_a_large_odd_co_component(m, n):
+    # Deleting a join edge from C_2m v O_n leaves one co-component with a
+    # triangle and more than 16 vertices, too many for the exact count.
+    g = delete_edge(join(build_family("cycle", 2 * m), build_family("null", n)), (1, 2 * m + 1))
+    assert g.n > 16
+    assert chromatic_lower_bound(g) == 3
+
+
+def test_chromatic_lower_bound_ignores_the_descriptor():
+    # The bound reads only n and edges, so a wrong descriptor cannot raise it.
+    big = join(build_family("cycle", 5), build_family("null", 14))  # 19 vertices
+    small = join(build_family("cycle", 5), build_family("null", 2))
+    minus = delete_edge(small, (1, 2))  # P_5 v O_2
+    for family in (None, ("cycle", "x"), (), ("complete", 9), ("path", 17)):
+        assert chromatic_lower_bound(replace(big, family=family)) == 4
+        assert chromatic_lower_bound(replace(small, family=family)) == 4
+        assert chromatic_lower_bound(replace(minus, family=family)) == 3
 
 
 def test_json_round_trip():

@@ -1,13 +1,13 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
 from conftest import random_graph
+from lajoin.constructions import sweep_points
 from lajoin.graphs import Graph, ParameterError, build_family, chromatic_number_exact, delete_edge, join
 from lajoin.labelings import verify_local_antimagic
-from lajoin.solver import SearchConfig, _chi_lower, confirm_theorem, exact_chi_la
+from lajoin.solver import SearchConfig, confirm_theorem, exact_chi_la
 
 
 def test_triangle():
@@ -197,12 +197,12 @@ def test_confirm_cited_timeout_is_inconclusive():
     assert verdict.claimed_chi_la == 3
 
 
-def test_chi_lower_reads_the_descriptor_then_counts_small_graphs():
-    # One lower bound for both exact_chi_la and confirm_theorem.
-    big = join(build_family("cycle", 5), build_family("null", 14))  # 19 vertices
-    assert _chi_lower(big) == 4
-    assert _chi_lower(replace(big, family=None)) is None
-    small = join(build_family("cycle", 5), build_family("null", 2))
-    assert _chi_lower(replace(small, family=None)) == 4
-    # Deleting a cycle edge leaves P_5 v O_2; the descriptor fixes no bound.
-    assert _chi_lower(delete_edge(small, (1, 2))) == 3
+@pytest.mark.parametrize("family", ["cycle-join-null-minus-edge", "cycle-join-cycle-minus-edge"])
+def test_minus_edge_sweep_points_meet_the_chromatic_bound(family):
+    # Every point has q >= 15, past the solver's 12 edges, so the verdict
+    # rests on the chromatic bound alone. On more than 16 vertices only the
+    # co-component sum gives one for a graph with a deleted edge.
+    for params in sweep_points(family, 150):
+        verdict = confirm_theorem(family, params)
+        assert verdict.verdict == "matched", params
+        assert verdict.chi_lower_bound == verdict.claimed_chi_la, params
