@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -38,7 +39,7 @@ from .labelings import (
     export_matrix,
     verify_local_antimagic,
 )
-from .solver import SearchConfig, ConfirmationVerdict, confirm_theorem, exact_chi_la
+from .solver import SearchConfig, confirm_theorem, exact_chi_la
 
 # Every family parameter, each a flag, and the values ``--which`` takes.
 PARAM_KEYS = tuple(dict.fromkeys(key for fam in FAMILIES for key in fam.params))
@@ -200,43 +201,32 @@ def _matrix(args) -> int:
 
 def _parse_range(key: str, text: str) -> list[int]:
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+        lo, hi = text.split("..", 1) if ".." in text else (text, text)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise ParameterError(f"--{key} takes an integer or a range LO..HI, got {text!r}") from None
+    if lo > hi:
+        raise ParameterError(f"--{key} takes a range LO..HI with LO <= HI, got {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _sweep(args) -> int:
     if not args.family:
         return _fail_usage("sweep needs --family")
-    ranges = {}
-    for key in PARAM_KEYS:
-        if key != "which" and getattr(args, key) is not None:
-            ranges[key] = _parse_range(key, getattr(args, key))
-    which = [args.which] if args.which else None
-    if ranges or which:
-        points = [{}]
-        for key, vals in ranges.items():
-            points = [dict(p, **{key: v}) for p in points for v in vals]
-        if which:
-            points = [dict(p, which=w) for p in points for w in which]
+    values = {
+        key: _parse_range(key, getattr(args, key))
+        for key in PARAM_KEYS
+        if key != "which" and getattr(args, key) is not None
+    }
+    if args.which:
+        values["which"] = [args.which]
+    if values:
+        points = [dict(zip(values, combo)) for combo in itertools.product(*values.values())]
     else:
         points = sweep_points(args.family, args.max_total_edges)
     cfg = SearchConfig(max_edges=args.max_edges, time_budget=_budget(args))
-    rows: list[ConfirmationVerdict] = []
-    worst = 0
-    for params in points:
-        try:
-            verdict = confirm_theorem(args.family, params, cfg)
-        except ParameterError as exc:
-            verdict = ConfirmationVerdict(
-                args.family, params, "out-of-range", None, None, None, None, str(exc)
-            )
-        rows.append(verdict)
-        if verdict.verdict == "mismatch":
-            worst = 1
+    rows = [confirm_theorem(args.family, params, cfg) for params in points]
+    worst = int(any(r.verdict == "mismatch" for r in rows))
     if args.format == "json":
         text = json.dumps([r.to_json() for r in rows], sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":

@@ -114,7 +114,7 @@ def _wrapped_cycle_colors(join_sum: int, base: int, count: int) -> set[int]:
     # The three colors of _wrapped_cycle_labels(count, base) when each cycle
     # vertex also carries ``join_sum`` from the join: its own labels add
     # 2*base plus count, count + 1 or (3*count + 1)/2. three_color_odd_cycle
-    # has the same sums at base 0.
+    # is that labeling at base 0.
     return {join_sum + 2 * base + c for c in (count, count + 1, (3 * count + 1) // 2)}
 
 
@@ -239,20 +239,12 @@ def three_color_odd_cycle(length: int) -> EdgeLabeling:
     """Odd cycle labeling with sums 3m-1 at u_1, 2m-1 on other odd, 2m on even.
 
     length = 2m-1; the edge (u_{2j-1}, u_{2j}) gets 2m-j (the closing edge
-    at j = m) and (u_{2j}, u_{2j+1}) gets j.
+    at j = m) and (u_{2j}, u_{2j+1}) gets j. This is the wrapped cycle
+    labeling at base 0.
     """
     if length < 3 or length % 2 == 0:
         raise ParameterError(f"needs an odd cycle length >= 3, got {length}")
-    m = (length + 1) // 2
-    g = build_family("cycle", length)
-    labels: dict[Edge, int] = {}
-    for j in range(1, m + 1):
-        a = 2 * j - 1
-        b = 2 * j if j < m else 1
-        labels[edge(a, b)] = 2 * m - j
-    for j in range(1, m):
-        labels[edge(2 * j, 2 * j + 1)] = j
-    return EdgeLabeling(g, labels)
+    return EdgeLabeling(build_family("cycle", length), _wrapped_cycle_labels(length, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +550,6 @@ def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
     params = {"n": n, "m": m}
     count = 2 * m - 1
     g = join(build_family("complete", 2 * n), build_family("cycle", count))
-    cycle = three_color_odd_cycle(count)
-    v_labels = dict(cycle.labels)
     rect = nearly_magic_rectangle(2 * n, count)
     joins = {(i + 1, j + 1): rect.entries[i][j] + count for i in range(2 * n) for j in range(count)}
     k_labels = _complete_labels(2 * n)
@@ -572,7 +562,7 @@ def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
     u_labels = {
         edge(renamed[a], renamed[b]): lab + shift for (a, b), lab in k_labels.items()
     }
-    f = _assemble(g, 2 * n, u_labels, joins, v_labels)
+    f = _assemble(g, 2 * n, u_labels, joins, _wrapped_cycle_labels(count, 0))
     sorted_sums = sorted(k_sums.values())
     join_part = count * count + n * count * count
     k_shift_part = (2 * n - 1) * shift

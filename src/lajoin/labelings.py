@@ -178,21 +178,24 @@ def check_complement_valid(g: Graph, f: EdgeLabeling) -> tuple[bool, tuple[int, 
     """Test the two vertex-pair conditions under which the complement stays proper.
 
     For every pair x, y: equal sums must force equal degrees, and unequal
-    sums must avoid (q+1)(deg x - deg y) = f+(x) - f+(y). Returns the flag
-    plus a violating pair when one exists. On regular graphs this always
-    holds for proper labelings.
+    sums must avoid (q+1)(deg x - deg y) = f+(x) - f+(y). With the
+    complement sum c(v) = deg(v)(q+1) - f+(v), both hold exactly when
+    f+(x) = f+(y) <=> c(x) = c(y), so one pass compares each vertex with
+    the first vertex of its sum class and of its complement class.
+    Returns the flag plus a violating pair when one exists. On regular
+    graphs this always holds for proper labelings.
     """
     sums = f.sums
     q = g.q
-    vs = list(g.vertices)
-    for i, x in enumerate(vs):
-        for y in vs[i + 1 :]:
-            dx, dy = g.degree(x), g.degree(y)
-            if sums[x] == sums[y]:
-                if dx != dy:
-                    return False, (x, y)
-            elif (q + 1) * (dx - dy) == sums[x] - sums[y]:
-                return False, (x, y)
+    first_with_sum: dict[int, int] = {}
+    first_with_comp: dict[int, int] = {}
+    for v in g.vertices:
+        s, c = sums[v], g.degree(v) * (q + 1) - sums[v]
+        x = first_with_sum.setdefault(s, v)
+        y = first_with_comp.setdefault(c, v)
+        if x != y:
+            # v shares one class with an earlier vertex but not the other
+            return False, (min(x, y), v)
     return True, None
 
 
@@ -288,39 +291,29 @@ class LabelingMatrix:
             if col_total != self.v_margins[j]:
                 raise LabelingError(f"column {self.v_names[j]} margin mismatch")
 
-    def to_csv(self) -> str:
-        head = [""] + list(self.v_names) + ["from_own_edges", "induced_sum"]
-        lines = [",".join(head)]
+    def _rows(self, own: str, total: str, blank: str) -> list[list[str]]:
+        """Header, one row per u_i, then the footer(s), as text cells.
+
+        ``own`` and ``total`` name the own-edge and induced-sum margins,
+        and ``blank`` stands in a deleted join edge's cell.
+        """
+        rows = [[""] + list(self.v_names) + [own, total]]
         for i, name in enumerate(self.u_names):
-            cells = ["" if x is None else str(x) for x in self.grid[i]]
-            lines.append(",".join([name] + cells + [str(self.u_side[i]), str(self.u_margins[i])]))
+            cells = [blank if x is None else str(x) for x in self.grid[i]]
+            rows.append([name] + cells + [str(self.u_side[i]), str(self.u_margins[i])])
         if self.v_side is not None:
-            lines.append(",".join(["from_own_edges"] + [str(x) for x in self.v_side] + ["", ""]))
-        lines.append(",".join(["induced_sum"] + [str(x) for x in self.v_margins] + ["", ""]))
-        return "\n".join(lines) + "\n"
+            rows.append([own] + [str(x) for x in self.v_side] + ["", ""])
+        rows.append([total] + [str(x) for x in self.v_margins] + ["", ""])
+        return rows
+
+    def to_csv(self) -> str:
+        rows = self._rows("from_own_edges", "induced_sum", "")
+        return "\n".join(",".join(row) for row in rows) + "\n"
 
     def to_pretty(self) -> str:
-        cols = [[""] + list(self.u_names)]
-        for j, name in enumerate(self.v_names):
-            col = [name] + ["." if self.grid[i][j] is None else str(self.grid[i][j]) for i in range(len(self.u_names))]
-            cols.append(col)
-        cols.append(["own"] + [str(x) for x in self.u_side])
-        cols.append(["sum"] + [str(x) for x in self.u_margins])
-        extra: list[list[str]] = []
-        if self.v_side is not None:
-            extra.append(["own"] + [str(x) for x in self.v_side])
-        extra.append(["sum"] + [str(x) for x in self.v_margins])
-        for row_extra in extra:
-            cols[0].append(row_extra[0])
-            for j in range(len(self.v_names)):
-                cols[j + 1].append(row_extra[j + 1])
-            cols[-2].append("")
-            cols[-1].append("")
-        widths = [max(len(x) for x in col) for col in cols]
-        lines = []
-        for r in range(len(cols[0])):
-            lines.append("  ".join(col[r].rjust(w) for col, w in zip(cols, widths)))
-        return "\n".join(lines) + "\n"
+        rows = self._rows("own", "sum", ".")
+        widths = [max(len(cell) for cell in col) for col in zip(*rows)]
+        return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows) + "\n"
 
 
 def export_matrix(g: Graph, f: EdgeLabeling) -> LabelingMatrix:

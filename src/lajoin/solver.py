@@ -44,7 +44,7 @@ and label orders.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .constructions import GENERIC_FAMILIES, CitedCaseError, build_construction
 from .graphs import Edge, Graph, ParameterError, chromatic_lower_bound, edge
@@ -256,87 +256,61 @@ class ConfirmationVerdict:
     detail: str
 
     def to_json(self) -> dict:
-        return {
-            "schema": "v1",
-            "family": self.family,
-            "params": self.params,
-            "verdict": self.verdict,
-            "claimed_chi_la": self.claimed_chi_la,
-            "measured_colors": self.measured_colors,
-            "chi_lower_bound": self.chi_lower_bound,
-            "solver_chi_la": self.solver_chi_la,
-            "detail": self.detail,
-        }
+        return {"schema": "v1", **asdict(self)}
 
 
 def confirm_theorem(family: str, params: dict, cfg: SearchConfig = SearchConfig()) -> ConfirmationVerdict:
-    """Run a family construction and confirm its claim as far as feasible.
+    """Confirm a family's claim at one parameter point as far as feasible.
 
-    The labeling is re-verified from scratch; the claim is then confirmed
-    either by the exact solver (small graphs) or by the chromatic lower
-    bound. Cited parameter points are solved directly when small enough.
+    The evidence is gathered once: the claim (a construction re-verified
+    from scratch, or the value a cited point carries), the exact search
+    when the graph has at most cfg.max_edges edges, and the chromatic
+    lower bound. The verdict is then read off that evidence. A point the
+    family does not cover is ``out-of-range``, with the generator's reason.
     """
+    claim = None
+
+    def verdict(name, measured, lower, solver, detail) -> ConfirmationVerdict:
+        # reads ``claim`` as set by the time of the call
+        return ConfirmationVerdict(family, params, name, claim, measured, lower, solver, detail)
+
     try:
         res = build_construction(family, params)
     except CitedCaseError as exc:
-        g = exc.graph
-        if g.q <= cfg.max_edges:
-            report = exact_chi_la(g, cfg)
-            if not report.exact:
-                # A best-so-far count is only an upper bound on the optimum.
-                return ConfirmationVerdict(
-                    family, params, "inconclusive", exc.cited_chi_la, None, None,
-                    report.chi_la, "exact search ran out of time before settling the cited value",
-                )
-            if report.chi_la == exc.cited_chi_la:
-                return ConfirmationVerdict(
-                    family, params, "matched", exc.cited_chi_la, report.chi_la,
-                    None, report.chi_la, "cited value confirmed by exact search",
-                )
-            return ConfirmationVerdict(
-                family, params, "mismatch", exc.cited_chi_la, None, None,
-                report.chi_la, "exact search disagrees with the cited value",
-            )
-        return ConfirmationVerdict(
-            family, params, "upper-bound-only", exc.cited_chi_la, None, None, None,
-            "cited result; graph too large for the exact solver",
-        )
+        cited, g, claim, measured = True, exc.graph, exc.cited_chi_la, None
+    except ParameterError as exc:
+        return verdict("out-of-range", None, None, None, str(exc))
+    else:
+        cited, g, claim = False, res.graph, res.claimed_chi_la
+        cert = verify_local_antimagic(g, res.labeling)
+        measured = cert.color_count
+        if not cert.ok or measured != claim or frozenset(cert.color_classes) != res.claimed_colors:
+            detail = "construction failed verification against its claim"
+            return verdict("mismatch", measured, None, None, detail)
+    report = exact_chi_la(g, cfg) if g.q <= cfg.max_edges else None
+    lower = chromatic_lower_bound(g)
 
-    cert = verify_local_antimagic(res.graph, res.labeling)
-    measured = cert.color_count
-    if not cert.ok or measured != res.claimed_chi_la or frozenset(cert.color_classes) != res.claimed_colors:
-        return ConfirmationVerdict(
-            family, params, "mismatch", res.claimed_chi_la, measured, None, None,
-            "construction failed verification against its claim",
-        )
-    generic = family in GENERIC_FAMILIES
-    if res.graph.q <= cfg.max_edges:
-        report = exact_chi_la(res.graph, cfg)
-        if report.exact and report.chi_la == res.claimed_chi_la:
-            return ConfirmationVerdict(
-                family, params, "matched", res.claimed_chi_la, measured, None,
-                report.chi_la, "optimality confirmed by exact search",
-            )
-        if report.exact:
+    if report is not None and report.exact:
+        if report.chi_la == claim:
+            detail = ("cited value confirmed by exact search" if cited
+                      else "optimality confirmed by exact search")
+            return verdict("matched", claim, None, claim, detail)
+        if not cited and family in GENERIC_FAMILIES:
             # Generic schemes only claim the color count they achieve, so a
             # smaller optimum is not a contradiction for them.
-            verdict = "upper-bound-only" if generic else "mismatch"
-            detail = (
-                "construction verified but not optimal at this point"
-                if generic
-                else "exact search found a different optimum"
-            )
-            return ConfirmationVerdict(
-                family, params, verdict, res.claimed_chi_la, measured, None,
-                report.chi_la, detail,
-            )
-    lower = chromatic_lower_bound(res.graph)
-    if lower == res.claimed_chi_la:
-        return ConfirmationVerdict(
-            family, params, "matched", res.claimed_chi_la, measured, lower, None,
-            "claim meets the chromatic lower bound",
-        )
-    return ConfirmationVerdict(
-        family, params, "upper-bound-only", res.claimed_chi_la, measured, lower, None,
-        "verified labeling gives an upper bound; no matching lower bound at this size",
-    )
+            detail = "construction verified but not optimal at this point"
+            return verdict("upper-bound-only", measured, None, report.chi_la, detail)
+        detail = ("exact search disagrees with the cited value" if cited
+                  else "exact search found a different optimum")
+        return verdict("mismatch", measured, None, report.chi_la, detail)
+    if cited and report is None:
+        detail = "cited result; graph too large for the exact solver"
+        return verdict("upper-bound-only", None, None, None, detail)
+    if cited:
+        # A best-so-far count is only an upper bound on the optimum.
+        detail = "exact search ran out of time before settling the cited value"
+        return verdict("inconclusive", None, None, report.chi_la, detail)
+    if lower == claim:
+        return verdict("matched", measured, lower, None, "claim meets the chromatic lower bound")
+    detail = "verified labeling gives an upper bound; no matching lower bound at this size"
+    return verdict("upper-bound-only", measured, lower, None, detail)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import lajoin
 import lajoin.cli as cli
 from lajoin.cli import build_parser, main
-from lajoin.constructions import build_construction
+from lajoin.constructions import ALL_FAMILIES, build_construction
 
 
 def run_cli(*argv):
@@ -208,6 +209,53 @@ def test_malformed_sweep_range_exits_2():
     proc = run_subprocess("sweep", "--family", "path-join-null", "--m", "x..3", "--N", "1")
     assert proc.returncode == 2
     assert proc.stderr == "error: --m takes an integer or a range LO..HI, got 'x..3'\n"
+
+
+@pytest.mark.parametrize("text", ["5..2", "3..2"])
+def test_empty_sweep_range_exits_2(text):
+    proc = run_subprocess("sweep", "--family", "path-join-null", "--m", text, "--N", "1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: --m takes a range LO..HI with LO <= HI, got '{text}'\n"
+
+
+def test_sweep_points_vary_the_first_flag_slowest(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert run_cli("sweep", "--family", "cycle-join-null-minus-edge", "--m", "2..3", "--n", "2..3",
+                   "--which", "join-edge", "--format", "json", "--out", str(out)) == 0
+    params = [row["params"] for row in json.loads(out.read_text())]
+    assert [list(p.items()) for p in params] == [
+        [("m", m), ("n", n), ("which", "join-edge")] for m in (2, 3) for n in (2, 3)
+    ]
+
+
+def test_sweep_json_is_pinned(capsys, monkeypatch):
+    # sha256 per family of the whole sweep document, taken before the
+    # verdict table was folded into one path in confirm_theorem. Every
+    # point up to 11 edges goes through the exact search, the rest through
+    # the chromatic bound or the cited value.
+    monkeypatch.delenv("LAJOIN_TIME_BUDGET", raising=False)
+    expected = {
+        "path-join-null": "afe309c6afc813cc4a0fa03a793bd1aab40b73eecb3e98eb37b223b2e7667927",
+        "p7-o3": "d9fbec74669ad581ca92d2e16de02292fcc262c5d5feafb5a819b15fa2406292",
+        "path-join-cycle": "0f625269930627fb417a9eae449baa7b3eba246851012fd7bec62ae7fa354b79",
+        "path-join-complete": "511ccc9f96e2ce7f41af422c9f4e117d743374f5c1b0f2e0015d123b8efcd84c",
+        "cycle-join-null": "3f0f7be4e82786f16a3ae50a74cb65a70749ca77676660b673a0e0d76e6275d2",
+        "odd-cycle-join-even-null": "ddce9a27038a13a93bc2340408b1651b5f3876d3727552a81bb6f16d2673beb4",
+        "cycle-join-null-minus-edge": "0e1421d5f6786ce7d6da0328a4e9e5f3f14598738094635f9c408583805f4474",
+        "cycle-join-cycle": "536156131f70779971d81879298548ca59f77e2ddd423c29ca2c4011bfea8b73",
+        "cycle-join-cycle-minus-edge": "f2d80b8ff83aaf2889259be719e903f76035724ae9047a2dba18a80908712e71",
+        "cycle-join-complete": "cf91ad9616bc7465c52eaa73084adafe9f038019fbe3821c5c241000a9b09fb9",
+        "complete-join-odd-cycle": "0cee4ffbe6d30b3c09ba9c064811be5248e2e1fcd7f969d8fadeae884bd382b6",
+        "generic-join-null": "24af8c0e35eadc5d8f73c00cde4345a9a5269188e7e743c406be84272a03bffc",
+        "generic-join-complete-bipartite": "3a0ac8d197a292ddd351146678015aaff7f02a0b118bd109836a8342271e7f15",
+        "generic-join-cycle": "9896bf0a89b52a4e5acc53491cc6584e2656f802bb2e6517f723238bc00463d0",
+    }
+    assert set(expected) == set(ALL_FAMILIES)
+    for family, digest in expected.items():
+        code = run_cli("sweep", "--family", family, "--format", "json",
+                       "--max-total-edges", "150", "--max-edges", "11")
+        out = capsys.readouterr().out
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, family
 
 
 def test_missing_family_parameter_exits_2():

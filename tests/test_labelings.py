@@ -183,6 +183,125 @@ def test_complement_valid_agreement_exhaustive_small():
                 assert comp_cert.color_count == cert.color_count
 
 
+def pairwise_complement_valid(g, f):
+    """Reference for check_complement_valid: the two pair conditions, pair by pair."""
+    sums = f.sums
+    q = g.q
+    vs = list(g.vertices)
+    for i, x in enumerate(vs):
+        for y in vs[i + 1 :]:
+            dx, dy = g.degree(x), g.degree(y)
+            if sums[x] == sums[y]:
+                if dx != dy:
+                    return False, (x, y)
+            elif (q + 1) * (dx - dy) == sums[x] - sums[y]:
+                return False, (x, y)
+    return True, None
+
+
+def violates_a_pair_condition(g, f, x, y) -> bool:
+    sx, sy = f.sums[x], f.sums[y]
+    dx, dy = g.degree(x), g.degree(y)
+    if sx == sy:
+        return dx != dy
+    return (g.q + 1) * (dx - dy) == sx - sy
+
+
+def assert_complement_check_agrees(g, f):
+    ok, pair = check_complement_valid(g, f)
+    assert ok == pairwise_complement_valid(g, f)[0], (g.edges, f.labels)
+    if ok:
+        assert pair is None
+    else:
+        x, y = pair
+        assert x < y and violates_a_pair_condition(g, f, x, y), (g.edges, f.labels, pair)
+
+
+def test_complement_check_matches_the_pairwise_reference_exhaustively():
+    graphs = [
+        build_family("path", 4),
+        build_family("complete-bipartite", 1, 3),
+        build_family("complete-bipartite", 2, 3),
+        build_family("cycle", 5),
+        build_family("complete", 4),
+        join(build_family("path", 2), build_family("null", 2)),
+        join(build_family("path", 2), build_family("null", 3)),
+        join(build_family("cycle", 4), build_family("null", 1)),  # q = 8
+    ]
+    failing = 0
+    for g in graphs:
+        for perm in itertools.permutations(range(1, g.q + 1)):
+            f = EdgeLabeling(g, dict(zip(g.edges, perm)))
+            assert_complement_check_agrees(g, f)
+            failing += not check_complement_valid(g, f)[0]
+    assert failing > 1000  # both outcomes are exercised
+
+
+def test_complement_check_matches_the_pairwise_reference_on_random_labelings():
+    rng = random.Random(20261018)
+    failing = 0
+    for _ in range(2500):
+        g = random_graph(rng, 3, 10)
+        f = random_labeling(rng, g)
+        assert_complement_check_agrees(g, f)
+        failing += not check_complement_valid(g, f)[0]
+    assert 0 < failing < 2500
+
+
+# The pretty footers end in the blank own and sum cells, ten spaces wide.
+MINUS_JOIN_EDGE_CSV = """\
+,v1,v2,v3,from_own_edges,induced_sum
+u1,8,10,7,27,52
+u2,3,2,4,26,35
+u3,11,9,5,27,52
+u4,,1,6,28,35
+induced_sum,22,22,22,,
+"""
+
+MINUS_JOIN_EDGE_PRETTY = """\
+     v1  v2  v3  own  sum
+ u1   8  10   7   27   52
+ u2   3   2   4   26   35
+ u3  11   9   5   27   52
+ u4   .   1   6   28   35
+sum  22  22  22
+""".replace("22\n", "22" + " " * 10 + "\n")
+
+CYCLE_CYCLE_CSV = """\
+,v1,v2,v3,from_own_edges,induced_sum
+u1,8,6,9,5,28
+u2,13,14,12,6,45
+u3,5,7,11,5,28
+u4,16,15,10,4,45
+from_own_edges,37,36,35,,
+induced_sum,79,78,77,,
+"""
+
+CYCLE_CYCLE_PRETTY = """\
+     v1  v2  v3  own  sum
+ u1   8   6   9    5   28
+ u2  13  14  12    6   45
+ u3   5   7  11    5   28
+ u4  16  15  10    4   45
+own  37  36  35
+sum  79  78  77
+""".replace("35\n", "35" + " " * 10 + "\n").replace("77\n", "77" + " " * 10 + "\n")
+
+
+@pytest.mark.parametrize("family, params, csv, pretty", [
+    # a deleted join edge leaves a blank cell
+    ("cycle-join-null-minus-edge", {"m": 2, "n": 2, "which": "join-edge"},
+     MINUS_JOIN_EDGE_CSV, MINUS_JOIN_EDGE_PRETTY),
+    # own edges on the second side add a footer row
+    ("cycle-join-cycle", {"m": 2, "n": 2}, CYCLE_CYCLE_CSV, CYCLE_CYCLE_PRETTY),
+])
+def test_matrix_views_are_pinned(family, params, csv, pretty):
+    res = build_construction(family, params)
+    matrix = export_matrix(res.graph, res.labeling)
+    assert matrix.to_csv() == csv
+    assert matrix.to_pretty() == pretty
+
+
 def test_two_color_infeasible_examples():
     assert two_color_infeasible(2, (2, 1)) is True  # 3-vertex path
     assert two_color_infeasible(3, (3, 1)) is False  # x=2, y=6 works

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from conftest import random_graph
-from lajoin.constructions import sweep_points
+from lajoin.constructions import CitedCaseError, build_construction, sweep_points
 from lajoin.graphs import Graph, ParameterError, build_family, chromatic_number_exact, delete_edge, join
 from lajoin.labelings import verify_local_antimagic
 from lajoin.solver import SearchConfig, confirm_theorem, exact_chi_la
@@ -195,6 +196,9 @@ def test_confirm_cited_timeout_is_inconclusive():
     verdict = confirm_theorem("path-join-null", {"m": 3, "N": 1}, SearchConfig(time_budget=1e-6))
     assert verdict.verdict == "inconclusive"
     assert verdict.claimed_chi_la == 3
+    # the best count found so far is reported, as an upper bound only
+    assert verdict.solver_chi_la >= 3
+    assert verdict.measured_colors is None and verdict.chi_lower_bound is None
 
 
 @pytest.mark.parametrize("family", ["cycle-join-null-minus-edge", "cycle-join-cycle-minus-edge"])
@@ -206,3 +210,60 @@ def test_minus_edge_sweep_points_meet_the_chromatic_bound(family):
         verdict = confirm_theorem(family, params)
         assert verdict.verdict == "matched", params
         assert verdict.chi_lower_bound == verdict.claimed_chi_la, params
+
+
+def test_confirm_reports_a_point_the_family_does_not_cover():
+    verdict = confirm_theorem("cycle-join-complete", {"m": 1, "r": 3})
+    assert verdict.verdict == "out-of-range"
+    assert verdict.detail == "need m >= 2 and r >= 1"
+    assert (verdict.claimed_chi_la, verdict.measured_colors, verdict.chi_lower_bound,
+            verdict.solver_chi_la) == (None, None, None, None)
+
+
+def test_confirm_cited_point_past_max_edges_is_upper_bound_only():
+    # P_2 v O_6 has 13 edges, one past the default cutoff
+    verdict = confirm_theorem("path-join-null", {"m": 1, "N": 6})
+    assert verdict.verdict == "upper-bound-only"
+    assert verdict.claimed_chi_la == 3
+    assert (verdict.measured_colors, verdict.chi_lower_bound, verdict.solver_chi_la) == (None, None, None)
+    assert verdict.detail == "cited result; graph too large for the exact solver"
+
+
+def test_confirm_wrong_cited_value_is_a_mismatch(monkeypatch):
+    import lajoin.solver as solver
+
+    def cite_two(family, params):
+        g = join(build_family("path", 2), build_family("null", 2))
+        raise CitedCaseError("cited with a wrong value", g, 2)
+
+    monkeypatch.setattr(solver, "build_construction", cite_two)
+    verdict = confirm_theorem("path-join-null", {"m": 1, "N": 2})
+    assert verdict.verdict == "mismatch"
+    assert verdict.claimed_chi_la == 2 and verdict.solver_chi_la == 3
+    assert verdict.measured_colors is None and verdict.chi_lower_bound is None
+    assert verdict.detail == "exact search disagrees with the cited value"
+
+
+@pytest.mark.parametrize("claim_shift, solver_chi_la, detail", [
+    (0, 3, "exact search found a different optimum"),
+    (1, None, "construction failed verification against its claim"),
+])
+def test_confirm_construction_mismatches(monkeypatch, claim_shift, solver_chi_la, detail):
+    # The generic null join on C_4 achieves 4 colors where 3 are optimal;
+    # passed off as a non-generic family, that smaller optimum contradicts it.
+    import lajoin.solver as solver
+
+    res = build_construction("generic-join-null", {"n": 2})
+    res = dataclasses.replace(res, claimed_chi_la=res.claimed_chi_la + claim_shift)
+    monkeypatch.setattr(solver, "build_construction", lambda family, params: res)
+    verdict = confirm_theorem("cycle-join-null", {"m": 2, "n": 2})
+    assert verdict.verdict == "mismatch" and verdict.detail == detail
+    assert verdict.claimed_chi_la == 4 + claim_shift and verdict.measured_colors == 4
+    assert verdict.chi_lower_bound is None and verdict.solver_chi_la == solver_chi_la
+
+
+def test_verdict_json_is_the_fields_plus_schema():
+    verdict = confirm_theorem("cycle-join-null", {"m": 3, "n": 3})
+    data = verdict.to_json()
+    assert data.pop("schema") == "v1"
+    assert data == {f.name: getattr(verdict, f.name) for f in dataclasses.fields(verdict)}
