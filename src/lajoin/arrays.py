@@ -139,7 +139,8 @@ def _row_candidates(pools: list[list[int]], target: int, prefer_large: bool):
 
     Pools are snapshotted, so the caller may keep mutating its own copies
     while the generator is alive. Suffix reachability masks prune dead
-    branches early.
+    branches early. Depth-first in pool order, as a loop over per-pool
+    positions, so the depth is not bounded by the recursion limit.
     """
     pools = [sorted(p, reverse=prefer_large) for p in pools]
     suffix = [1]
@@ -150,21 +151,29 @@ def _row_candidates(pools: list[list[int]], target: int, prefer_large: bool):
         suffix.append(mask)
     suffix.reverse()
     n = len(pools)
-    picks: list[int] = []
-
-    def rec(i: int, remaining: int):
+    picks = [0] * n
+    left = [target] * (n + 1)  # left[i]: what pools i.. must still sum to
+    pos = [0] * (n + 1)  # pos[i]: next index of pools[i] to try
+    i = 0
+    while i >= 0:
         if i == n:
-            if remaining == 0:
+            if left[n] == 0:
                 yield list(picks)
-            return
-        for v in pools[i]:
-            left = remaining - v
-            if left >= 0 and (suffix[i + 1] >> left) & 1:
-                picks.append(v)
-                yield from rec(i + 1, left)
-                picks.pop()
-
-    yield from rec(0, target)
+            i -= 1
+            continue
+        pool = pools[i]
+        while pos[i] < len(pool):
+            v = pool[pos[i]]
+            pos[i] += 1
+            rest = left[i] - v
+            if rest >= 0 and (suffix[i + 1] >> rest) & 1:
+                picks[i] = v
+                left[i + 1] = rest
+                pos[i + 1] = 0
+                i += 1
+                break
+        else:
+            i -= 1
 
 
 def _carve_table(pools: list[list[int]], targets: list[int]) -> tuple[tuple[int, ...], ...]:

@@ -107,6 +107,8 @@ def _gen(args) -> int:
         if exc.graph.q > cfg.max_edges:
             return _fail_usage(f"{exc}; graph too large for the solver route (q={exc.graph.q})")
         report = exact_chi_la(exc.graph, cfg)
+        if not report.exact:
+            return _fail_usage(f"{exc}; the search ran out of --budget before settling the cited value")
         if report.witness is None:
             return _fail_usage(f"{exc}; solver found no labeling")
         res = ConstructionResult(
@@ -224,6 +226,11 @@ def _sweep(args) -> int:
         points = [dict(zip(values, combo)) for combo in itertools.product(*values.values())]
     else:
         points = sweep_points(args.family, args.max_total_edges)
+        if not points:
+            raise ParameterError(
+                f"family {args.family} has no sweep point within "
+                f"--max-total-edges {args.max_total_edges}"
+            )
     cfg = SearchConfig(max_edges=args.max_edges, time_budget=_budget(args))
     rows = [confirm_theorem(args.family, params, cfg) for params in points]
     worst = int(any(r.verdict == "mismatch" for r in rows))
@@ -250,16 +257,14 @@ def _sweep(args) -> int:
 
 def _arrays(args) -> int:
     if args.kind == "square":
-        if not args.order:
+        if args.order is None:
             return _fail_usage("square needs --order")
         arr = siamese_magic_square(args.order)
+    elif args.rows is None or args.cols is None:
+        return _fail_usage(f"{args.kind} needs --rows and --cols")
     elif args.kind == "rectangle":
-        if not (args.rows and args.cols):
-            return _fail_usage("rectangle needs --rows and --cols")
         arr = magic_rectangle(args.rows, args.cols)
     else:
-        if not (args.rows and args.cols):
-            return _fail_usage("nearly-rectangle needs --rows and --cols")
         arr = nearly_magic_rectangle(args.rows, args.cols)
     text = array_to_json_str(arr) if args.format == "json" else array_to_csv(arr)
     _write(args.out, text)

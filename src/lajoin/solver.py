@@ -3,9 +3,10 @@
 The search assigns the labels 1..q to edges depth-first. A vertex's sum is
 final once all its incident edges are labeled, at which point it is
 compared against its finalized neighbors; equal adjacent sums prune the
-branch, and the number of distinct finalized sums is a lower bound on the
-final color count. The chromatic number gives a global lower bound, so the
-search can stop as soon as it is attained.
+branch. A running count of the vertices at each finalized sum gives the
+colors already fixed: a branch with as many as the best labeling so far is
+cut, and at a leaf it is the color count. The chromatic number gives a
+global lower bound, so the search stops as soon as it is attained.
 
 Edge order. Edges are labeled in finalize-soonest order: repeatedly the
 vertex with the fewest unplaced incident edges (ties: smaller degree, then
@@ -142,13 +143,8 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
 
     q = g.q
     edges = _finalize_soonest_order(g)
-    neighbors = {v: g.neighbors(v) for v in g.vertices}
-    degree = {v: g.degree(v) for v in g.vertices}
-
-    lower = chromatic_lower_bound(g)
-
-    label_order = range(q, 0, -1)
-    regular = len(set(degree.values())) == 1
+    adj = g.adjacency
+    regular = len({g.degree(v) for v in g.vertices}) == 1
     # twin_checks[i]: (j, larger) pairs with j < i; edge i's label must be
     # larger than edge j's when ``larger``, else smaller.
     twin_checks: list[list[tuple[int, bool]]] = [[] for _ in range(q)]
@@ -158,51 +154,42 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
             chain = [index[edge(x, u)] for u in twins]
             for hi, lo in zip(chain, chain[1:]):
                 # f(x u_k) > f(x u_k+1), checked when the later edge is labeled
-                if hi < lo:
-                    twin_checks[lo].append((hi, False))
-                else:
-                    twin_checks[hi].append((lo, True))
+                twin_checks[max(hi, lo)].append((min(hi, lo), hi > lo))
 
     sums = {v: 0 for v in g.vertices}
-    remaining = dict(degree)
+    remaining = {v: g.degree(v) for v in g.vertices}
+    # finalized sum -> number of finalized vertices holding it; isolated
+    # vertices are final from the start, at sum 0
+    isolated = sum(1 for v in g.vertices if not remaining[v])
+    final = {0: isolated} if isolated else {}
     assigned: list[int] = [0] * q  # edge index -> label, 0 = unassigned
     used = [False] * (q + 1)
-    best: list = [None, None]  # [count, labels snapshot]
+    best_count, best_labels = g.n + 1, None  # no labeling has more colors than vertices
+    stop = max(chromatic_lower_bound(g), cfg.target_colors or 0)
     nodes = 0
     deadline = time.monotonic() + cfg.time_budget
     timed_out = False
-    target = cfg.target_colors
-
-    def finalized_distinct() -> int:
-        return len({sums[v] for v in g.vertices if remaining[v] == 0})
 
     def search(i: int) -> bool:
         """Returns True to stop the whole search (target or bound reached)."""
-        nonlocal nodes, timed_out
+        nonlocal nodes, timed_out, best_count, best_labels
         nodes += 1
         if nodes % 4096 == 0 and time.monotonic() > deadline:
             timed_out = True
             return True
         if i == q:
-            count = len(set(sums.values()))
-            if best[0] is None or count < best[0]:
-                best[0] = count
-                best[1] = {edges[j]: assigned[j] for j in range(q)}
-                if count <= lower or (target is not None and count <= target):
-                    return True
-            return False
+            # the color-bound prune let this leaf through, so it improves
+            best_count = len(final)
+            best_labels = dict(zip(edges, assigned))
+            return best_count <= stop
         a, b = edges[i]
         checks = twin_checks[i]
-        for lab in label_order:
+        for lab in range(q, 0, -1):
             if used[lab]:
                 continue
-            if regular and q >= 2:
-                # Orient the reflection f <-> q+1-f (valid on regular
-                # graphs): label 1 must land on an earlier edge than q.
-                if lab == q and not used[1]:
-                    continue
-                if lab == 1 and used[q]:
-                    continue
+            # orient the reflection f <-> q+1-f: label 1 before label q
+            if regular and (lab == q and not used[1] or lab == 1 and used[q]):
+                continue
             if checks and not all((lab > assigned[j]) == larger for j, larger in checks):
                 continue
             used[lab] = True
@@ -213,17 +200,21 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
             remaining[b] -= 1
             ok = True
             for v in (a, b):
-                if remaining[v] == 0:
-                    for u in neighbors[v]:
+                if ok and remaining[v] == 0:
+                    for u in adj[v]:
                         if remaining[u] == 0 and sums[u] == sums[v]:
                             ok = False
                             break
-                if not ok:
-                    break
-            if ok and best[0] is not None and finalized_distinct() >= best[0]:
-                ok = False
-            if ok and search(i + 1):
-                return True
+            if ok:
+                done = [sums[v] for v in (a, b) if remaining[v] == 0]
+                for s in done:
+                    final[s] = final.get(s, 0) + 1
+                if len(final) < best_count and search(i + 1):
+                    return True
+                for s in done:
+                    final[s] -= 1
+                    if not final[s]:
+                        del final[s]
             used[lab] = False
             assigned[i] = 0
             sums[a] -= lab
@@ -236,10 +227,9 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
     search(0)
     elapsed = time.monotonic() - start
 
-    if best[0] is None:
+    if best_labels is None:
         return SolveReport(None, not timed_out, None, nodes, elapsed)
-    witness = EdgeLabeling(g, best[1])
-    return SolveReport(best[0], not timed_out, witness, nodes, elapsed)
+    return SolveReport(best_count, not timed_out, EdgeLabeling(g, best_labels), nodes, elapsed)
 
 
 @dataclass(frozen=True)
@@ -307,9 +297,9 @@ def confirm_theorem(family: str, params: dict, cfg: SearchConfig = SearchConfig(
         detail = "cited result; graph too large for the exact solver"
         return verdict("upper-bound-only", None, None, None, detail)
     if cited:
-        # A best-so-far count is only an upper bound on the optimum.
+        # A best-so-far count is only an upper bound, not a solver value.
         detail = "exact search ran out of time before settling the cited value"
-        return verdict("inconclusive", None, None, report.chi_la, detail)
+        return verdict("inconclusive", None, None, None, detail)
     if lower == claim:
         return verdict("matched", measured, lower, None, "claim meets the chromatic lower bound")
     detail = "verified labeling gives an upper bound; no matching lower bound at this size"

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from lajoin.arrays import (
     ArrayError,
     MagicArray,
+    _row_candidates,
     array_to_csv,
     drop_column_and_rotate,
     magic_rectangle,
@@ -167,3 +169,53 @@ def test_csv_export_round_trip():
     text = array_to_csv(m)
     parsed = [[int(x) for x in line.split(",")] for line in text.strip().splitlines()]
     assert tuple(tuple(r) for r in parsed) == m.entries
+
+
+def recursive_row_candidates(pools, target, prefer_large):
+    """The recursive form of _row_candidates, one call level per pool."""
+    pools = [sorted(p, reverse=prefer_large) for p in pools]
+    suffix = [1]
+    for pool in reversed(pools):
+        mask = 0
+        for v in pool:
+            mask |= suffix[-1] << v
+        suffix.append(mask)
+    suffix.reverse()
+    n = len(pools)
+    picks = []
+
+    def rec(i, remaining):
+        if i == n:
+            if remaining == 0:
+                yield list(picks)
+            return
+        for v in pools[i]:
+            left = remaining - v
+            if left >= 0 and (suffix[i + 1] >> left) & 1:
+                picks.append(v)
+                yield from rec(i + 1, left)
+                picks.pop()
+
+    yield from rec(0, target)
+
+
+def test_row_candidates_match_the_recursive_reference():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n_pools = rng.randint(0, 5)
+        pools = [rng.sample(range(1, 16), rng.randint(0, 4)) for _ in range(n_pools)]
+        picks = [rng.choice(p) for p in pools if p]
+        target = sum(picks) + rng.choice((0, 0, 1, -1))
+        for prefer_large in (True, False):
+            expected = list(recursive_row_candidates(pools, target, prefer_large))
+            assert list(_row_candidates(pools, target, prefer_large)) == expected, (pools, target)
+
+
+@pytest.mark.parametrize("build,cols", [(magic_rectangle, 1000), (nearly_magic_rectangle, 1001)])
+def test_two_row_arrays_past_the_recursion_limit(build, cols):
+    # one pool per column: a recursive row search would nest 1000 deep
+    arr = build(2, cols)
+    assert arr.rows == 2 and arr.cols == cols
+    assert sorted(v for row in arr.entries for v in row) == list(range(1, 2 * cols + 1))
+    assert [sum(row) for row in arr.entries] == list(arr.row_constants)
+    assert {sum(col) for col in zip(*arr.entries)} == {arr.col_constant}

@@ -120,6 +120,17 @@ def test_gen_cited_case_routes_to_solver(tmp_path):
     assert run_cli("verify", str(prefix.with_suffix(".labeling.json"))) == 0
 
 
+def test_gen_cited_case_timeout_exits_2_without_output(tmp_path):
+    # a best-so-far count would go out as the cited point's claimed value
+    prefix = tmp_path / "fan"
+    proc = run_subprocess("gen", "--family", "path-join-null", "--m", "3", "--N", "1",
+                          "--budget", "1e-6", "--out", str(prefix))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "ran out of --budget before settling the cited value" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_family(tmp_path):
     out = tmp_path / "report.json"
     assert run_cli("solve", "--family", "path-join-null", "--m", "2", "--N", "1",
@@ -176,6 +187,18 @@ def test_arrays_usage_error():
     assert run_cli("arrays", "--kind", "rectangle") == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--kind", "square", "--order", "0"], "siamese method needs an odd order >= 3, got 0"),
+    (["--kind", "rectangle", "--rows", "0", "--cols", "3"],
+     "magic rectangle needs both sides >= 2, got (0,3)"),
+    (["--kind", "nearly-rectangle", "--rows", "2", "--cols", "0"],
+     "nearly magic rectangle needs an odd number of columns >= 3, got 0"),
+], ids=["square", "rectangle", "nearly-rectangle"])
+def test_arrays_zero_size_reaches_the_range_check(capsys, argv, message):
+    assert run_cli("arrays", *argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_env_var_budget(tmp_path, monkeypatch):
     monkeypatch.setenv("LAJOIN_TIME_BUDGET", "30")
     out = tmp_path / "r.json"
@@ -216,6 +239,16 @@ def test_empty_sweep_range_exits_2(text):
     proc = run_subprocess("sweep", "--family", "path-join-null", "--m", text, "--N", "1")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == f"error: --m takes a range LO..HI with LO <= HI, got '{text}'\n"
+
+
+@pytest.mark.parametrize("budget", ["26", "-1"])
+def test_sweep_without_points_exits_2(budget):
+    # p7-o3 has one point, with 27 edges
+    proc = run_subprocess("sweep", "--family", "p7-o3", "--max-total-edges", budget)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: family p7-o3 has no sweep point within --max-total-edges {budget}\n"
+    )
 
 
 def test_sweep_points_vary_the_first_flag_slowest(tmp_path):

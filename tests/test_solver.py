@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -81,6 +83,9 @@ def oracle_corpus():
     # regular graphs, where the label reflection is oriented, and a path
     graphs += [build_family("cycle", 4), build_family("cycle", 5), build_family("complete", 4)]
     graphs.append(build_family("path", 5))
+    # isolated vertices, final at sum 0 before any edge is labeled
+    graphs.append(Graph(4, ((1, 2), (1, 3), (2, 3)), ("u1", "u2", "u3", "u4")))
+    graphs.append(Graph(4, ((1, 2), (2, 3)), ("u1", "u2", "u3", "u4")))
     return graphs
 
 
@@ -196,8 +201,8 @@ def test_confirm_cited_timeout_is_inconclusive():
     verdict = confirm_theorem("path-join-null", {"m": 3, "N": 1}, SearchConfig(time_budget=1e-6))
     assert verdict.verdict == "inconclusive"
     assert verdict.claimed_chi_la == 3
-    # the best count found so far is reported, as an upper bound only
-    assert verdict.solver_chi_la >= 3
+    # a best-so-far count is only an upper bound, so no solver value
+    assert verdict.solver_chi_la is None
     assert verdict.measured_colors is None and verdict.chi_lower_bound is None
 
 
@@ -267,3 +272,50 @@ def test_verdict_json_is_the_fields_plus_schema():
     data = verdict.to_json()
     assert data.pop("schema") == "v1"
     assert data == {f.name: getattr(verdict, f.name) for f in dataclasses.fields(verdict)}
+
+
+# Each desk instance's search, pinned: (chi_la, nodes_explored, sha256 of
+# the witness JSON). Any change to the edge order, the symmetry rules, the
+# label order or a prune shows here.
+DESK_SEARCHES = [
+    ("path-join-null", {"m": 2, "N": 1}, 4, 8230,
+     "cf6efb55e47fd81bb3fd647433d642b9dacefbf5b5082f15a8135e2e631a08e8"),
+    ("path-join-null", {"m": 3, "N": 1}, 3, 96377,
+     "a19908af326a2bd20c6b6ae3d2ac799755787b024c094fd73768ffbac94c7cbc"),
+    ("path-join-null", {"m": 1, "N": 2}, 3, 27,
+     "8839c650bfcd06a31985139d3f84e9a9159ad6dc4d37be05268ad24b15f077a0"),
+    ("path-join-null", {"m": 1, "N": 4}, 3, 8427,
+     "c3f47c1c9ab47e7f2b43d6d9ed7876d1189c0d1bd97d4164335c0cfb777adab9"),
+    ("path-join-null", {"m": 2, "N": 2}, 3, 89364,
+     "093a8d17382d1bef6c31746192b1e636361efb5f59b147511736e0e51c69b8d7"),
+    ("path-join-cycle", {"m": 1, "n": 2}, 5, 11,
+     "e2996c32e33fa019472f4e9181b97db5e74597baa8d942bf1697858c158bcf52"),
+    ("path-join-complete", {"m": 1, "r": 3}, 5, 11,
+     "eedab1bb338d67fe3d125b9b4f339a4eb57e0d603284112c3d362e864362e273"),
+    ("cycle-join-null", {"m": 2, "n": 1}, 3, 10653,
+     "d8c944cdf17d9ef553d43deaeee4496d5b3c35639ed0f3b094d0d5404d2c2a65"),
+    ("odd-cycle-join-even-null", {"n": 1}, 4, 6989,
+     "72132181ba22842efd32df16254289c9b20354865372b7d7503d1cc92baacfd0"),
+    ("complete-join-odd-cycle", {"n": 1, "m": 2}, 5, 11,
+     "8abfa123a89b7dcf6cc04d5f086c386fc1b768fe7cbd757bb692f32a38be6e20"),
+    ("C3 v O2 minus", (1, 4), 4, 12,
+     "f12b33c129334f8e2b32764d510b6226a1f93c7c835da547071dc38bdeb52b18"),
+    ("C3 v O2 minus", (1, 2), 3, 2742,
+     "b07bfe56e8edf4a0ce949c73829c86f22d773794ec3727359e2cefe2886cbb3d"),
+]
+
+
+@pytest.mark.parametrize("family,params,chi_la,nodes,digest", DESK_SEARCHES,
+                         ids=[f"{f} {p}" for f, p, *_ in DESK_SEARCHES])
+def test_desk_searches_are_pinned(family, params, chi_la, nodes, digest):
+    if family == "C3 v O2 minus":
+        g = delete_edge(join(build_family("cycle", 3), build_family("null", 2)), params)
+    else:
+        try:
+            g = build_construction(family, params).graph
+        except CitedCaseError as exc:
+            g = exc.graph
+    report = exact_chi_la(g)
+    witness = json.dumps(report.witness.to_json(), sort_keys=True).encode()
+    assert (report.chi_la, report.exact, report.nodes_explored) == (chi_la, True, nodes)
+    assert hashlib.sha256(witness).hexdigest() == digest
