@@ -96,8 +96,6 @@ def _fail_usage(msg: str) -> int:
 
 
 def _gen(args) -> int:
-    if not args.family:
-        return _fail_usage("gen needs --family")
     params = _collect_params(args)
     cfg = SearchConfig(max_edges=args.max_edges, time_budget=_budget(args))
     try:
@@ -115,7 +113,7 @@ def _gen(args) -> int:
             args.family, params, exc.graph, report.witness,
             frozenset(report.witness.sums.values()), report.chi_la,
         )
-        note = f"solver route: chi_la={report.chi_la} exact={report.exact}"
+        note = f"solver route: chi_la={report.chi_la}"
     cert = verify_local_antimagic(res.graph, res.labeling)
     if not cert.ok:
         print(f"error: generated labeling failed verification at {cert.failure}", file=sys.stderr)
@@ -213,8 +211,6 @@ def _parse_range(key: str, text: str) -> list[int]:
 
 
 def _sweep(args) -> int:
-    if not args.family:
-        return _fail_usage("sweep needs --family")
     values = {
         key: _parse_range(key, getattr(args, key))
         for key in PARAM_KEYS
@@ -271,6 +267,13 @@ def _arrays(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so ``main`` prints one ``error:`` line, not a usage block."""
+
+    def error(self, message: str):
+        raise ParameterError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``lajoin`` argument parser, built once per process.
@@ -283,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     where ``main`` runs many times in one process (tests, library
     callers); the ``lajoin`` console script runs it once per process.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lajoin",
         description=(
             "Local antimagic edge labelings of join graphs: closed-form "
@@ -294,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a labeling for a family")
-    _add_param_flags(gen)
+    _add_param_flags(gen, required=True)
     gen.add_argument("--matrix", action="store_true", help="also emit the labeling matrix CSV")
     gen.add_argument("--out", help="output prefix (writes PREFIX.labeling.json)")
     gen.add_argument("--max-edges", type=int, default=12)
@@ -346,9 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParameterError, ArrayError, LabelingError) as exc:
         return _fail_usage(str(exc))

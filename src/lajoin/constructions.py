@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from .arrays import drop_column_and_rotate, magic_rectangle, nearly_magic_rectangle, siamese_magic_square
 from .graphs import Edge, Graph, ParameterError, build_family, edge, join
@@ -46,6 +46,11 @@ class CitedCaseError(ParameterError):
         super().__init__(message)
         self.graph = graph
         self.cited_chi_la = cited_chi_la
+
+
+def _cited(what: str, graph: Graph, cited_chi_la: int) -> NoReturn:
+    # Every cited point leaves its generator through here, in one message form.
+    raise CitedCaseError(f"{what} are covered by cited work; use the exact solver", graph, cited_chi_la)
 
 
 @dataclass(frozen=True)
@@ -260,23 +265,14 @@ def label_path_join_null(m: int, null_order: int) -> ConstructionResult:
     """
     if m < 1 or null_order < 1:
         raise ParameterError("need m >= 1 and a null part of order >= 1")
-    params = {"m": m, "N": null_order}
-    if m == 1:
-        g = join(build_family("path", 2), build_family("null", null_order))
-        raise CitedCaseError(
-            "P_2 v O_N joins are covered by cited work; use the exact solver", g, 3
-        )
-    if null_order == 1:
-        g = join(build_family("path", 2 * m), build_family("null", 1))
-        raise CitedCaseError(
-            "fan joins P_2m v O_1 are covered by cited work; use the exact solver",
-            g,
-            4 if m == 2 else 3,
-        )
     g = join(build_family("path", 2 * m), build_family("null", null_order))
+    if m == 1:
+        _cited("P_2 v O_N joins", g, 3)
+    if null_order == 1:
+        _cited("fan joins P_2m v O_1", g, 4 if m == 2 else 3)
     joins, u_colors, v_sum = _path_null_join(m, null_order)
     f = _assemble(g, 2 * m, _path_labels(m), joins)
-    return _result("path-join-null", params, g, f, u_colors | {v_sum}, 3)
+    return _result("path-join-null", {"m": m, "N": null_order}, g, f, u_colors | {v_sum}, 3)
 
 
 def label_p7_o3() -> ConstructionResult:
@@ -331,12 +327,8 @@ def label_path_join_complete(m: int, r: int) -> ConstructionResult:
         f = EdgeLabeling(g, _complete_labels(g.n))
         return _result("path-join-complete", params, g, f, f.sums.values(), r + 2)
     if r == 1:
-        g = join(build_family("path", 2 * m), build_family("null", 1))
-        raise CitedCaseError(
-            "fan joins P_2m v K_1 are covered by cited work; use the exact solver",
-            g,
-            4 if m == 2 else 3,
-        )
+        # K_1 is O_1, which makes P_2m v K_1 a fan.
+        return label_path_join_null(m, 1)
     if r == 3:
         # K_3 is the 3-cycle; reuse the path-cycle scheme.
         return replace(label_path_join_cycle(m, 2), family="path-join-complete", params=params)
@@ -394,15 +386,11 @@ def label_cycle_join_null(m: int, n: int) -> ConstructionResult:
         raise ParameterError("need m >= 2")
     if n < 1:
         raise ParameterError("need n >= 1")
-    params = {"m": m, "n": n}
     if n == 1:
-        g = join(build_family("cycle", 2 * m), build_family("null", 1))
-        raise CitedCaseError(
-            "wheels C_2m v O_1 are covered by cited work; use the exact solver", g, 3
-        )
+        _cited("wheels C_2m v O_1", join(build_family("cycle", 2 * m), build_family("null", 1)), 3)
     g, f = _cycle_join(m, n, build_family("null", 2 * n - 1))
     u_colors, v_sum = _cycle_null_colors(m, n)
-    return _result("cycle-join-null", params, g, f, u_colors | {v_sum}, 3)
+    return _result("cycle-join-null", {"m": m, "n": n}, g, f, u_colors | {v_sum}, 3)
 
 
 def label_odd_cycle_join_even_null(n: int) -> ConstructionResult:
@@ -521,10 +509,8 @@ def label_cycle_join_complete(m: int, r: int) -> ConstructionResult:
         raise ParameterError("only odd complete parts are supported here")
     params = {"m": m, "r": r}
     if r == 1:
-        g = join(build_family("cycle", 2 * m), build_family("null", 1))
-        raise CitedCaseError(
-            "wheels C_2m v K_1 are covered by cited work; use the exact solver", g, 3
-        )
+        # K_1 is O_1, which makes C_2m v K_1 a wheel.
+        return label_cycle_join_null(m, 1)
     if r == 3:
         return replace(label_cycle_join_cycle(m, 2), family="cycle-join-complete", params=params)
     n = (r + 1) // 2
@@ -735,7 +721,7 @@ class Family(NamedTuple):
 
 
 # In FAMILIES.md order. Cited points (fans, wheels, double-apex joins) and
-# the K_3 reroutes lie outside the axes.
+# the K_1 and K_3 reroutes lie outside the axes.
 FAMILIES = (
     Family("path-join-null", ("m", "N"), label_path_join_null,
            q=lambda m, N: 2 * m - 1 + 2 * m * N, axes=(("m", 2, 1), ("N", 2, 1))),
@@ -794,13 +780,9 @@ def generic_seed(family: str) -> tuple[Graph, EdgeLabeling]:
     return g, EdgeLabeling(g, dict(zip(g.edges, range(1, g.q + 1))))
 
 
-def build_construction(family: str, params: dict) -> ConstructionResult:
-    """Run the named family generator with keyword parameters.
-
-    A parameter the family does not take, or a missing one other than
-    ``which``, is a ParameterError. Generic families label their seed
-    joined with the requested second part.
-    """
+def check_params(family: str, params: dict) -> Family:
+    """The family's record; raises ParameterError on an unknown family, a
+    parameter the family does not take, or a missing one other than ``which``."""
     fam = _family(family)
     for key in params:
         if key not in fam.params:
@@ -808,6 +790,15 @@ def build_construction(family: str, params: dict) -> ConstructionResult:
     for key in fam.params:
         if key not in params and key != "which":
             raise ParameterError(f"{family} needs parameter {key}")
+    return fam
+
+
+def build_construction(family: str, params: dict) -> ConstructionResult:
+    """Run the named family generator on parameters ``check_params`` accepts.
+
+    Generic families label their seed joined with the requested second part.
+    """
+    fam = check_params(family, params)
     args = [params[key] for key in fam.params if key in params]
     if fam.seed is None:
         return fam.build(*args)

@@ -73,6 +73,8 @@ class EdgeLabeling:
                     raise LabelingError(f"edge {e!r} is not a pair of integers")
                 if type(lab) is not int:
                     raise LabelingError(f"label {lab!r} on edge {e} is not an integer")
+                if edge(*e) in labels:
+                    raise LabelingError(f"edge {e} is labeled twice")
                 labels[edge(*e)] = lab
         except (KeyError, TypeError) as exc:
             raise LabelingError(f"malformed labeling JSON: {exc!r}") from None

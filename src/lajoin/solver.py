@@ -47,7 +47,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 
-from .constructions import GENERIC_FAMILIES, CitedCaseError, build_construction
+from .constructions import GENERIC_FAMILIES, CitedCaseError, build_construction, check_params
 from .graphs import Edge, Graph, ParameterError, chromatic_lower_bound, edge
 from .labelings import EdgeLabeling, verify_local_antimagic
 
@@ -256,8 +256,10 @@ def confirm_theorem(family: str, params: dict, cfg: SearchConfig = SearchConfig(
     from scratch, or the value a cited point carries), the exact search
     when the graph has at most cfg.max_edges edges, and the chromatic
     lower bound. The verdict is then read off that evidence. A point the
-    family does not cover is ``out-of-range``, with the generator's reason.
+    family does not cover is ``out-of-range``, with the generator's reason;
+    a bad flag (see ``check_params``) raises ParameterError instead.
     """
+    check_params(family, params)
     claim = None
 
     def verdict(name, measured, lower, solver, detail) -> ConfirmationVerdict:

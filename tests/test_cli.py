@@ -114,7 +114,7 @@ def test_gen_cited_case_routes_to_solver(tmp_path):
     proc = run_subprocess("gen", "--family", "path-join-null", "--m", "2", "--N", "1",
                           "--out", str(prefix))
     assert proc.returncode == 0
-    assert "solver route" in proc.stderr
+    assert proc.stderr == "solver route: chi_la=4\n"
     data = json.loads(prefix.with_suffix(".labeling.json").read_text())
     assert data["claimed_chi_la"] == 4
     assert run_cli("verify", str(prefix.with_suffix(".labeling.json"))) == 0
@@ -308,11 +308,56 @@ def test_missing_family_parameter_exits_2():
         (["gen", "--family", "path-join-null", "--m", "3"], "path-join-null needs parameter N"),
         (["solve", "--family", "complete-join-odd-cycle", "--m", "2"],
          "complete-join-odd-cycle needs parameter n"),
+        (["sweep", "--family", "p7-o3", "--m", "2..3"], "p7-o3 does not take parameter m"),
+        (["sweep", "--family", "path-join-null", "--m", "2..3"], "path-join-null needs parameter N"),
+        (["sweep", "--family", "cycle-join-null", "--m", "2", "--n", "2", "--which", "join-edge"],
+         "cycle-join-null does not take parameter which"),
     ],
 )
 def test_parameter_a_family_does_not_take_or_lacks_exits_2(capsys, argv, message):
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "nope"],
+    ["gen", "--family", "p7-o3", "--m", "x"],
+    ["gen"],
+    ["sweep"],
+    [],
+], ids=["unknown-family", "non-integer", "gen-no-family", "sweep-no-family", "no-subcommand"])
+def test_parser_errors_are_one_error_line(capsys, argv):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_gen_matrix_on_cited_points_is_pinned(capsys, monkeypatch):
+    # sha256 of ``gen --matrix`` stdout at every cited point within the
+    # solver's default 12 edges, taken before the complete families'
+    # r = 1 points were rerouted through the null joins.
+    monkeypatch.delenv("LAJOIN_TIME_BUDGET", raising=False)
+    expected = {
+        "path-join-null --m 1 --N 1": "73393d1d679e889fb1e3e90d2bdb7f9c3189bed23b6d0564447d191f34a82537",
+        "path-join-null --m 1 --N 2": "d8b220c7afd3fe31d1b073e313901c0636f5b035b682616957ac7407d0d356fd",
+        "path-join-null --m 1 --N 3": "acb52623a67ec86b311ca7e78397b9c91ab197249a5389c1868b2d1b43366652",
+        "path-join-null --m 1 --N 4": "fbd5d1cfdad5d46037616d1de10748f12b8b4714478773a4a520567c84f6d7db",
+        "path-join-null --m 1 --N 5": "0f6710daf59797a8325cec53d6cbb7c10add01f27395a906165c96591d56eeac",
+        "path-join-null --m 2 --N 1": "4e87b66818bded9472631b2dadd09f39825c465ca26ba033a041f70a5379f52e",
+        "path-join-null --m 3 --N 1": "f96843a3db4cb1e6818be4c251bd3ed71db11f80785543f88a7d134a323e657a",
+        "path-join-complete --m 2 --r 1": "cf3bfdbbf5333398343d7275c7bff87789da09a28db3d3587b12ea5b59da95e3",
+        "path-join-complete --m 3 --r 1": "1210819d4dc4e11c3fadc24b3701d5236cd93822a63bc6a882f885c8df9803c9",
+        "cycle-join-null --m 2 --n 1": "d16741e623a339c1afb8c9fd5ce13967ac0b3bd1ca6b60f42fa6122f28076f59",
+        "cycle-join-null --m 3 --n 1": "45d316db3e531174a90227c9f3049d0b55f032bf420883c2ee35eed25c15bc4c",
+        "cycle-join-complete --m 2 --r 1": "1742bc015ea8dc9a94c165f02dca79bef413503f33b92525d4494f40a3f2fbff",
+        "cycle-join-complete --m 3 --r 1": "2340f62fb4bd424dc7cf83e9573fa80a736eba9bddbb50c6c2c75f0ac17b42db",
+    }
+    for point, digest in expected.items():
+        assert run_cli("gen", "--family", *point.split(), "--matrix") == 0, point
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, point
+        assert captured.err.startswith("solver route: chi_la="), point
 
 
 @pytest.mark.parametrize("family", [["cycle", "x"], [], ["complete", 9], ["path", 17]])

@@ -271,6 +271,31 @@ def test_cycle_join_complete_parity_and_routes():
         label_cycle_join_complete(2, 1)
 
 
+@pytest.mark.parametrize(
+    "family,params,cited,twin",
+    [
+        ("path-join-null", {"m": 1, "N": 3}, 3, None),
+        ("path-join-null", {"m": 2, "N": 1}, 4, None),
+        ("path-join-complete", {"m": 2, "r": 1}, 4, ("path-join-null", {"m": 2, "N": 1})),
+        ("cycle-join-null", {"m": 3, "n": 1}, 3, None),
+        ("cycle-join-complete", {"m": 3, "r": 1}, 3, ("cycle-join-null", {"m": 3, "n": 1})),
+    ],
+    ids=["double-apex", "fan", "fan-via-complete", "wheel", "wheel-via-complete"],
+)
+def test_cited_routes(family, params, cited, twin):
+    # K_1 is O_1: the complete families' r = 1 points are the null join's
+    # fan and wheel, refused with the same graph, value and message.
+    with pytest.raises(CitedCaseError) as exc:
+        build_construction(family, params)
+    assert exc.value.cited_chi_la == cited
+    if twin:
+        with pytest.raises(CitedCaseError) as other:
+            build_construction(*twin)
+        g, h = exc.value.graph, other.value.graph
+        assert (g.edges, g.roles, g.family) == (h.edges, h.roles, h.family)
+        assert (str(exc.value), exc.value.cited_chi_la) == (str(other.value), other.value.cited_chi_la)
+
+
 def test_complete_join_odd_cycle_smallest():
     res = label_complete_join_odd_cycle(1, 2)
     assert res.claimed_chi_la == 5

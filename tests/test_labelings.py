@@ -460,9 +460,10 @@ def test_labeling_json_round_trip():
         lambda d: d["labels"][0]["edge"].__setitem__(0, float(d["labels"][0]["edge"][0])),
         lambda d: d["graph"]["vertices"][0].update(role="ux"),
         lambda d: d["graph"].pop("vertices"),
+        lambda d: d["labels"].insert(1, {"edge": d["labels"][0]["edge"][::-1], "label": 2}),
     ],
     ids=["bool-label", "float-label", "no-schema", "wrong-schema", "no-labels", "no-edge",
-         "labels-not-list", "float-endpoint", "bad-role", "graph-no-vertices"],
+         "labels-not-list", "float-endpoint", "bad-role", "graph-no-vertices", "edge-twice"],
 )
 def test_labeling_from_json_rejects_malformed(mutate):
     res = label_path_join_null(2, 3)

@@ -225,6 +225,17 @@ def test_confirm_reports_a_point_the_family_does_not_cover():
             verdict.solver_chi_la) == (None, None, None, None)
 
 
+@pytest.mark.parametrize("family,params", [
+    ("p7-o3", {"m": 2}),
+    ("path-join-null", {"m": 2}),
+    ("cycle-join-null", {"m": 2, "n": 2, "which": "join-edge"}),
+])
+def test_confirm_raises_on_parameters_the_family_does_not_name(family, params):
+    # a usage error, not an out-of-range row
+    with pytest.raises(ParameterError):
+        confirm_theorem(family, params)
+
+
 def test_confirm_cited_point_past_max_edges_is_upper_bound_only():
     # P_2 v O_6 has 13 edges, one past the default cutoff
     verdict = confirm_theorem("path-join-null", {"m": 1, "N": 6})
