@@ -12,7 +12,6 @@ import argparse
 import functools
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -46,19 +45,6 @@ PARAM_KEYS = tuple(dict.fromkeys(key for fam in FAMILIES for key in fam.params))
 WHICH_VALUES = tuple(dict.fromkeys(w for fam in FAMILIES for w in fam.which_values))
 
 
-def _budget(args) -> float:
-    """--budget, else LAJOIN_TIME_BUDGET, else 60 s; SearchConfig checks the sign."""
-    if args.budget is not None:
-        return args.budget
-    raw = os.environ.get("LAJOIN_TIME_BUDGET")
-    if not raw:
-        return 60.0
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParameterError(f"LAJOIN_TIME_BUDGET must be a number, got {raw!r}") from None
-
-
 def _read_json(path: str):
     # ValueError covers JSONDecodeError, UnicodeDecodeError and integer
     # literals over Python's 4300-digit conversion limit; RecursionError,
@@ -71,6 +57,27 @@ def _read_json(path: str):
 
 def _collect_params(args) -> dict:
     return {key: getattr(args, key) for key in PARAM_KEYS if getattr(args, key) is not None}
+
+
+def _add_search_flags(sub) -> None:
+    sub.add_argument("--max-edges", type=int, default=SearchConfig.max_edges,
+                     help="largest edge count the solver searches")
+    sub.add_argument("--budget", type=float, default=SearchConfig.time_budget,
+                     help="solver time budget in seconds")
+
+
+def _search_config(args, target_colors: int | None = None) -> SearchConfig:
+    # SearchConfig rejects a non-positive --max-edges or --budget.
+    return SearchConfig(max_edges=args.max_edges, target_colors=target_colors, time_budget=args.budget)
+
+
+def _source(args, kind: str) -> str | None:
+    """The one source given: ``--input``, or None for ``--family`` and its parameter flags."""
+    if not args.input and not args.family:
+        raise ParameterError(f"{args.command} needs --input {kind}.json or --family with parameters")
+    if args.input and (args.family or _collect_params(args)):
+        raise ParameterError(f"{args.command} takes --input or --family with parameters, not both")
+    return args.input
 
 
 def _add_param_flags(sub, required: bool = False, number=int):
@@ -90,28 +97,22 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _fail_usage(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
-
-
 def _gen(args) -> int:
     params = _collect_params(args)
-    cfg = SearchConfig(max_edges=args.max_edges, time_budget=_budget(args))
+    cfg = _search_config(args)
     try:
         res = build_construction(args.family, params)
         note = None
     except CitedCaseError as exc:
         if exc.graph.q > cfg.max_edges:
-            return _fail_usage(f"{exc}; graph too large for the solver route (q={exc.graph.q})")
+            raise ParameterError(f"{exc}; graph too large for the solver route (q={exc.graph.q})")
         report = exact_chi_la(exc.graph, cfg)
         if not report.exact:
-            return _fail_usage(f"{exc}; the search ran out of --budget before settling the cited value")
+            raise ParameterError(f"{exc}; the search ran out of --budget before settling the cited value")
         if report.witness is None:
-            return _fail_usage(f"{exc}; solver found no labeling")
+            raise ParameterError(f"{exc}; solver found no labeling")
         res = ConstructionResult(
-            args.family, params, exc.graph, report.witness,
-            frozenset(report.witness.sums.values()), report.chi_la,
+            exc.graph, report.witness, frozenset(report.witness.sums.values()), report.chi_la
         )
         note = f"solver route: chi_la={report.chi_la}"
     cert = verify_local_antimagic(res.graph, res.labeling)
@@ -120,8 +121,8 @@ def _gen(args) -> int:
         return 1
     out_prefix = args.out
     payload = res.labeling.to_json()
-    payload["family"] = res.family
-    payload["params"] = res.params
+    payload["family"] = args.family
+    payload["params"] = params
     payload["claimed_chi_la"] = res.claimed_chi_la
     payload["claimed_colors"] = sorted(res.claimed_colors)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -164,36 +165,27 @@ def _verify(args) -> int:
 
 
 def _solve(args) -> int:
-    cfg = SearchConfig(
-        max_edges=args.max_edges,
-        target_colors=args.target,
-        time_budget=_budget(args),
-    )
-    if args.input:
-        g = Graph.from_json(_read_json(args.input))
-    elif args.family:
+    cfg = _search_config(args, args.target)
+    path = _source(args, "GRAPH")
+    if path:
+        g = Graph.from_json(_read_json(path))
+    else:
         try:
-            res = build_construction(args.family, _collect_params(args))
-            g = res.graph
+            g = build_construction(args.family, _collect_params(args)).graph
         except CitedCaseError as exc:
             g = exc.graph
-    else:
-        return _fail_usage("solve needs --input GRAPH.json or --family with parameters")
     report = exact_chi_la(g, cfg)
     _write(args.out, json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
     return 0
 
 
 def _matrix(args) -> int:
-    if args.input:
-        f = EdgeLabeling.from_json(_read_json(args.input))
-        graph = f.graph
-    elif args.family:
-        res = build_construction(args.family, _collect_params(args))
-        graph, f = res.graph, res.labeling
+    path = _source(args, "LABELING")
+    if path:
+        f = EdgeLabeling.from_json(_read_json(path))
     else:
-        return _fail_usage("matrix needs --input LABELING.json or --family with parameters")
-    matrix = export_matrix(graph, f)
+        f = build_construction(args.family, _collect_params(args)).labeling
+    matrix = export_matrix(f.graph, f)
     text = matrix.to_csv() if args.format == "csv" else matrix.to_pretty()
     _write(args.out, text)
     return 0
@@ -227,7 +219,7 @@ def _sweep(args) -> int:
                 f"family {args.family} has no sweep point within "
                 f"--max-total-edges {args.max_total_edges}"
             )
-    cfg = SearchConfig(max_edges=args.max_edges, time_budget=_budget(args))
+    cfg = _search_config(args)
     rows = [confirm_theorem(args.family, params, cfg) for params in points]
     worst = int(any(r.verdict == "mismatch" for r in rows))
     if args.format == "json":
@@ -254,10 +246,10 @@ def _sweep(args) -> int:
 def _arrays(args) -> int:
     if args.kind == "square":
         if args.order is None:
-            return _fail_usage("square needs --order")
+            raise ParameterError("square needs --order")
         arr = siamese_magic_square(args.order)
     elif args.rows is None or args.cols is None:
-        return _fail_usage(f"{args.kind} needs --rows and --cols")
+        raise ParameterError(f"{args.kind} needs --rows and --cols")
     elif args.kind == "rectangle":
         arr = magic_rectangle(args.rows, args.cols)
     else:
@@ -300,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(gen, required=True)
     gen.add_argument("--matrix", action="store_true", help="also emit the labeling matrix CSV")
     gen.add_argument("--out", help="output prefix (writes PREFIX.labeling.json)")
-    gen.add_argument("--max-edges", type=int, default=12)
-    gen.add_argument("--budget", type=float, help="solver time budget in seconds")
+    _add_search_flags(gen)
     gen.set_defaults(func=_gen)
 
     ver = sub.add_parser("verify", help="verify a labeling JSON file")
@@ -314,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     sol = sub.add_parser("solve", help="exact minimum color count by search")
     _add_param_flags(sol)
     sol.add_argument("--input", help="graph JSON file")
-    sol.add_argument("--max-edges", type=int, default=12)
+    _add_search_flags(sol)
     sol.add_argument("--target", type=int, help="stop once a labeling this good is found")
-    sol.add_argument("--budget", type=float, help="time budget in seconds")
     sol.add_argument("--out")
     sol.set_defaults(func=_solve)
 
@@ -330,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="confirm a family's claims over parameter ranges")
     _add_param_flags(sw, required=True, number=str)
     sw.add_argument("--max-total-edges", type=int, default=400)
-    sw.add_argument("--max-edges", type=int, default=12, help="solver cutoff per instance")
-    sw.add_argument("--budget", type=float)
+    _add_search_flags(sw)
     sw.add_argument("--format", choices=["pretty", "csv", "json"], default="pretty")
     sw.add_argument("--out")
     sw.set_defaults(func=_sweep)
@@ -353,9 +342,11 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParameterError, ArrayError, LabelingError) as exc:
-        return _fail_usage(str(exc))
+        message = str(exc)
     except OSError as exc:
-        return _fail_usage(f"cannot access {exc.filename}: {exc.strerror}")
+        message = f"cannot access {exc.filename}: {exc.strerror}"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

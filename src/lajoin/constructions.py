@@ -19,7 +19,7 @@ generator, closed-form edge count, sweep domain and excluded points, and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, NoReturn
 
 from .arrays import drop_column_and_rotate, magic_rectangle, nearly_magic_rectangle, siamese_magic_square
@@ -57,26 +57,22 @@ def _cited(what: str, graph: Graph, cited_chi_la: int) -> NoReturn:
 class ConstructionResult:
     """A generated labeling plus the color data its scheme claims."""
 
-    family: str
-    params: dict
     graph: Graph
     labeling: EdgeLabeling
     claimed_colors: frozenset[int]
     claimed_chi_la: int
 
 
-def _result(
-    family: str, params: dict, g: Graph, f: EdgeLabeling, colors, count: int
-) -> ConstructionResult:
+def _result(g: Graph, f: EdgeLabeling, colors, count: int) -> ConstructionResult:
     # The closed forms of a scheme can collide at isolated parameter points;
     # refuse rather than return a labeling that cannot meet its claim.
     colors = frozenset(colors)
     if len(colors) != count:
         raise ParameterError(
-            f"{family} {params}: the scheme's color values collide at this point; "
+            "the scheme's color values collide at this point; "
             "no labeling with the claimed color count is available"
         )
-    return ConstructionResult(family, params, g, f, colors, count)
+    return ConstructionResult(g, f, colors, count)
 
 
 # The one point of each scheme below whose closed-form colors collide, as
@@ -272,7 +268,7 @@ def label_path_join_null(m: int, null_order: int) -> ConstructionResult:
         _cited("fan joins P_2m v O_1", g, 4 if m == 2 else 3)
     joins, u_colors, v_sum = _path_null_join(m, null_order)
     f = _assemble(g, 2 * m, _path_labels(m), joins)
-    return _result("path-join-null", {"m": m, "N": null_order}, g, f, u_colors | {v_sum}, 3)
+    return _result(g, f, u_colors | {v_sum}, 3)
 
 
 def label_p7_o3() -> ConstructionResult:
@@ -290,14 +286,13 @@ def label_p7_o3() -> ConstructionResult:
     }
     join_labels = {(i, j + 1): grid[i][j] for i in grid for j in range(3)}
     f = _assemble(g, 7, path_labels, join_labels)
-    return _result("p7-o3", {}, g, f, {51, 65, 119}, 3)
+    return _result(g, f, {51, 65, 119}, 3)
 
 
 def label_path_join_cycle(m: int, n: int) -> ConstructionResult:
     """Even path joined with an odd cycle: P_2m v C_{2n-1}, five colors."""
     if m < 1 or n < 2:
         raise ParameterError("need m >= 1 and n >= 2")
-    params = {"m": m, "n": n}
     count = 2 * n - 1
     g = join(build_family("path", 2 * m), build_family("cycle", count))
     if m == 1:
@@ -313,25 +308,24 @@ def label_path_join_cycle(m: int, n: int) -> ConstructionResult:
     base = 4 * m * n - 1
     f = _assemble(g, 2 * m, u_labels, joins, _wrapped_cycle_labels(count, base))
     colors = u_colors | _wrapped_cycle_colors(v_sum, base, count)
-    return _result("path-join-cycle", params, g, f, colors, 5)
+    return _result(g, f, colors, 5)
 
 
 def label_path_join_complete(m: int, r: int) -> ConstructionResult:
     """Even path joined with a complete graph: P_2m v K_r, r + 2 colors."""
     if m < 1 or r < 1:
         raise ParameterError("need m >= 1 and r >= 1")
-    params = {"m": m, "r": r}
     if m == 1:
         # P_2 v K_r is the complete graph on r + 2 vertices.
         g = join(build_family("path", 2), build_family("complete", r))
         f = EdgeLabeling(g, _complete_labels(g.n))
-        return _result("path-join-complete", params, g, f, f.sums.values(), r + 2)
+        return _result(g, f, f.sums.values(), r + 2)
     if r == 1:
         # K_1 is O_1, which makes P_2m v K_1 a fan.
         return label_path_join_null(m, 1)
     if r == 3:
         # K_3 is the 3-cycle; reuse the path-cycle scheme.
-        return replace(label_path_join_cycle(m, 2), family="path-join-complete", params=params)
+        return label_path_join_cycle(m, 2)
     # The P_2m v O_r labels, then K_r's lexicographic labels above them.
     g = join(build_family("path", 2 * m), build_family("complete", r))
     joins, u_colors, v_sum = _path_null_join(m, r)
@@ -345,7 +339,7 @@ def label_path_join_complete(m: int, r: int) -> ConstructionResult:
         joins[(2 * m, 1)], joins[(2 * m, 2)] = joins[(2 * m, 2)], joins[(2 * m, 1)]
         v_colors = {v_sum + q0 + 1 - 2 * m, v_sum + q0 + 1 + 2 * m}
     f = _assemble(g, 2 * m, _path_labels(m), joins, {e: lab + q0 for e, lab in h.items()})
-    return _result("path-join-complete", params, g, f, u_colors | v_colors, r + 2)
+    return _result(g, f, u_colors | v_colors, r + 2)
 
 
 def _cycle_join(
@@ -367,8 +361,7 @@ def _cycle_null_colors(m: int, n: int) -> tuple[set[int], int]:
 
 
 def _minus_label_one(
-    family: str, params: dict, g: Graph, f: EdgeLabeling, e: Edge,
-    classes: list[tuple[set[int], int]], count: int,
+    g: Graph, f: EdgeLabeling, e: Edge, classes: list[tuple[set[int], int]], count: int
 ) -> ConstructionResult:
     # Deletes e, which carries label 1. ``classes`` pairs each set of claimed
     # colors with the degree in g of the vertices that carry them: with e
@@ -377,7 +370,7 @@ def _minus_label_one(
     if not check_deletion_certificate(g, f, e):
         raise RuntimeError(f"deletion certificate failed for {e}")
     h, f2 = delete_labeled_edge(g, f, e)
-    return _result(family, params, h, f2, {c - d for colors, d in classes for c in colors}, count)
+    return _result(h, f2, {c - d for colors, d in classes for c in colors}, count)
 
 
 def label_cycle_join_null(m: int, n: int) -> ConstructionResult:
@@ -390,7 +383,7 @@ def label_cycle_join_null(m: int, n: int) -> ConstructionResult:
         _cited("wheels C_2m v O_1", join(build_family("cycle", 2 * m), build_family("null", 1)), 3)
     g, f = _cycle_join(m, n, build_family("null", 2 * n - 1))
     u_colors, v_sum = _cycle_null_colors(m, n)
-    return _result("cycle-join-null", {"m": m, "n": n}, g, f, u_colors | {v_sum}, 3)
+    return _result(g, f, u_colors | {v_sum}, 3)
 
 
 def label_odd_cycle_join_even_null(n: int) -> ConstructionResult:
@@ -421,7 +414,7 @@ def label_odd_cycle_join_even_null(n: int) -> ConstructionResult:
         k + 1 + 2 * n * (n + 1),
         k + 1 + (4 + 2 * n) * (n + 1),
     }
-    return _result("odd-cycle-join-even-null", {"n": n}, g, f, colors, 4)
+    return _result(g, f, colors, 4)
 
 
 def label_cycle_join_null_minus_edge(m: int, n: int, which: str = "cycle-edge") -> ConstructionResult:
@@ -436,7 +429,6 @@ def label_cycle_join_null_minus_edge(m: int, n: int, which: str = "cycle-edge") 
         raise ParameterError("need m, n >= 2")
     if which not in ("cycle-edge", "join-edge"):
         raise ParameterError(f"which must be cycle-edge or join-edge, got {which!r}")
-    params = {"m": m, "n": n, "which": which}
     g, f = _cycle_join(m, n, build_family("null", 2 * n - 1))
     u_colors, v_sum = _cycle_null_colors(m, n)
     classes = [(u_colors, 2 * n + 1), ({v_sum}, 2 * m)]
@@ -456,7 +448,7 @@ def label_cycle_join_null_minus_edge(m: int, n: int, which: str = "cycle-edge") 
         f = complement_labeling(g, f)
         classes = [({d * (g.q + 1) - c for c in colors}, d) for colors, d in classes]
         e = edge(2 * m, 2 * m + 1)
-    return _minus_label_one("cycle-join-null-minus-edge", params, g, f, e, classes, 3)
+    return _minus_label_one(g, f, e, classes, 3)
 
 
 def label_cycle_join_cycle(m: int, n: int) -> ConstructionResult:
@@ -474,7 +466,7 @@ def label_cycle_join_cycle(m: int, n: int) -> ConstructionResult:
     g, f = _cycle_join(m, n, build_family("cycle", count), _wrapped_cycle_labels(count, 4 * m * n))
     u_colors, v_sum = _cycle_null_colors(m, n)
     colors = u_colors | _wrapped_cycle_colors(v_sum, 4 * m * n, count)
-    return _result("cycle-join-cycle", {"m": m, "n": n}, g, f, colors, 5)
+    return _result(g, f, colors, 5)
 
 
 def label_cycle_join_cycle_minus_edge(m: int, n: int, which: str = "cycle-edge") -> ConstructionResult:
@@ -495,10 +487,7 @@ def label_cycle_join_cycle_minus_edge(m: int, n: int, which: str = "cycle-edge")
     # The five claimed colors are distinct, so the odd-cycle side holds the
     # three that are not the even cycle's.
     classes = [(u_colors, 2 * n + 1), (base.claimed_colors - u_colors, 2 * m + 2)]
-    return _minus_label_one(
-        "cycle-join-cycle-minus-edge", {"m": m, "n": n}, base.graph, base.labeling,
-        edge(2 * m - 1, 2 * m), classes, 5,
-    )
+    return _minus_label_one(base.graph, base.labeling, edge(2 * m - 1, 2 * m), classes, 5)
 
 
 def label_cycle_join_complete(m: int, r: int) -> ConstructionResult:
@@ -507,12 +496,11 @@ def label_cycle_join_complete(m: int, r: int) -> ConstructionResult:
         raise ParameterError("need m >= 2 and r >= 1")
     if r % 2 == 0:
         raise ParameterError("only odd complete parts are supported here")
-    params = {"m": m, "r": r}
     if r == 1:
         # K_1 is O_1, which makes C_2m v K_1 a wheel.
         return label_cycle_join_null(m, 1)
     if r == 3:
-        return replace(label_cycle_join_cycle(m, 2), family="cycle-join-complete", params=params)
+        return label_cycle_join_cycle(m, 2)
     n = (r + 1) // 2
     h = _complete_labels(r)
     h_sums = vertex_sums(h, r)
@@ -520,7 +508,7 @@ def label_cycle_join_complete(m: int, r: int) -> ConstructionResult:
     g, f = _cycle_join(m, n, build_family("complete", r), shifted)
     u_colors, v_sum = _cycle_null_colors(m, n)
     v_colors = {h_sums[v] + v_sum + (r - 1) * 4 * m * n for v in range(1, r + 1)}
-    return _result("cycle-join-complete", params, g, f, u_colors | v_colors, r + 2)
+    return _result(g, f, u_colors | v_colors, r + 2)
 
 
 def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
@@ -533,7 +521,6 @@ def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
     """
     if n < 1 or m < 2:
         raise ParameterError("need n >= 1 and m >= 2")
-    params = {"n": n, "m": m}
     count = 2 * m - 1
     g = join(build_family("complete", 2 * n), build_family("cycle", count))
     rect = nearly_magic_rectangle(2 * n, count)
@@ -557,7 +544,7 @@ def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
         u_colors.add(sorted_sums[i - 1] + k_shift_part + join_part + m - 1)
         u_colors.add(sorted_sums[n + i - 1] + k_shift_part + join_part + m)
     v_colors = _wrapped_cycle_colors(2 * n * count + 2 * n * n * count + n, 0, count)
-    return _result("complete-join-odd-cycle", params, g, f, u_colors | v_colors, 2 * n + 3)
+    return _result(g, f, u_colors | v_colors, 2 * n + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +588,8 @@ def _cycle_colors(g: Graph, m: int) -> tuple[int, set[int]]:
 
 
 def _generic_join(
-    family: str, params: dict, g: Graph, f: EdgeLabeling, second: Graph,
-    u_shift: int, new_colors: set[int], v_labels: dict[Edge, int] | None = None,
+    g: Graph, f: EdgeLabeling, second: Graph, u_shift: int, new_colors: set[int],
+    v_labels: dict[Edge, int] | None = None,
 ) -> ConstructionResult:
     # G v second: join edges take a magic (|V(G)|, |V(second)|)-rectangle
     # shifted by |E(G)|, second's own edges take ``v_labels``. Every sum of
@@ -621,7 +608,7 @@ def _generic_join(
     }
     lab = _assemble(joined, p, dict(f.labels), joins, v_labels)
     colors = {s + u_shift for s in sums.values()} | new_colors
-    return _result(family, params, joined, lab, colors, len(set(sums.values())) + len(new_colors))
+    return _result(joined, lab, colors, len(set(sums.values())) + len(new_colors))
 
 
 def label_generic_join_null(g: Graph, f: EdgeLabeling, n: int) -> ConstructionResult:
@@ -636,9 +623,7 @@ def label_generic_join_null(g: Graph, f: EdgeLabeling, n: int) -> ConstructionRe
         raise ParameterError("need |V(G)| >= 3 and n >= 2")
     if g.n % 2 != n % 2:
         raise ParameterError("the part orders must share parity")
-    return _generic_join(
-        "generic-join-null", {"n": n}, g, f, build_family("null", n), *_null_colors(g, n)
-    )
+    return _generic_join(g, f, build_family("null", n), *_null_colors(g, n))
 
 
 def label_generic_join_complete_bipartite(
@@ -663,8 +648,7 @@ def label_generic_join_complete_bipartite(
         for k in range(1, n + 1)
     }
     return _generic_join(
-        "generic-join-complete-bipartite", {"m": m, "n": n}, g, f,
-        build_family("complete-bipartite", m, n), *_bipartite_colors(g, m, n), v_labels,
+        g, f, build_family("complete-bipartite", m, n), *_bipartite_colors(g, m, n), v_labels
     )
 
 
@@ -680,8 +664,7 @@ def label_generic_join_cycle(g: Graph, f: EdgeLabeling, m: int) -> ConstructionR
     if m < 3 or m % 2 == 0:
         raise ParameterError("the cycle order must be odd and >= 3 for this scheme")
     return _generic_join(
-        "generic-join-cycle", {"m": m}, g, f, build_family("cycle", m), *_cycle_colors(g, m),
-        _wrapped_cycle_labels(m, g.q + g.n * m),
+        g, f, build_family("cycle", m), *_cycle_colors(g, m), _wrapped_cycle_labels(m, g.q + g.n * m)
     )
 
 

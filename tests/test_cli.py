@@ -16,6 +16,7 @@ import lajoin
 import lajoin.cli as cli
 from lajoin.cli import build_parser, main
 from lajoin.constructions import ALL_FAMILIES, build_construction
+from lajoin.graphs import build_family, graph_to_json_str
 
 
 def run_cli(*argv):
@@ -90,6 +91,30 @@ def test_verify_failure_names_pair(tmp_path):
     pytest.fail("no label swap broke the labeling")
 
 
+@pytest.mark.parametrize("bound,verdict", [
+    (None, None), (3, "tight"), (2, "above-lower-bound"), (4, "below-lower-bound"),
+])
+def test_verify_reports_against_a_lower_bound(tmp_path, capsys, bound, verdict):
+    prefix = tmp_path / "p"
+    assert run_cli("gen", "--family", "path-join-null", "--m", "2", "--N", "3",
+                   "--out", str(prefix)) == 0
+    path = str(prefix.with_suffix(".labeling.json"))
+    claimed = json.loads(Path(path).read_text())["claimed_colors"]
+    flags = [] if bound is None else ["--lower-bound", str(bound)]
+    assert run_cli("verify", path, *flags, "--format", "json") == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {
+        "schema": "v1", "bijection_ok": True, "proper": True, "color_count": 3,
+        "color_classes": data["color_classes"], "lower_bound": bound, "verdict": verdict,
+        "failure": None,
+    }
+    assert [int(s) for s in data["color_classes"]] == claimed
+    assert run_cli("verify", path, *flags) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["bijection: ok", "adjacent sums distinct: ok"]
+    assert lines[3:] == ([] if bound is None else [f"against lower bound {bound}: {verdict}"])
+
+
 def test_usage_errors_exit_2(tmp_path):
     proc = run_subprocess("gen", "--family", "nonsense")
     assert proc.returncode == 2
@@ -129,6 +154,56 @@ def test_gen_cited_case_timeout_exits_2_without_output(tmp_path):
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "ran out of --budget before settling the cited value" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("family,flags,params", [
+    ("cycle-join-null-minus-edge", ["--m", "2", "--n", "2"], {"m": 2, "n": 2}),
+    ("cycle-join-cycle-minus-edge", ["--m", "2", "--n", "2", "--which", "cycle-edge"],
+     {"m": 2, "n": 2, "which": "cycle-edge"}),
+    ("path-join-complete", ["--m", "2", "--r", "3"], {"m": 2, "r": 3}),
+    ("path-join-null", ["--m", "2", "--N", "1"], {"m": 2, "N": 1}),
+    ("p7-o3", [], {}),
+], ids=["default-which", "explicit-which", "rerouted", "cited", "no-parameters"])
+def test_gen_params_echo_the_flags_given(capsys, family, flags, params):
+    assert run_cli("gen", "--family", family, *flags) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["family"] == family and data["params"] == params
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--family", "path-join-null", "--m", "1", "--N", "6"],
+     "P_2 v O_N joins are covered by cited work; use the exact solver; "
+     "graph too large for the solver route (q=13)"),
+    (["solve", "--input", "EDGELESS"], "the graph has no edges to label"),
+], ids=["cited-past-max-edges", "edgeless-input"])
+def test_solver_refusals_exit_2(tmp_path, argv, message):
+    path = tmp_path / "edgeless.json"
+    path.write_text(graph_to_json_str(build_family("null", 3)))
+    proc = run_subprocess(*[str(path) if a == "EDGELESS" else a for a in argv])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command,kind", [("solve", "GRAPH"), ("matrix", "LABELING")])
+def test_input_and_family_are_one_source(tmp_path, capsys, command, kind):
+    path = tmp_path / "input.json"
+    if command == "solve":
+        path.write_text(graph_to_json_str(build_family("cycle", 3)))
+    else:
+        path.write_text(json.dumps(build_construction("p7-o3", {}).labeling.to_json()))
+    assert run_cli(command, "--input", str(path), "--out", str(tmp_path / "out")) == 0
+    capsys.readouterr()
+    for flags in (["--family", "p7-o3"], ["--family", "p7-o3", "--m", "9"], ["--m", "9"],
+                  ["--which", "join-edge"]):
+        assert run_cli(command, "--input", str(path), *flags) == 2, flags
+        assert capsys.readouterr() == (
+            "", f"error: {command} takes --input or --family with parameters, not both\n"
+        )
+    for flags in ([], ["--m", "9"]):
+        assert run_cli(command, *flags) == 2, flags
+        assert capsys.readouterr() == (
+            "", f"error: {command} needs --input {kind}.json or --family with parameters\n"
+        )
 
 
 def test_solve_family(tmp_path):
@@ -199,14 +274,6 @@ def test_arrays_zero_size_reaches_the_range_check(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_env_var_budget(tmp_path, monkeypatch):
-    monkeypatch.setenv("LAJOIN_TIME_BUDGET", "30")
-    out = tmp_path / "r.json"
-    assert run_cli("solve", "--family", "path-join-null", "--m", "1", "--N", "2",
-                   "--out", str(out)) == 0
-    assert json.loads(out.read_text())["chi_la"] == 3
-
-
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_nonpositive_budget_exits_2(budget):
     for argv in (
@@ -261,12 +328,11 @@ def test_sweep_points_vary_the_first_flag_slowest(tmp_path):
     ]
 
 
-def test_sweep_json_is_pinned(capsys, monkeypatch):
+def test_sweep_json_is_pinned(capsys):
     # sha256 per family of the whole sweep document, taken before the
     # verdict table was folded into one path in confirm_theorem. Every
     # point up to 11 edges goes through the exact search, the rest through
     # the chromatic bound or the cited value.
-    monkeypatch.delenv("LAJOIN_TIME_BUDGET", raising=False)
     expected = {
         "path-join-null": "afe309c6afc813cc4a0fa03a793bd1aab40b73eecb3e98eb37b223b2e7667927",
         "p7-o3": "d9fbec74669ad581ca92d2e16de02292fcc262c5d5feafb5a819b15fa2406292",
@@ -333,11 +399,10 @@ def test_parser_errors_are_one_error_line(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_gen_matrix_on_cited_points_is_pinned(capsys, monkeypatch):
+def test_gen_matrix_on_cited_points_is_pinned(capsys):
     # sha256 of ``gen --matrix`` stdout at every cited point within the
     # solver's default 12 edges, taken before the complete families'
     # r = 1 points were rerouted through the null joins.
-    monkeypatch.delenv("LAJOIN_TIME_BUDGET", raising=False)
     expected = {
         "path-join-null --m 1 --N 1": "73393d1d679e889fb1e3e90d2bdb7f9c3189bed23b6d0564447d191f34a82537",
         "path-join-null --m 1 --N 2": "d8b220c7afd3fe31d1b073e313901c0636f5b035b682616957ac7407d0d356fd",
@@ -412,16 +477,17 @@ def test_parser_is_built_once():
 
 def test_shared_parser_does_not_leak_flags(tmp_path, monkeypatch):
     seen = []
+    search_config = cli._search_config
 
-    def budget(args):
+    def hook(args, *rest):
         seen.append(args)
-        return 60.0
+        return search_config(args, *rest)
 
-    monkeypatch.setattr(cli, "_budget", budget)
+    monkeypatch.setattr(cli, "_search_config", hook)
     flags = ["gen", "--family", "path-join-null", "--m", "2", "--N", "3"]
     assert run_cli(*flags, "--budget", "5", "--matrix", "--out", str(tmp_path / "a")) == 0
     assert run_cli(*flags, "--out", str(tmp_path / "b")) == 0
-    assert [a.budget for a in seen] == [5.0, None]
+    assert [a.budget for a in seen] == [5.0, 60.0]
     assert [a.matrix for a in seen] == [True, False]
 
 

@@ -39,7 +39,7 @@ from lajoin.labelings import EdgeLabeling, verify_local_antimagic
 
 def assert_verified(res):
     cert = verify_local_antimagic(res.graph, res.labeling)
-    assert cert.ok, f"{res.family} {res.params} failed: {cert.failure}"
+    assert cert.ok, f"equal sums on adjacent pair {cert.failure}"
     assert frozenset(cert.color_classes) == res.claimed_colors
     assert cert.color_count == res.claimed_chi_la
     labels = sorted(res.labeling.labels.values())
@@ -117,7 +117,7 @@ def test_path_join_complete_odd():
 
 def test_path_join_complete_triangle_routed():
     res = label_path_join_complete(2, 3)
-    assert res.family == "path-join-complete"
+    assert res.labeling.labels == label_path_join_cycle(2, 2).labeling.labels
     assert res.claimed_chi_la == 5
     assert_verified(res)
 
@@ -446,7 +446,7 @@ def test_generic_join_cycle_rejects_even():
 
 def test_build_construction_dispatch():
     res = build_construction("cycle-join-cycle", {"m": 2, "n": 2})
-    assert res.family == "cycle-join-cycle"
+    assert res.labeling.labels == label_cycle_join_cycle(2, 2).labeling.labels
     with pytest.raises(ParameterError):
         build_construction("no-such-family", {})
 
@@ -538,7 +538,8 @@ def test_build_construction_checks_parameter_names():
     with pytest.raises(ParameterError, match="cycle-join-null does not take parameter which"):
         build_construction("cycle-join-null", {"m": 2, "n": 2, "which": "cycle-edge"})
     default = build_construction("cycle-join-null-minus-edge", {"m": 2, "n": 2})
-    assert default.params["which"] == "cycle-edge"
+    explicit = build_construction("cycle-join-null-minus-edge", {"m": 2, "n": 2, "which": "cycle-edge"})
+    assert default.labeling.labels == explicit.labeling.labels
 
 
 def test_collision_points_are_refused_and_skipped():
