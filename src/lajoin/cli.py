@@ -67,7 +67,7 @@ def _add_search_flags(sub) -> None:
 
 
 def _search_config(args, target_colors: int | None = None) -> SearchConfig:
-    # SearchConfig rejects a non-positive --max-edges or --budget.
+    # SearchConfig rejects a non-positive --max-edges, --budget or --target.
     return SearchConfig(max_edges=args.max_edges, target_colors=target_colors, time_budget=args.budget)
 
 

@@ -8,6 +8,17 @@ colors already fixed: a branch with as many as the best labeling so far is
 cut, and at a leaf it is the color count. The chromatic number gives a
 global lower bound, so the search stops as soon as it is attained.
 
+Reach prune. When the finalized sums number one fewer than the best
+labeling's colors, a better labeling adds no new sum, so every open vertex
+must end on a finalized one. An open endpoint of the edge just labeled,
+with sum s and r unlabeled edges, ends between s plus the r smallest and s
+plus the r largest free labels; if no finalized sum in that range is free
+of its finalized neighbors' sums, the branch is cut. A cut subtree holds
+no leaf better than the best so far, and the best only falls, so the
+search meets the same improving leaves in the same order: the optimum,
+the witness and where a target stops are unchanged, only the node count
+falls (and with it where a time budget runs out).
+
 Edge order. Edges are labeled in finalize-soonest order: repeatedly the
 vertex with the fewest unplaced incident edges (ties: smaller degree, then
 smaller id) is taken and all its unplaced edges are appended. Vertex sums
@@ -63,13 +74,16 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_edges < 1:
             raise ParameterError("max_edges must be at least 1")
+        if self.target_colors is not None and self.target_colors < 1:
+            raise ParameterError("target colors must be at least 1")
         if not self.time_budget > 0:  # also rejects NaN
             raise ParameterError("time budget must be positive")
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Result of an exact search; ``exact`` is False on timeout."""
+    """Result of an exact search. ``exact`` is False on timeout, and when a
+    target stopped the search above the chromatic lower bound."""
 
     chi_la: int | None
     exact: bool
@@ -130,7 +144,8 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
     Exhaustive over the q! bijections up to pruning; graphs beyond
     cfg.max_edges edges are rejected (the factorial search is desk-scale
     only). On budget expiry the best labeling found so far is returned
-    with ``exact=False``.
+    with ``exact=False``; so is one that stops at cfg.target_colors above
+    the chromatic lower bound.
     """
     if g.n < 3:
         raise ParameterError("local antimagic labelings need at least 3 vertices")
@@ -165,10 +180,41 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
     assigned: list[int] = [0] * q  # edge index -> label, 0 = unassigned
     used = [False] * (q + 1)
     best_count, best_labels = g.n + 1, None  # no labeling has more colors than vertices
-    stop = max(chromatic_lower_bound(g), cfg.target_colors or 0)
+    lower = chromatic_lower_bound(g)
+    stop = max(lower, cfg.target_colors or 0)
     nodes = 0
     deadline = time.monotonic() + cfg.time_budget
     timed_out = False
+
+    def can_finish(v: int) -> bool:
+        """Whether v is final or can still end on a finalized sum that no
+        finalized neighbor holds. Its r unlabeled edges take free labels, so
+        its final sum lies between its sum plus the r smallest and plus the
+        r largest of them; ``used`` is scanned from each end."""
+        r = remaining[v]
+        if not r:
+            return True
+        lo = hi = sums[v]
+        k, lab = r, 1
+        while k:
+            if not used[lab]:
+                lo += lab
+                k -= 1
+            lab += 1
+        k, lab = r, q
+        while k:
+            if not used[lab]:
+                hi += lab
+                k -= 1
+            lab -= 1
+        for s in final:
+            if lo <= s <= hi:
+                for u in adj[v]:
+                    if sums[u] == s and not remaining[u]:
+                        break
+                else:
+                    return True
+        return False
 
     def search(i: int) -> bool:
         """Returns True to stop the whole search (target or bound reached)."""
@@ -209,7 +255,10 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
                 done = [sums[v] for v in (a, b) if remaining[v] == 0]
                 for s in done:
                     final[s] = final.get(s, 0) + 1
-                if len(final) < best_count and search(i + 1):
+                # one color short of the best, no new sum may appear, so each
+                # open endpoint must be able to reach a finalized one
+                slack = best_count - len(final)
+                if (slack > 1 or slack == 1 and can_finish(a) and can_finish(b)) and search(i + 1):
                     return True
                 for s in done:
                     final[s] -= 1
@@ -224,12 +273,15 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
         return False
 
     start = time.monotonic()
-    search(0)
+    stopped = search(0)
     elapsed = time.monotonic() - start
 
+    # a run to the end is exhaustive; an early stop proves an optimum only
+    # at the lower bound
+    exact = not stopped or not timed_out and best_count <= lower
     if best_labels is None:
-        return SolveReport(None, not timed_out, None, nodes, elapsed)
-    return SolveReport(best_count, not timed_out, EdgeLabeling(g, best_labels), nodes, elapsed)
+        return SolveReport(None, exact, None, nodes, elapsed)
+    return SolveReport(best_count, exact, EdgeLabeling(g, best_labels), nodes, elapsed)
 
 
 @dataclass(frozen=True)

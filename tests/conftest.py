@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -29,6 +30,23 @@ def random_labeling(rng: random.Random, g: Graph):
     labels = list(range(1, g.q + 1))
     rng.shuffle(labels)
     return EdgeLabeling(g, dict(zip(g.edges, labels)))
+
+
+# The timeout tests' cited point: the wheel C_6 v O_1 (q 12, cited chi_la 3).
+SLOW_CITED = ("cycle-join-null", {"m": 3, "n": 1})
+
+
+@functools.cache
+def slow_cited_nodes() -> int:
+    """Nodes the unbounded exact search explores on SLOW_CITED. A tiny time
+    budget times the search out only if this passes the first deadline
+    check, at node 4096."""
+    from lajoin.constructions import CitedCaseError, build_construction
+    from lajoin.solver import exact_chi_la
+
+    with pytest.raises(CitedCaseError) as info:
+        build_construction(*SLOW_CITED)
+    return exact_chi_la(info.value.graph).nodes_explored
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import slow_cited_nodes
 import lajoin
 import lajoin.cli as cli
 from lajoin.cli import build_parser, main
@@ -147,8 +148,9 @@ def test_gen_cited_case_routes_to_solver(tmp_path):
 
 def test_gen_cited_case_timeout_exits_2_without_output(tmp_path):
     # a best-so-far count would go out as the cited point's claimed value
-    prefix = tmp_path / "fan"
-    proc = run_subprocess("gen", "--family", "path-join-null", "--m", "3", "--N", "1",
+    assert slow_cited_nodes() > 4096
+    prefix = tmp_path / "wheel"
+    proc = run_subprocess("gen", "--family", "cycle-join-null", "--m", "3", "--n", "1",
                           "--budget", "1e-6", "--out", str(prefix))
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
@@ -284,6 +286,22 @@ def test_nonpositive_budget_exits_2(budget):
         proc = run_subprocess(*argv, "--budget", budget)
         assert proc.returncode == 2, argv
         assert proc.stderr.count("\n") == 1 and "budget" in proc.stderr
+
+
+def test_zero_target_exits_2():
+    proc = run_subprocess("solve", "--family", "path-join-null", "--m", "2", "--N", "1",
+                          "--target", "0")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: target colors must be at least 1\n"
+
+
+def test_solve_target_at_the_optimum_above_the_bound_is_not_exact(capsys):
+    # chi_la(P_4 v O_1) = 4, one above its chromatic bound of 3: stopping
+    # at the first 4-color labeling proves no optimum
+    assert run_cli("solve", "--family", "path-join-null", "--m", "2", "--N", "1",
+                   "--target", "4") == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["chi_la"] == 4 and data["exact"] is False
 
 
 @pytest.mark.parametrize("command", [["verify"], ["matrix", "--input"], ["solve", "--input"]])
@@ -464,8 +482,9 @@ def test_bool_label_is_rejected(tmp_path):
 
 
 def test_sweep_timeout_is_inconclusive_not_mismatch(tmp_path):
+    assert slow_cited_nodes() > 4096
     out = tmp_path / "sweep.txt"
-    code = run_cli("sweep", "--family", "path-join-null", "--m", "3", "--N", "1",
+    code = run_cli("sweep", "--family", "cycle-join-null", "--m", "3", "--n", "1",
                    "--budget", "1e-6", "--out", str(out))
     assert code == 0
     assert "inconclusive" in out.read_text()

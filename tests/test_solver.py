@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import random_graph
+from conftest import SLOW_CITED, random_graph, slow_cited_nodes
 from lajoin.constructions import CitedCaseError, build_construction, sweep_points
 from lajoin.graphs import Graph, ParameterError, build_family, chromatic_number_exact, delete_edge, join
 from lajoin.labelings import verify_local_antimagic
@@ -78,6 +78,9 @@ def oracle_corpus():
     # twin-heavy joins: the null side is one class of twins
     graphs += [join(build_family("path", 2), build_family("null", n)) for n in (1, 2, 3)]
     graphs.append(join(build_family("cycle", 3), build_family("null", 1)))
+    # the fan P_4 v O_1: chi_la 4, one above its chromatic bound, so every
+    # branch one color short of the best is searched to its end or cut
+    graphs.append(join(build_family("path", 4), build_family("null", 1)))
     # two twin classes, each holding the other's smallest common neighbor
     graphs.append(build_family("complete-bipartite", 2, 3))
     # regular graphs, where the label reflection is oriented, and a path
@@ -155,6 +158,7 @@ def test_target_stops_early():
     quick = exact_chi_la(g, SearchConfig(target_colors=5))
     assert quick.chi_la <= 5
     assert quick.nodes_explored <= full.nodes_explored
+    assert not quick.exact
 
 
 def test_search_config_validation():
@@ -162,6 +166,9 @@ def test_search_config_validation():
         SearchConfig(max_edges=0)
     with pytest.raises(ParameterError):
         SearchConfig(time_budget=0)
+    for target in (0, -1):
+        with pytest.raises(ParameterError):
+            SearchConfig(target_colors=target)
 
 
 def test_confirm_cited_fan():
@@ -197,8 +204,9 @@ def test_report_json_shape():
 
 
 def test_confirm_cited_timeout_is_inconclusive():
-    # the 11-edge fan needs far more than the first deadline check's nodes
-    verdict = confirm_theorem("path-join-null", {"m": 3, "N": 1}, SearchConfig(time_budget=1e-6))
+    # the 12-edge wheel needs far more than the first deadline check's nodes
+    assert slow_cited_nodes() > 4096
+    verdict = confirm_theorem(*SLOW_CITED, SearchConfig(time_budget=1e-6))
     assert verdict.verdict == "inconclusive"
     assert verdict.claimed_chi_la == 3
     # a best-so-far count is only an upper bound, so no solver value
@@ -289,21 +297,21 @@ def test_verdict_json_is_the_fields_plus_schema():
 # the witness JSON). Any change to the edge order, the symmetry rules, the
 # label order or a prune shows here.
 DESK_SEARCHES = [
-    ("path-join-null", {"m": 2, "N": 1}, 4, 8230,
+    ("path-join-null", {"m": 2, "N": 1}, 4, 4471,
      "cf6efb55e47fd81bb3fd647433d642b9dacefbf5b5082f15a8135e2e631a08e8"),
-    ("path-join-null", {"m": 3, "N": 1}, 3, 96377,
+    ("path-join-null", {"m": 3, "N": 1}, 3, 3574,
      "a19908af326a2bd20c6b6ae3d2ac799755787b024c094fd73768ffbac94c7cbc"),
     ("path-join-null", {"m": 1, "N": 2}, 3, 27,
      "8839c650bfcd06a31985139d3f84e9a9159ad6dc4d37be05268ad24b15f077a0"),
-    ("path-join-null", {"m": 1, "N": 4}, 3, 8427,
+    ("path-join-null", {"m": 1, "N": 4}, 3, 2566,
      "c3f47c1c9ab47e7f2b43d6d9ed7876d1189c0d1bd97d4164335c0cfb777adab9"),
-    ("path-join-null", {"m": 2, "N": 2}, 3, 89364,
+    ("path-join-null", {"m": 2, "N": 2}, 3, 7195,
      "093a8d17382d1bef6c31746192b1e636361efb5f59b147511736e0e51c69b8d7"),
     ("path-join-cycle", {"m": 1, "n": 2}, 5, 11,
      "e2996c32e33fa019472f4e9181b97db5e74597baa8d942bf1697858c158bcf52"),
     ("path-join-complete", {"m": 1, "r": 3}, 5, 11,
      "eedab1bb338d67fe3d125b9b4f339a4eb57e0d603284112c3d362e864362e273"),
-    ("cycle-join-null", {"m": 2, "n": 1}, 3, 10653,
+    ("cycle-join-null", {"m": 2, "n": 1}, 3, 5009,
      "d8c944cdf17d9ef553d43deaeee4496d5b3c35639ed0f3b094d0d5404d2c2a65"),
     ("odd-cycle-join-even-null", {"n": 1}, 4, 6989,
      "72132181ba22842efd32df16254289c9b20354865372b7d7503d1cc92baacfd0"),
@@ -311,7 +319,7 @@ DESK_SEARCHES = [
      "8abfa123a89b7dcf6cc04d5f086c386fc1b768fe7cbd757bb692f32a38be6e20"),
     ("C3 v O2 minus", (1, 4), 4, 12,
      "f12b33c129334f8e2b32764d510b6226a1f93c7c835da547071dc38bdeb52b18"),
-    ("C3 v O2 minus", (1, 2), 3, 2742,
+    ("C3 v O2 minus", (1, 2), 3, 1355,
      "b07bfe56e8edf4a0ce949c73829c86f22d773794ec3727359e2cefe2886cbb3d"),
 ]
 
