@@ -21,7 +21,6 @@ where the dealing has more freedom, and flipped at the end.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 
@@ -349,7 +348,3 @@ def array_to_json(m: MagicArray) -> dict:
         "row_constants": list(m.row_constants),
         "col_constant": m.col_constant,
     }
-
-
-def array_to_json_str(m: MagicArray) -> str:
-    return json.dumps(array_to_json(m), sort_keys=True, indent=2) + "\n"

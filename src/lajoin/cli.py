@@ -13,12 +13,13 @@ import functools
 import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 from .arrays import (
     ArrayError,
     array_to_csv,
-    array_to_json_str,
+    array_to_json,
     magic_rectangle,
     nearly_magic_rectangle,
     siamese_magic_square,
@@ -29,6 +30,7 @@ from .constructions import (
     CitedCaseError,
     ConstructionResult,
     build_construction,
+    edge_count,
     sweep_points,
 )
 from .graphs import Graph, ParameterError
@@ -43,6 +45,63 @@ from .solver import SearchConfig, confirm_theorem, exact_chi_la
 # Every family parameter, each a flag, and the values ``--which`` takes.
 PARAM_KEYS = tuple(dict.fromkeys(key for fam in FAMILIES for key in fam.params))
 WHICH_VALUES = tuple(dict.fromkeys(w for fam in FAMILIES for w in fam.which_values))
+
+
+def dump_json(obj) -> str:
+    """``obj`` as JSON, byte for byte what ``json.dumps`` writes with sorted
+    keys and an indent of 2, plus a final newline.
+
+    Every JSON document lajoin emits is written here. Given an indent,
+    ``json`` runs its pure-Python encoder, a chain of generators; this
+    appends to one list and joins a list of plain ints at once. Dict keys
+    must be strings (``TypeError`` otherwise); a float or other leaf is
+    written by ``json.dumps``.
+    """
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(obj, newline: str, out: list[str]) -> None:
+    # ``newline`` is "\n" plus the indent of the line that holds ``obj``.
+    if type(obj) is int:  # not bool, which json writes as true and false
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, str):
+        out.append(_escape(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + _escape(key) + ": ")  # TypeError on a key that is not a string
+            _encode(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if {*map(type, obj)} == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    else:
+        out.append(json.dumps(obj))
 
 
 def _read_json(path: str):
@@ -125,7 +184,7 @@ def _gen(args) -> int:
     payload["params"] = params
     payload["claimed_chi_la"] = res.claimed_chi_la
     payload["claimed_colors"] = sorted(res.claimed_colors)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = dump_json(payload)
     if out_prefix:
         _write(f"{out_prefix}.labeling.json", text)
         if args.matrix:
@@ -145,7 +204,7 @@ def _verify(args) -> int:
     f = EdgeLabeling.from_json(_read_json(args.labeling))
     cert = verify_local_antimagic(f.graph, f, lower_bound=args.lower_bound)
     if args.format == "json":
-        _write(args.out, json.dumps(cert.to_json(), sort_keys=True, indent=2) + "\n")
+        _write(args.out, dump_json(cert.to_json()))
     else:
         lines = [
             f"bijection: {'ok' if cert.bijection_ok else 'FAILED'}",
@@ -175,7 +234,7 @@ def _solve(args) -> int:
         except CitedCaseError as exc:
             g = exc.graph
     report = exact_chi_la(g, cfg)
-    _write(args.out, json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
+    _write(args.out, dump_json(report.to_json()))
     return 0
 
 
@@ -191,7 +250,7 @@ def _matrix(args) -> int:
     return 0
 
 
-def _parse_range(key: str, text: str) -> list[int]:
+def _parse_range(key: str, text: str) -> range:
     try:
         lo, hi = text.split("..", 1) if ".." in text else (text, text)
         lo, hi = int(lo), int(hi)
@@ -199,7 +258,7 @@ def _parse_range(key: str, text: str) -> list[int]:
         raise ParameterError(f"--{key} takes an integer or a range LO..HI, got {text!r}") from None
     if lo > hi:
         raise ParameterError(f"--{key} takes a range LO..HI with LO <= HI, got {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _sweep(args) -> int:
@@ -211,6 +270,16 @@ def _sweep(args) -> int:
     if args.which:
         values["which"] = [args.which]
     if values:
+        # q grows along each axis, so the last point of the ranges has the
+        # most edges; checking it first keeps a huge range from being built.
+        last = {key: axis[-1] for key, axis in values.items()}
+        q = edge_count(args.family, last)
+        if q > args.max_total_edges:
+            flags = " ".join(f"--{key} {value}" for key, value in last.items())
+            raise ParameterError(
+                f"{args.family} at {flags} has {q} edges, "
+                f"more than --max-total-edges {args.max_total_edges}"
+            )
         points = [dict(zip(values, combo)) for combo in itertools.product(*values.values())]
     else:
         points = sweep_points(args.family, args.max_total_edges)
@@ -223,7 +292,7 @@ def _sweep(args) -> int:
     rows = [confirm_theorem(args.family, params, cfg) for params in points]
     worst = int(any(r.verdict == "mismatch" for r in rows))
     if args.format == "json":
-        text = json.dumps([r.to_json() for r in rows], sort_keys=True, indent=2) + "\n"
+        text = dump_json([r.to_json() for r in rows])
     elif args.format == "csv":
         lines = ["family,params,verdict,claimed,measured,chi_lower,solver"]
         for r in rows:
@@ -254,7 +323,7 @@ def _arrays(args) -> int:
         arr = magic_rectangle(args.rows, args.cols)
     else:
         arr = nearly_magic_rectangle(args.rows, args.cols)
-    text = array_to_json_str(arr) if args.format == "json" else array_to_csv(arr)
+    text = dump_json(array_to_json(arr)) if args.format == "json" else array_to_csv(arr)
     _write(args.out, text)
     return 0
 

@@ -776,6 +776,15 @@ def check_params(family: str, params: dict) -> Family:
     return fam
 
 
+def edge_count(family: str, params: dict) -> int:
+    """The closed-form edge count ``q`` at parameters ``check_params`` accepts."""
+    fam = check_params(family, params)
+    values = [params[key] for key, _, _ in fam.axes]
+    if fam.which_values:
+        values.append(params.get("which", fam.which_values[0]))
+    return fam.q(*values)
+
+
 def build_construction(family: str, params: dict) -> ConstructionResult:
     """Run the named family generator on parameters ``check_params`` accepts.
 

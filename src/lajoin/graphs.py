@@ -9,7 +9,6 @@ offsets, and they survive joins and edge deletions.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -372,7 +371,3 @@ def _co_component_chromatic(adj: dict[int, set[int]], part: list[int]) -> int:
     index = {v: i for i, v in enumerate(part, 1)}
     edges = tuple((index[a], index[b]) for a in part for b in adj[a] & inside if a < b)
     return chromatic_number_exact(Graph(len(part), edges, tuple(f"u{i}" for i in index.values())))
-
-
-def graph_to_json_str(g: Graph) -> str:
-    return json.dumps(g.to_json(), sort_keys=True, indent=2) + "\n"

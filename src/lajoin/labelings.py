@@ -58,7 +58,7 @@ class EdgeLabeling:
         Labels and edge endpoints must be JSON integers: ``true`` and ``2.0``
         compare equal to 1 and 2 in Python and would otherwise pass the
         bijection check. A malformed ``graph`` is reported as a LabelingError
-        too.
+        too, and so is a labeling whose edges are not exactly the graph's.
         """
         if not isinstance(data, dict) or data.get("schema") != "v1":
             raise LabelingError('a labeling must be a JSON object with "schema": "v1"')
@@ -80,6 +80,7 @@ class EdgeLabeling:
             raise LabelingError(f"malformed labeling JSON: {exc!r}") from None
         except ParameterError as exc:
             raise LabelingError(f"malformed labeling: {exc}") from None
+        _check_edge_set(g, labels)
         return EdgeLabeling(g, labels)
 
     def __repr__(self):
@@ -124,12 +125,16 @@ def vertex_sums(labels: dict[Edge, int], n: int) -> dict[int, int]:
     return sums
 
 
+def _check_edge_set(g: Graph, labels: dict[Edge, int]) -> None:
+    if labels.keys() != set(g.edges):
+        raise LabelingError("labels must be defined on exactly the edge set")
+
+
 def induced_sums(g: Graph, labels: dict[Edge, int] | EdgeLabeling) -> dict[int, int]:
     """Vertex sums of incident labels; rejects non-bijective labelings."""
     if isinstance(labels, EdgeLabeling):
         labels = labels.labels
-    if set(labels) != set(g.edges):
-        raise LabelingError("labels must be defined on exactly the edge set")
+    _check_edge_set(g, labels)
     if sorted(labels.values()) != list(range(1, g.q + 1)):
         raise LabelingError("labels must be a bijection onto 1..q")
     return vertex_sums(labels, g.n)

@@ -15,9 +15,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import slow_cited_nodes
 import lajoin
 import lajoin.cli as cli
-from lajoin.cli import build_parser, main
+from lajoin.arrays import array_to_json, magic_rectangle
+from lajoin.cli import build_parser, dump_json, main
 from lajoin.constructions import ALL_FAMILIES, build_construction
-from lajoin.graphs import build_family, graph_to_json_str
+from lajoin.graphs import build_family
+from lajoin.labelings import verify_local_antimagic
+from lajoin.solver import exact_chi_la
 
 
 def run_cli(*argv):
@@ -90,6 +93,21 @@ def test_verify_failure_names_pair(tmp_path):
                 assert "adjacent pair" in proc.stderr
                 return
     pytest.fail("no label swap broke the labeling")
+
+
+@pytest.mark.parametrize("change", ["drop-label", "non-edge"])
+def test_labels_off_the_edge_set_exit_2(tmp_path, capsys, change):
+    # Neither command compares a sum: the file is rejected as it is read.
+    doc = build_construction("p7-o3", {}).labeling.to_json()
+    if change == "drop-label":
+        doc["labels"].pop()
+    else:
+        doc["labels"].append({"edge": [1, 99], "label": len(doc["labels"]) + 1})
+    path = tmp_path / "off.labeling.json"
+    path.write_text(json.dumps(doc))
+    for command in (["verify"], ["matrix", "--input"]):
+        assert run_cli(*command, str(path)) == 2, command
+        assert capsys.readouterr() == ("", "error: labels must be defined on exactly the edge set\n")
 
 
 @pytest.mark.parametrize("bound,verdict", [
@@ -180,7 +198,7 @@ def test_gen_params_echo_the_flags_given(capsys, family, flags, params):
 ], ids=["cited-past-max-edges", "edgeless-input"])
 def test_solver_refusals_exit_2(tmp_path, argv, message):
     path = tmp_path / "edgeless.json"
-    path.write_text(graph_to_json_str(build_family("null", 3)))
+    path.write_text(dump_json(build_family("null", 3).to_json()))
     proc = run_subprocess(*[str(path) if a == "EDGELESS" else a for a in argv])
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
@@ -190,7 +208,7 @@ def test_solver_refusals_exit_2(tmp_path, argv, message):
 def test_input_and_family_are_one_source(tmp_path, capsys, command, kind):
     path = tmp_path / "input.json"
     if command == "solve":
-        path.write_text(graph_to_json_str(build_family("cycle", 3)))
+        path.write_text(dump_json(build_family("cycle", 3).to_json()))
     else:
         path.write_text(json.dumps(build_construction("p7-o3", {}).labeling.to_json()))
     assert run_cli(command, "--input", str(path), "--out", str(tmp_path / "out")) == 0
@@ -218,10 +236,8 @@ def test_solve_family(tmp_path):
 
 
 def test_solve_graph_input(tmp_path):
-    from lajoin.graphs import build_family, graph_to_json_str
-
     path = tmp_path / "c3.json"
-    path.write_text(graph_to_json_str(build_family("cycle", 3)))
+    path.write_text(dump_json(build_family("cycle", 3).to_json()))
     out = tmp_path / "r.json"
     assert run_cli("solve", "--input", str(path), "--out", str(out)) == 0
     assert json.loads(out.read_text())["chi_la"] == 3
@@ -333,6 +349,24 @@ def test_sweep_without_points_exits_2(budget):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == (
         f"error: family p7-o3 has no sweep point within --max-total-edges {budget}\n"
+    )
+
+
+def test_sweep_range_past_the_edge_budget_exits_2(capsys):
+    # The range is never listed: its last point is checked first.
+    assert run_cli("sweep", "--family", "cycle-join-cycle", "--m", "2..1000000000000",
+                   "--n", "2") == 2
+    assert capsys.readouterr() == ("", (
+        "error: cycle-join-cycle at --m 1000000000000 --n 2 has 8000000000003 edges, "
+        "more than --max-total-edges 400\n"
+    ))
+    # 4*4*3 + 2*3 - 1 = 53 edges: within a budget of 53, not of 52.
+    flags = ["sweep", "--family", "cycle-join-cycle", "--m", "2..4", "--n", "2..3"]
+    assert run_cli(*flags, "--max-total-edges", "53") == 0
+    capsys.readouterr()
+    assert run_cli(*flags, "--max-total-edges", "52") == 2
+    assert capsys.readouterr().err == (
+        "error: cycle-join-cycle at --m 4 --n 3 has 53 edges, more than --max-total-edges 52\n"
     )
 
 
@@ -699,3 +733,44 @@ def test_oversized_json_exits_2(tmp_path, text):
 @given(doc=malformed_documents())
 def test_malformed_input_fuzz_exits_2(tmp_path, doc):
     _assert_rejected(tmp_path, doc)
+
+
+# -- the JSON writer ---------------------------------------------------------
+
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(tree=_JSON_TREES)
+def test_dump_json_matches_json_dumps(tree):
+    # json.dumps is the reference: non-ASCII text, NaN and the infinities,
+    # bools beside ints and empty containers at every depth included.
+    assert dump_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_json_matches_json_dumps_on_lajoin_documents():
+    res = build_construction("path-join-complete", {"m": 3, "r": 4})
+    payload = res.labeling.to_json()
+    payload.update(family="path-join-complete", params={"m": 3, "r": 4},
+                   claimed_chi_la=res.claimed_chi_la, claimed_colors=sorted(res.claimed_colors))
+    docs = [
+        payload,
+        verify_local_antimagic(res.graph, res.labeling, lower_bound=3).to_json(),
+        res.graph.to_json(),
+        array_to_json(magic_rectangle(3, 5)),
+        exact_chi_la(build_family("cycle", 4)).to_json(),
+        (1, [2, (3, True)], ()),  # tuples are written as lists
+    ]
+    for doc in docs:
+        assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [{1: 2}, {"a": {None: 0}}, [{"b": 1, 2: 3}]])
+def test_dump_json_rejects_keys_that_are_not_strings(doc):
+    with pytest.raises(TypeError):
+        dump_json(doc)
