@@ -17,10 +17,21 @@ come out as the two adjacent targets).
 
 Tall shapes (more rows than columns) are built in transposed orientation,
 where the dealing has more freedom, and flipped at the end.
+
+Each array is built once per shape per process: ``siamese_magic_square``,
+``magic_rectangle`` and ``nearly_magic_rectangle`` are cached on their
+arguments, and every later call returns the same ``MagicArray``. Sharing it
+is safe because the result depends on the shape alone and cannot be
+changed: ``MagicArray`` is frozen and its entries are tuples of ints. A
+shape with no array raises ``ArrayError`` on every call, since exceptions
+are not cached. The cache is unbounded: every array built stays in memory
+until the process ends (the 596 shapes of a budget-400 sweep hold about
+1.3 MB).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -218,6 +229,7 @@ def _transposed(entries) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row[c] for row in entries) for c in range(len(entries[0])))
 
 
+@functools.cache
 def siamese_magic_square(order: int) -> MagicArray:
     """Odd-order magic square by the up-and-right rule.
 
@@ -242,6 +254,7 @@ def siamese_magic_square(order: int) -> MagicArray:
     return m
 
 
+@functools.cache
 def magic_rectangle(rows: int, cols: int) -> MagicArray:
     """Magic rectangle on [1..rows*cols]: constant row and column sums.
 
@@ -270,6 +283,7 @@ def magic_rectangle(rows: int, cols: int) -> MagicArray:
     return m
 
 
+@functools.cache
 def nearly_magic_rectangle(rows: int, cols: int) -> MagicArray:
     """Even x odd rectangle: constant column sums, row sums two adjacent values.
 

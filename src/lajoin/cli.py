@@ -258,6 +258,8 @@ def _parse_range(key: str, text: str) -> range:
         raise ParameterError(f"--{key} takes an integer or a range LO..HI, got {text!r}") from None
     if lo > hi:
         raise ParameterError(f"--{key} takes a range LO..HI with LO <= HI, got {text!r}")
+    if lo < 1:
+        raise ParameterError(f"--{key} takes values >= 1, got {text!r}")
     return range(lo, hi + 1)
 
 
@@ -270,8 +272,9 @@ def _sweep(args) -> int:
     if args.which:
         values["which"] = [args.which]
     if values:
-        # q grows along each axis, so the last point of the ranges has the
-        # most edges; checking it first keeps a huge range from being built.
+        # Every value is at least 1, where each family's q grows along each
+        # axis, so the last point of the ranges has the most edges; checking
+        # it first keeps a huge range from being built.
         last = {key: axis[-1] for key, axis in values.items()}
         q = edge_count(args.family, last)
         if q > args.max_total_edges:

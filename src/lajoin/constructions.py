@@ -214,14 +214,17 @@ def _assemble(
     join_labels: dict[tuple[int, int], int],
     v_labels: dict[Edge, int] | None = None,
 ) -> EdgeLabeling:
-    labels: dict[Edge, int] = {}
-    for (a, b), lab in u_labels.items():
-        labels[edge(a, b)] = lab
+    # Every scheme writes normalized keys, (a, b) with a < b, and shifting
+    # both ends keeps them so; one check of the whole key set stands in for
+    # normalizing each key.
+    labels = dict(u_labels)
     for (i, j), lab in join_labels.items():
-        labels[edge(i, first_n + j)] = lab
+        labels[(i, first_n + j)] = lab
     if v_labels:
         for (a, b), lab in v_labels.items():
-            labels[edge(first_n + a, first_n + b)] = lab
+            labels[(first_n + a, first_n + b)] = lab
+    if labels.keys() != graph._edge_set:
+        raise RuntimeError("the assembled labels do not cover exactly the graph's edges")
     return EdgeLabeling(graph, labels)
 
 
@@ -606,7 +609,7 @@ def _generic_join(
     joins = {
         (i, j): rect.entries[i - 1][j - 1] + e for i in range(1, p + 1) for j in range(1, cols + 1)
     }
-    lab = _assemble(joined, p, dict(f.labels), joins, v_labels)
+    lab = _assemble(joined, p, f.labels, joins, v_labels)
     colors = {s + u_shift for s in sums.values()} | new_colors
     return _result(joined, lab, colors, len(set(sums.values())) + len(new_colors))
 

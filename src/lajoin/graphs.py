@@ -9,9 +9,11 @@ offsets, and they survive joins and edge deletions.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lt
 
 Edge = tuple[int, int]
 
@@ -49,6 +51,10 @@ class Graph:
     ``("join", A, B)`` or ``("minus-edge", parent, e)``. It labels output
     and is never used as evidence: every property, the chromatic lower
     bound included, is computed from ``n`` and ``edges``.
+
+    Validation keeps the edge set it builds as ``_edge_set``, which
+    ``has_edge`` and the labeling checks compare against. It is derived
+    from ``edges`` and is not a field, so ``==`` and ``repr`` ignore it.
     """
 
     n: int
@@ -61,6 +67,19 @@ class Graph:
             raise ParameterError("graph needs at least one vertex")
         if len(self.roles) != self.n:
             raise ParameterError("one role tag required per vertex")
+        # The checks run over all edges at once; only a graph that fails
+        # them goes through the per-edge loop, which words the error.
+        try:
+            edge_set = frozenset(self.edges)
+            valid = len(edge_set) == len(self.edges) and _normalized_in_range(self.edges, self.n)
+        except (TypeError, ValueError):  # an unhashable, non-pair or incomparable edge
+            valid = False
+        if not valid:
+            edge_set = self._checked_edge_set()
+        object.__setattr__(self, "_edge_set", edge_set)
+
+    def _checked_edge_set(self) -> frozenset[Edge]:
+        # Raises on the first bad edge in order, else returns the edge set.
         seen = set()
         for a, b in self.edges:
             if not (1 <= a < b <= self.n):
@@ -68,6 +87,7 @@ class Graph:
             if (a, b) in seen:
                 raise ParameterError(f"duplicate edge ({a},{b})")
             seen.add((a, b))
+        return frozenset(seen)
 
     @property
     def q(self) -> int:
@@ -94,10 +114,6 @@ class Graph:
 
     def has_edge(self, e: Edge) -> bool:
         return e in self._edge_set
-
-    @cached_property
-    def _edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
 
     def role_of(self, v: int) -> str:
         return self.roles[v - 1]
@@ -161,6 +177,17 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, q={self.q}, family={self.family!r})"
+
+
+def _normalized_in_range(edges, n: int) -> bool:
+    """Whether every edge is a pair (a, b) with 1 <= a < b <= n.
+
+    Raises ValueError or TypeError on an edge that is not a pair of
+    comparable values."""
+    if not edges:
+        return True
+    firsts, seconds = zip(*edges, strict=True)
+    return all(map(lt, firsts, seconds)) and min(firsts) >= 1 and max(seconds) <= n
 
 
 def _family_to_json(family):
@@ -229,7 +256,7 @@ def join(a: Graph, b: Graph) -> Graph:
     off = a.n
     edges = list(a.edges)
     edges.extend((x + off, y + off) for x, y in b.edges)
-    edges.extend((i, off + j) for i in a.vertices for j in b.vertices)
+    edges.extend(itertools.product(a.vertices, range(off + 1, off + b.n + 1)))
     roles = tuple(f"u{i}" for i in a.vertices) + tuple(f"v{j}" for j in b.vertices)
     return Graph(a.n + b.n, tuple(edges), roles, ("join", a.family, b.family))
 

@@ -126,7 +126,7 @@ def vertex_sums(labels: dict[Edge, int], n: int) -> dict[int, int]:
 
 
 def _check_edge_set(g: Graph, labels: dict[Edge, int]) -> None:
-    if labels.keys() != set(g.edges):
+    if labels.keys() != g._edge_set:
         raise LabelingError("labels must be defined on exactly the edge set")
 
 
@@ -149,7 +149,7 @@ def verify_local_antimagic(
     offending adjacent pair is recorded when the labeling is not proper.
     """
     labels = f.labels
-    if set(labels) != set(g.edges):
+    if labels.keys() != g._edge_set:
         return LabelingCertificate(False, False, {}, 0, lower_bound, None, None)
     bijection_ok = sorted(labels.values()) == list(range(1, g.q + 1))
     sums = vertex_sums(labels, g.n)

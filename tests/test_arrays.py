@@ -219,3 +219,48 @@ def test_two_row_arrays_past_the_recursion_limit(build, cols):
     assert sorted(v for row in arr.entries for v in row) == list(range(1, 2 * cols + 1))
     assert [sum(row) for row in arr.entries] == list(arr.row_constants)
     assert {sum(col) for col in zip(*arr.entries)} == {arr.col_constant}
+
+
+def test_repeated_calls_share_one_array():
+    for build, args in ((siamese_magic_square, (5,)), (magic_rectangle, (3, 5)),
+                        (magic_rectangle, (5, 3)), (nearly_magic_rectangle, (4, 7))):
+        assert build(*args) is build(*args)
+
+
+@pytest.mark.parametrize("build,args", [
+    (magic_rectangle, (2, 2)),
+    (magic_rectangle, (2, 3)),
+    (magic_rectangle, (4, 7)),
+    (nearly_magic_rectangle, (3, 5)),
+    (nearly_magic_rectangle, (4, 4)),
+    (siamese_magic_square, (4,)),
+])
+def test_shapes_without_an_array_raise_on_every_call(build, args):
+    for _ in range(3):
+        with pytest.raises(ArrayError):
+            build(*args)
+
+
+def test_cached_arrays_equal_fresh_builds_over_the_sweep(monkeypatch):
+    # Record every array shape the budget-400 sweep asks for, the transposed
+    # builds of tall magic rectangles included, then rebuild each uncached.
+    from lajoin import arrays, constructions
+
+    asked = set()
+    for name in ("siamese_magic_square", "magic_rectangle", "nearly_magic_rectangle"):
+        cached = getattr(arrays, name)
+
+        def record(*args, _cached=cached):
+            asked.add((_cached, args))
+            return _cached(*args)
+
+        monkeypatch.setattr(arrays, name, record)
+        monkeypatch.setattr(constructions, name, record)
+    for family in constructions.ALL_FAMILIES:
+        for params in constructions.sweep_points(family, 400):
+            constructions.build_construction(family, params)
+    monkeypatch.undo()
+    shapes = {build: sum(b is build for b, _ in asked) for build, _ in asked}
+    assert shapes == {magic_rectangle: 379, nearly_magic_rectangle: 208, siamese_magic_square: 9}
+    for build, args in asked:
+        assert build(*args) == build.__wrapped__(*args), (build.__name__, args)

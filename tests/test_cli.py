@@ -342,6 +342,19 @@ def test_empty_sweep_range_exits_2(text):
     assert proc.stderr == f"error: --m takes a range LO..HI with LO <= HI, got '{text}'\n"
 
 
+@pytest.mark.parametrize("flags,text", [
+    (["--m", "2..20", "--N=-20..-5"], "--N takes values >= 1, got '-20..-5'"),
+    (["--m", "2", "--N", "0..3"], "--N takes values >= 1, got '0..3'"),
+    (["--m=-1000000..2", "--N", "2"], "--m takes values >= 1, got '-1000000..2'"),
+])
+def test_sweep_range_below_one_exits_2(capsys, flags, text):
+    # No family takes a value below 1, and below 1 the last point of a
+    # range need not hold the most edges, so the budget check could pass a
+    # huge range.
+    assert run_cli("sweep", "--family", "path-join-null", *flags) == 2
+    assert capsys.readouterr() == ("", f"error: {text}\n")
+
+
 @pytest.mark.parametrize("budget", ["26", "-1"])
 def test_sweep_without_points_exits_2(budget):
     # p7-o3 has one point, with 27 edges

@@ -583,3 +583,21 @@ def test_families_md_lists_the_registry():
         if cells and cells[0].startswith("`"):
             rows.append((cells[0].strip("`"), re.findall(r"--(\w+)", cells[2])))
     assert rows == [(fam.name, list(fam.params)) for fam in FAMILIES]
+
+
+def test_assemble_rejects_labels_off_the_edge_set():
+    from lajoin.constructions import _assemble
+    from lajoin.graphs import join
+
+    g = join(build_family("path", 2), build_family("null", 2))  # edges (1,2), (1,3), (1,4), (2,3), (2,4)
+    joins = {(1, 1): 2, (1, 2): 3, (2, 1): 4, (2, 2): 5}
+    assert _assemble(g, 2, {(1, 2): 1}, joins).labels == {
+        (1, 2): 1, (1, 3): 2, (1, 4): 3, (2, 3): 4, (2, 4): 5,
+    }
+    for u_labels, join_labels in (
+        ({(2, 1): 1}, joins),  # a key that is not normalized
+        ({}, joins),  # an edge left out
+        ({(1, 2): 1}, {**joins, (2, 3): 6}),  # a key off the graph
+    ):
+        with pytest.raises(RuntimeError, match="exactly the graph's edges"):
+            _assemble(g, 2, u_labels, join_labels)

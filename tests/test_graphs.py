@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lajoin.graphs import (
     Graph,
@@ -102,6 +103,68 @@ def test_duplicate_and_self_loop_rejected():
         Graph(3, ((1, 2), (1, 2)), ("u1", "u2", "u3"))
     with pytest.raises(ParameterError):
         edge(2, 2)
+
+
+def per_edge_check(n: int, edges) -> None:
+    # Reference: Graph's edge validation one edge at a time, where the
+    # first bad edge decides the exception and its message.
+    seen = set()
+    for a, b in edges:
+        if not (1 <= a < b <= n):
+            raise ParameterError(f"edge ({a},{b}) not normalized or out of range")
+        if (a, b) in seen:
+            raise ParameterError(f"duplicate edge ({a},{b})")
+        seen.add((a, b))
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def edge_lists(draw):
+    """Mostly valid edges, each possibly replaced by a reversed, 0, n+1,
+    repeated or non-pair one, in any order."""
+    n = draw(st.integers(1, 7))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    edges = list(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+    bad = st.one_of(
+        st.sampled_from(pairs).map(lambda e: (e[1], e[0])) if pairs else st.just((1, 1)),
+        st.integers(1, n).map(lambda v: (0, v)),
+        st.integers(1, n).map(lambda v: (v, n + 1)),
+        st.sampled_from(edges) if edges else st.just((1, 1)),
+        st.tuples(st.integers(0, n + 1)),
+        st.tuples(st.integers(0, n + 1), st.integers(0, n + 1), st.integers(0, n + 1)),
+        st.just(()),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        edges.insert(draw(st.integers(0, len(edges))), draw(bad))
+    return n, tuple(edges)
+
+
+@given(edge_lists())
+def test_graph_rejects_what_the_per_edge_check_rejects(case):
+    n, edges = case
+    roles = tuple(f"u{i}" for i in range(1, n + 1))
+    expected = _outcome(per_edge_check, n, edges)
+    assert _outcome(Graph, n, edges, roles) == expected
+    if expected is None:
+        g = Graph(n, edges, roles)
+        assert g._edge_set == frozenset(edges)
+        pairs = itertools.combinations(range(0, n + 2), 2)
+        assert all(g.has_edge(e) == (e in edges) for e in pairs)
+
+
+def test_edge_set_matches_the_edges():
+    for g in (build_family("path", 5), join(build_family("cycle", 5), build_family("null", 4)),
+              build_family("null", 3), delete_edge(build_family("complete", 5), (2, 4))):
+        assert g._edge_set == frozenset(g.edges) and len(g._edge_set) == g.q
+        assert all(g.has_edge(e) for e in g.edges)
+        assert not any(g.has_edge((b, a)) for a, b in g.edges)
 
 
 def test_chromatic_small():

@@ -8,7 +8,15 @@ import pytest
 
 from conftest import SLOW_CITED, random_graph, slow_cited_nodes
 from lajoin.constructions import CitedCaseError, build_construction, sweep_points
-from lajoin.graphs import Graph, ParameterError, build_family, chromatic_number_exact, delete_edge, join
+from lajoin.graphs import (
+    Graph,
+    ParameterError,
+    build_family,
+    chromatic_lower_bound,
+    chromatic_number_exact,
+    delete_edge,
+    join,
+)
 from lajoin.labelings import verify_local_antimagic
 from lajoin.solver import SearchConfig, confirm_theorem, exact_chi_la
 
@@ -89,7 +97,40 @@ def oracle_corpus():
     # isolated vertices, final at sum 0 before any edge is labeled
     graphs.append(Graph(4, ((1, 2), (1, 3), (2, 3)), ("u1", "u2", "u3", "u4")))
     graphs.append(Graph(4, ((1, 2), (2, 3)), ("u1", "u2", "u3", "u4")))
-    return graphs
+    # chi_la 3 at the chromatic bound, found only after a witness with more
+    # colors, so the reach prune acts while the optimum is still ahead; a
+    # reach test that also blocks the sum an open neighbor passes through
+    # misses it (found among seeded random 6-vertex, 7-edge graphs)
+    for edges in (
+        ((1, 2), (1, 3), (1, 4), (2, 4), (2, 6), (4, 5), (5, 6)),
+        ((1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 6), (4, 5)),
+        ((1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5), (5, 6)),
+        ((1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5), (4, 6)),
+    ):
+        graphs.append(Graph(6, edges, tuple(f"u{i}" for i in range(1, 7))))
+    return graphs + above_bound_corpus()
+
+
+def above_bound_corpus():
+    """24 distinct seeded random graphs, q <= 7, whose optimum lies above
+    chromatic_lower_bound: there the search runs one color short of its
+    best, where the reach prune acts."""
+    rng = random.Random(20261018)
+    graphs = {}
+    while len(graphs) < 24:
+        g = random_graph(rng, 3, 7)
+        if g.q <= 7 and g.edges not in graphs:
+            chi_la = brute_chi_la(g)
+            if chi_la is not None and chi_la > chromatic_lower_bound(g):
+                graphs[g.edges] = g
+    return list(graphs.values())
+
+
+def test_above_bound_corpus_is_what_it_says():
+    graphs = above_bound_corpus()
+    assert len(graphs) == 24 and all(g.q <= 7 for g in graphs)
+    assert sum(g.q >= g.n for g in graphs) >= 5
+    assert all(brute_chi_la(g) > chromatic_lower_bound(g) for g in graphs)
 
 
 def test_brute_force_oracle_all_configs():
