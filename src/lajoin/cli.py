@@ -14,6 +14,7 @@ import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
 from pathlib import Path
 
 from .arrays import (
@@ -53,13 +54,16 @@ def dump_json(obj) -> str:
 
     Every JSON document lajoin emits is written here. Given an indent,
     ``json`` runs its pure-Python encoder, a chain of generators; this
-    appends to one list and joins a list of plain ints at once. Dict keys
-    must be strings (``TypeError`` otherwise); a float or other leaf is
-    written by ``json.dumps``.
+    writes a list column by column (see ``_columns``). Dict keys must be
+    strings (``TypeError`` otherwise); a float or other leaf is written by
+    ``json.dumps``.
     """
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(obj, newline: str) -> str:
     out: list[str] = []
-    _encode(obj, "\n", out)
-    out.append("\n")
+    _encode(obj, newline, out)
     return "".join(out)
 
 
@@ -85,15 +89,8 @@ def _encode(obj, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if {*map(type, obj)} == {int}:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
-            return
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _encode(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
+        template, columns = _columns(obj, inner)
+        out.append("[" + inner + ("," + inner).join(map(template.__mod__, zip(*columns))) + newline + "]")
     elif obj is None:
         out.append("null")
     elif obj is True:
@@ -104,12 +101,51 @@ def _encode(obj, newline: str, out: list[str]) -> None:
         out.append(json.dumps(obj))
 
 
+def _columns(items, newline: str) -> tuple[str, list]:
+    """A ``%`` template that writes one of ``items`` and its leaf columns.
+
+    ``items`` are the values at one place in the items of a list, each
+    written on a line indented as ``newline``. Ints (``%d``) and strings
+    (``%s``, escaped) are leaves; dicts with the same keys and lists of
+    the same length are walked once, and each of their places gives its
+    own columns. Any other column (mixed types, floats, None, bools,
+    differing keys or lengths, empty containers) is one ``%s`` leaf of
+    items written one by one. Every template takes at least one column.
+    """
+    kinds = {*map(type, items)}
+    if kinds == {int}:
+        return "%d", [items]
+    if kinds == {str}:
+        return "%s", [list(map(_escape, items))]
+    inner = newline + "  "
+    if kinds == {dict}:
+        keys = items[0].keys()
+        if keys and all(map(keys.__eq__, map(dict.keys, items))):
+            parts, columns = [], []
+            for key in sorted(keys):
+                template, cols = _columns(list(map(itemgetter(key), items)), inner)
+                # TypeError on a key that is not a string
+                parts.append(inner + _escape(key).replace("%", "%%") + ": " + template)
+                columns += cols
+            return "{" + ",".join(parts) + newline + "}", columns
+    elif kinds <= {list, tuple}:
+        lengths = {*map(len, items)}
+        if len(lengths) == 1 and 0 not in lengths:
+            parts, columns = [], []
+            for i in range(len(items[0])):
+                template, cols = _columns(list(map(itemgetter(i), items)), inner)
+                parts.append(inner + template)
+                columns += cols
+            return "[" + ",".join(parts) + newline + "]", columns
+    return "%s", [[_dumps(item, newline) for item in items]]
+
+
 def _read_json(path: str):
     # ValueError covers JSONDecodeError, UnicodeDecodeError and integer
     # literals over Python's 4300-digit conversion limit; RecursionError,
     # arrays or objects nested past the recursion limit.
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ParameterError(f"{path} is not valid JSON: {exc}") from None
 
@@ -153,7 +189,7 @@ def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _gen(args) -> int:

@@ -36,6 +36,19 @@ def is_int_pair(x) -> bool:
     return isinstance(x, list) and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
 
 
+def are_increasing_int_pairs(items: list) -> bool:
+    """True when every item is a list of two integers, the first the smaller.
+
+    Checked over columns with builtins: a list that passes needs no
+    per-item check and no normalization. One that fails may still hold
+    valid (reversed) edges; the per-item loop decides and words the error.
+    """
+    if {*map(type, items)} != {list} or {*map(len, items)} != {2}:
+        return False
+    firsts, seconds = zip(*items)
+    return {*map(type, firsts), *map(type, seconds)} == {int} and all(map(lt, firsts, seconds))
+
+
 def edge(a: int, b: int) -> Edge:
     """Normalized undirected edge: smaller endpoint first."""
     if a == b:
@@ -159,7 +172,8 @@ class Graph:
             for v in verts
         ):
             raise ParameterError('graph "vertices" must be a list of {"id": int, "role": str} objects')
-        if not isinstance(pairs, list) or not all(is_int_pair(e) for e in pairs):
+        normalized = isinstance(pairs, list) and are_increasing_int_pairs(pairs)
+        if not normalized and (not isinstance(pairs, list) or not all(map(is_int_pair, pairs))):
             raise ParameterError('graph "edges" must be a list of integer pairs')
         ids = [v["id"] for v in verts]
         if sorted(ids) != list(range(1, len(ids) + 1)):
@@ -172,7 +186,7 @@ class Graph:
             roles[v["id"] - 1] = role
         if len(set(roles)) != len(roles):
             raise ParameterError("vertex roles must be unique")
-        edges = tuple(edge(a, b) for a, b in pairs)
+        edges = tuple(map(tuple, pairs)) if normalized else tuple(edge(a, b) for a, b in pairs)
         return Graph(len(ids), edges, tuple(roles), _family_from_json(data.get("family")))
 
     def __repr__(self):

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
-from .graphs import Edge, Graph, ParameterError, edge, is_int_pair
+from .graphs import Edge, Graph, ParameterError, are_increasing_int_pairs, edge, is_int_pair
 
 
 class LabelingError(ValueError):
@@ -64,18 +65,23 @@ class EdgeLabeling:
             raise LabelingError('a labeling must be a JSON object with "schema": "v1"')
         try:
             g = Graph.from_json(data["graph"])
-            if not isinstance(data["labels"], list):
+            items = data["labels"]
+            if not isinstance(items, list):
                 raise LabelingError('"labels" must be a list of {"edge", "label"} objects')
-            labels = {}
-            for item in data["labels"]:
-                e, lab = item["edge"], item["label"]
-                if not is_int_pair(e):
-                    raise LabelingError(f"edge {e!r} is not a pair of integers")
-                if type(lab) is not int:
-                    raise LabelingError(f"label {lab!r} on edge {e} is not an integer")
-                if edge(*e) in labels:
-                    raise LabelingError(f"edge {e} is labeled twice")
-                labels[edge(*e)] = lab
+            # Checked over columns; only a list that fails goes through the
+            # per-item loop, which normalizes reversed edges or words the error.
+            labels = _bulk_labels(items)
+            if labels is None:
+                labels = {}
+                for item in items:
+                    e, lab = item["edge"], item["label"]
+                    if not is_int_pair(e):
+                        raise LabelingError(f"edge {e!r} is not a pair of integers")
+                    if type(lab) is not int:
+                        raise LabelingError(f"label {lab!r} on edge {e} is not an integer")
+                    if edge(*e) in labels:
+                        raise LabelingError(f"edge {e} is labeled twice")
+                    labels[edge(*e)] = lab
         except (KeyError, TypeError) as exc:
             raise LabelingError(f"malformed labeling JSON: {exc!r}") from None
         except ParameterError as exc:
@@ -85,6 +91,22 @@ class EdgeLabeling:
 
     def __repr__(self):
         return f"EdgeLabeling(q={self.q}, graph={self.graph!r})"
+
+
+def _bulk_labels(items: list) -> dict[Edge, int] | None:
+    """The labels, when every item is a dict whose "edge" is an increasing
+    integer pair, whose "label" is an integer, and no edge repeats; else None."""
+    if {*map(type, items)} != {dict}:
+        return None
+    try:
+        edges = list(map(itemgetter("edge"), items))
+        values = list(map(itemgetter("label"), items))
+    except KeyError:
+        return None
+    if not are_increasing_int_pairs(edges) or {*map(type, values)} != {int}:
+        return None
+    labels = dict(zip(map(tuple, edges), values))
+    return labels if len(labels) == len(items) else None
 
 
 @dataclass(frozen=True)

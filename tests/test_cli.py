@@ -17,7 +17,7 @@ import lajoin
 import lajoin.cli as cli
 from lajoin.arrays import array_to_json, magic_rectangle
 from lajoin.cli import build_parser, dump_json, main
-from lajoin.constructions import ALL_FAMILIES, build_construction
+from lajoin.constructions import ALL_FAMILIES, build_construction, sweep_points
 from lajoin.graphs import build_family
 from lajoin.labelings import verify_local_antimagic
 from lajoin.solver import exact_chi_la
@@ -28,14 +28,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, interpreter_flags=(), env=()):
     # The child imports the same lajoin as this process, also when it was
     # found through pytest's ``pythonpath`` setting rather than PYTHONPATH.
     src = str(Path(lajoin.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "lajoin.cli", *argv], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, *interpreter_flags, "-m", "lajoin.cli", *argv], capture_output=True,
+        text=True, encoding="utf-8", env=dict(os.environ, PYTHONPATH=path, **dict(env)),
     )
 
 
@@ -151,6 +151,35 @@ def test_gen_outputs_are_byte_stable(tmp_path):
                 "--matrix", "--out", str(prefix))
     assert a.with_suffix(".labeling.json").read_bytes() == b.with_suffix(".labeling.json").read_bytes()
     assert a.with_suffix(".matrix.csv").read_bytes() == b.with_suffix(".matrix.csv").read_bytes()
+
+
+def test_file_io_is_utf8_under_an_ascii_locale(tmp_path):
+    # Under the C locale without UTF-8 mode the default text encoding is
+    # ASCII; every file the CLI reads or writes must name its encoding, and
+    # a warning about a default one fails the child.
+    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    strict = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+
+    def run(*argv):
+        proc = run_subprocess(*argv, interpreter_flags=strict, env=ascii_locale)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        return proc
+
+    prefix = tmp_path / "p"
+    run("gen", "--family", "path-join-cycle", "--m", "2", "--n", "3", "--matrix", "--out", str(prefix))
+    labeling = tmp_path / "p.labeling.json"
+    doc = json.loads(labeling.read_text(encoding="utf-8"))
+    doc["family"] = "Kürzel"
+    doc["graph"]["family"] = ["Kürzel", ["ключ", 3]]
+    labeling.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    run("verify", str(labeling), "--out", str(tmp_path / "verify.txt"))
+    assert (tmp_path / "verify.txt").read_text(encoding="utf-8").startswith("bijection: ok\n")
+    run("matrix", "--input", str(labeling), "--format", "csv", "--out", str(tmp_path / "m.csv"))
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "p.matrix.csv").read_bytes()
+    run("arrays", "--kind", "rectangle", "--rows", "3", "--cols", "5", "--format", "json",
+        "--out", str(tmp_path / "a.json"))
+    expected = dump_json(array_to_json(magic_rectangle(3, 5)))
+    assert (tmp_path / "a.json").read_text(encoding="utf-8") == expected
 
 
 def test_gen_cited_case_routes_to_solver(tmp_path):
@@ -490,6 +519,36 @@ def test_gen_matrix_on_cited_points_is_pinned(capsys):
         assert captured.err.startswith("solver route: chi_la="), point
 
 
+def test_gen_json_on_the_sweep_is_pinned(capsys):
+    # sha256 per family of ``gen`` stdout, the labeling JSON, at every
+    # budget-150 sweep point in sweep order, taken before lists of
+    # same-shape records were written column by column.
+    expected = {
+        "path-join-null": "ccca3bd482b4d921f335a232b076e9db9fa062005d257a352c8d5c0c9a6e52ee",
+        "p7-o3": "e10ad13a7332d5c3b8122fd3d90a00aeb928dddd1005ba0b83de249c1bf24e39",
+        "path-join-cycle": "69fb3df826305fa848e3d3a42d7692256c0287e49e47e7bbe66c92d308194948",
+        "path-join-complete": "1b0c8722ee25a88184ddced71927b6845ca14a5c16314c6fd40c6efa30d751e6",
+        "cycle-join-null": "38b63392c861609b3ea3e9275a15d0291932836713490ee0abb134299309277d",
+        "odd-cycle-join-even-null": "9e0fc42b7f433337697cc9755470da29ae8ef26eb3a27bd02db819731aa280d1",
+        "cycle-join-null-minus-edge": "33afe93284baf646a28d02b24615458835076f27cfdec2040d2c18bb71774720",
+        "cycle-join-cycle": "42bfda0420db3513dc677ee440e2a18c636b93d74508b9d4e337ee84290ea630",
+        "cycle-join-cycle-minus-edge": "2f681d18ef0d9405ed8ea2b32ce046d8c6664a11f101b166de425e3e3c6368a6",
+        "cycle-join-complete": "a73e887ad09034714a006add20a7811c37991860357c66b63c359d4db48e149b",
+        "complete-join-odd-cycle": "ba38c0c13161131e0edf2acf293df97ea545023a65170a48d94fff1eac34a0e3",
+        "generic-join-null": "52fcfe71bfe6137081910d009293697a80fa9fe43a1caa35459b591ee55f5e68",
+        "generic-join-complete-bipartite": "bc7144c2ecc5b3c5bcefd5e46c12a6eb842ec7a508642345c1270b631899c1e2",
+        "generic-join-cycle": "876a7dae50aa92d2a5dbb476300ef168b2745006ade89399c36ebca70d6c60e7",
+    }
+    assert set(expected) == set(ALL_FAMILIES)
+    for family, digest in expected.items():
+        out = hashlib.sha256()
+        for params in sweep_points(family, 150):
+            flags = [x for key, value in params.items() for x in (f"--{key}", str(value))]
+            assert run_cli("gen", "--family", family, *flags) == 0, (family, params)
+            out.update(capsys.readouterr().out.encode())
+        assert out.hexdigest() == digest, family
+
+
 @pytest.mark.parametrize("family", [["cycle", "x"], [], ["complete", 9], ["path", 17]])
 def test_solve_input_ignores_the_files_family_descriptor(tmp_path, family):
     # 17 vertices: past the exact chromatic number's 16. The lower bound is
@@ -764,6 +823,66 @@ def test_dump_json_matches_json_dumps(tree):
     # json.dumps is the reference: non-ASCII text, NaN and the infinities,
     # bools beside ints and empty containers at every depth included.
     assert dump_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+# Keys that a ``%`` template must escape, and text json writes as \u escapes.
+_KEYS = st.sampled_from(["%", "%s", "%%", "%d", "a%", "Kürzel", "ключ", "\U0001d11e", ""]) | st.text(max_size=3)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.text(max_size=4) | st.floats(allow_nan=True)
+# A record shape: a leaf kind, or a dict of shapes, or a list of shapes.
+_SHAPES = st.recursive(
+    st.sampled_from(["int", "str", "mixed", "empty"]),
+    lambda children: st.dictionaries(_KEYS, children, min_size=1, max_size=4).map(lambda d: ("dict", d))
+    | st.lists(children, min_size=1, max_size=4).map(lambda items: ("list", items)),
+    max_leaves=10,
+)
+
+
+def _fill(shape):
+    # A strategy for records of ``shape``; a "mixed" leaf mixes None, bool, int, str and float.
+    if shape == "int":
+        return st.integers()
+    if shape == "str":
+        return st.text(max_size=4)
+    if shape == "mixed":
+        return _SCALARS
+    if shape == "empty":
+        return st.sampled_from([[], {}, ()])
+    kind, parts = shape
+    if kind == "dict":
+        return st.fixed_dictionaries({key: _fill(part) for key, part in parts.items()})
+    return st.tuples(*map(_fill, parts)).map(list)
+
+
+@st.composite
+def same_shape_lists(draw):
+    """2 to 6 records of one shape; maybe one of them differs in keys or
+    length at some depth; maybe the list is nested in a dict or a list."""
+    shape = draw(_SHAPES)
+    records = draw(st.lists(_fill(shape), min_size=2, max_size=6))
+    if draw(st.booleans()):
+        node = records[draw(st.integers(0, len(records) - 1))]
+        while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+            child = draw(st.sampled_from(list(node.values()) if isinstance(node, dict) else node))
+            if not isinstance(child, (dict, list)) or not child:
+                break
+            node = child
+        if isinstance(node, dict):
+            node[draw(_KEYS)] = draw(_SCALARS)
+            if len(node) > 1 and draw(st.booleans()):
+                del node[draw(st.sampled_from(sorted(node)))]
+        elif isinstance(node, list) and node and draw(st.booleans()):
+            node.pop()
+        elif isinstance(node, list):
+            node.append(draw(_SCALARS))
+        else:
+            records.append([node])
+    return draw(st.sampled_from([records, {"rows": records}, [records, records]]))
+
+
+@settings(max_examples=300)
+@given(doc=same_shape_lists())
+def test_columnar_lists_match_json_dumps(doc):
+    assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_dump_json_matches_json_dumps_on_lajoin_documents():

@@ -15,7 +15,7 @@ from lajoin.constructions import (
     label_path_join_null,
     sweep_points,
 )
-from lajoin.graphs import ParameterError, build_family, join
+from lajoin.graphs import Graph, ParameterError, build_family, edge, is_int_pair, join
 from lajoin.labelings import (
     EdgeLabeling,
     LabelingError,
@@ -474,3 +474,107 @@ def test_labeling_from_json_rejects_malformed(mutate):
     mutate(data)
     with pytest.raises(LabelingError):
         EdgeLabeling.from_json(data)
+
+
+def per_item_graph(data: dict, base: Graph) -> Graph:
+    # Reference: Graph.from_json reading the edges one at a time, for a
+    # document whose vertices and family are those of ``base``.
+    pairs = data["edges"]
+    if not all(is_int_pair(e) for e in pairs):
+        raise ParameterError('graph "edges" must be a list of integer pairs')
+    return Graph(base.n, tuple(edge(a, b) for a, b in pairs), base.roles, base.family)
+
+
+def per_item_labeling(data: dict, base: Graph) -> EdgeLabeling:
+    # Reference: EdgeLabeling.from_json with the per-item loop alone.
+    try:
+        g = per_item_graph(data["graph"], base)
+        labels = {}
+        for item in data["labels"]:
+            e, lab = item["edge"], item["label"]
+            if not is_int_pair(e):
+                raise LabelingError(f"edge {e!r} is not a pair of integers")
+            if type(lab) is not int:
+                raise LabelingError(f"label {lab!r} on edge {e} is not an integer")
+            if edge(*e) in labels:
+                raise LabelingError(f"edge {e} is labeled twice")
+            labels[edge(*e)] = lab
+    except (KeyError, TypeError) as exc:
+        raise LabelingError(f"malformed labeling JSON: {exc!r}") from None
+    except ParameterError as exc:
+        raise LabelingError(f"malformed labeling: {exc}") from None
+    if labels.keys() != set(g.edges):
+        raise LabelingError("labels must be defined on exactly the edge set")
+    return EdgeLabeling(g, labels)
+
+
+def _read(fn, *args):
+    # What a reader gives: the graph and labels in insertion order, or the
+    # exception type and message.
+    try:
+        out = fn(*args)
+    except (LabelingError, ParameterError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, Graph):
+        return out
+    return out.graph, list(out.labels.items())
+
+
+_READER_BASES = [
+    build_construction(family, params).labeling
+    for family, params in [("path-join-null", {"m": 2, "N": 3}), ("cycle-join-cycle", {"m": 3, "n": 3}),
+                           ("p7-o3", {})]
+]
+_EDGE_FAULTS = [
+    lambda e: e[::-1],
+    lambda e: [e[0], e[0]],
+    lambda e: [True, e[1]],
+    lambda e: [e[0], float(e[1])],
+    lambda e: e[:1],
+    lambda e: [*e, e[0]],
+]
+
+
+@st.composite
+def mutated_labelings(draw):
+    """A labeling document and the graph it was built from, with up to four
+    faults: a reversed, self-loop, true, 2.0, 1- or 3-item edge in either
+    list, an edge given twice, a true or 2.0 label, a missing key, or an
+    item that is not a dict."""
+    base = draw(st.sampled_from(_READER_BASES))
+    doc = json.loads(json.dumps(base.to_json()))
+    edges, items = doc["graph"]["edges"], doc["labels"]
+    for _ in range(draw(st.integers(0, 4))):
+        fault = draw(st.sampled_from(["reverse", "edge", "label-edge", "edge-twice", "label-edge-twice",
+                                      "label", "missing", "not-dict"]))
+        i = draw(st.integers(0, len(items) - 1))
+        j = i % len(edges)
+        if fault == "reverse":  # valid: both readers normalize a reversed edge
+            pairs = draw(st.sampled_from([edges, [item.get("edge") for item in items if isinstance(item, dict)]]))
+            if pairs and isinstance(pairs[i % len(pairs)], list):
+                pairs[i % len(pairs)].reverse()
+        elif fault == "edge" and len(edges[j]) == 2:
+            edges[j] = draw(st.sampled_from(_EDGE_FAULTS))(edges[j])
+        elif fault == "edge-twice":
+            edges.insert(draw(st.integers(0, len(edges))), list(draw(st.sampled_from(edges))))
+        elif not isinstance(items[i], dict):
+            continue
+        elif fault == "label-edge" and isinstance(items[i].get("edge"), list) and len(items[i]["edge"]) == 2:
+            items[i]["edge"] = draw(st.sampled_from(_EDGE_FAULTS))(items[i]["edge"])
+        elif fault == "label-edge-twice":
+            items.insert(draw(st.integers(0, len(items))), dict(items[i]))
+        elif fault == "label":
+            items[i]["label"] = draw(st.sampled_from([True, 2.0, float(items[i].get("label", 1))]))
+        elif fault == "missing":
+            items[i].pop(draw(st.sampled_from(["edge", "label"])), None)
+        elif fault == "not-dict":
+            items[i] = draw(st.sampled_from([items[i].get("edge"), "edge", None, 3, []]))
+    return doc, base.graph
+
+
+@settings(max_examples=300)
+@given(mutated_labelings())
+def test_bulk_readers_agree_with_the_per_item_loop(case):
+    doc, base = case
+    assert _read(Graph.from_json, doc["graph"]) == _read(per_item_graph, doc["graph"], base)
+    assert _read(EdgeLabeling.from_json, doc) == _read(per_item_labeling, doc, base)
