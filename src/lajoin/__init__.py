@@ -61,7 +61,6 @@ from .labelings import (
     delete_labeled_edge,
     export_matrix,
     induced_sums,
-    two_color_infeasible,
     verify_local_antimagic,
 )
 from .solver import ConfirmationVerdict, SearchConfig, SolveReport, confirm_theorem, exact_chi_la

@@ -25,6 +25,8 @@ _ROLE = re.compile(r"[uv][1-9][0-9]{0,8}")
 # Library descriptors nest at most three lists deep; a deeper one read from
 # a file would only exhaust the recursion limit.
 _MAX_FAMILY_DEPTH = 32
+# side -> its role names "u1", "u2", ... so far; see _role_names.
+_ROLE_NAMES = {"u": (), "v": ()}
 
 
 class ParameterError(ValueError):
@@ -119,8 +121,16 @@ class Graph:
             adj[b].append(a)
         return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
+    @cached_property
+    def _degrees(self) -> dict[int, int]:
+        degs = dict.fromkeys(self.vertices, 0)
+        for a, b in self.edges:
+            degs[a] += 1
+            degs[b] += 1
+        return degs
+
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self._degrees[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -222,6 +232,20 @@ def _family_from_json(data, depth=1):
     return tuple(_family_from_json(x, depth + 1) if isinstance(x, list) else x for x in data)
 
 
+def _role_names(side: str, count: int) -> tuple[str, ...]:
+    """The roles ``<side>1`` .. ``<side><count>``, shared by every graph.
+
+    A side's tuple only grows, and it grows by rebinding to a longer one,
+    never in place, so a tuple that a graph or another thread holds never
+    changes.
+    """
+    names = _ROLE_NAMES[side]
+    if len(names) < count:
+        names += tuple(f"{side}{i}" for i in range(len(names) + 1, count + 1))
+        _ROLE_NAMES[side] = names
+    return names[:count]
+
+
 def build_family(kind: str, *params: int) -> Graph:
     """Build one of the base families: path, cycle, null, complete, complete-bipartite.
 
@@ -233,30 +257,30 @@ def build_family(kind: str, *params: int) -> Graph:
         if m < 2:
             raise ParameterError(f"path needs order >= 2, got {m}")
         edges = tuple((i, i + 1) for i in range(1, m))
-        return Graph(m, edges, tuple(f"u{i}" for i in range(1, m + 1)), ("path", m))
+        return Graph(m, edges, _role_names("u", m), ("path", m))
     if kind == "cycle":
         (m,) = params
         if m < 3:
             raise ParameterError(f"cycle needs order >= 3, got {m}")
         edges = tuple((i, i + 1) for i in range(1, m)) + ((1, m),)
-        return Graph(m, edges, tuple(f"u{i}" for i in range(1, m + 1)), ("cycle", m))
+        return Graph(m, edges, _role_names("u", m), ("cycle", m))
     if kind == "null":
         (n,) = params
         if n < 1:
             raise ParameterError(f"null graph needs order >= 1, got {n}")
-        return Graph(n, (), tuple(f"v{j}" for j in range(1, n + 1)), ("null", n))
+        return Graph(n, (), _role_names("v", n), ("null", n))
     if kind == "complete":
         (r,) = params
         if r < 1:
             raise ParameterError(f"complete graph needs order >= 1, got {r}")
         edges = tuple((i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1))
-        return Graph(r, edges, tuple(f"u{i}" for i in range(1, r + 1)), ("complete", r))
+        return Graph(r, edges, _role_names("u", r), ("complete", r))
     if kind == "complete-bipartite":
         m, n = params
         if m < 1 or n < 1:
             raise ParameterError(f"complete bipartite parts must be >= 1, got ({m},{n})")
         edges = tuple((i, m + j) for i in range(1, m + 1) for j in range(1, n + 1))
-        roles = tuple(f"u{i}" for i in range(1, m + 1)) + tuple(f"v{j}" for j in range(1, n + 1))
+        roles = _role_names("u", m) + _role_names("v", n)
         return Graph(m + n, edges, roles, ("complete-bipartite", m, n))
     raise ParameterError(f"unknown family kind {kind!r}")
 
@@ -271,7 +295,7 @@ def join(a: Graph, b: Graph) -> Graph:
     edges = list(a.edges)
     edges.extend((x + off, y + off) for x, y in b.edges)
     edges.extend(itertools.product(a.vertices, range(off + 1, off + b.n + 1)))
-    roles = tuple(f"u{i}" for i in a.vertices) + tuple(f"v{j}" for j in b.vertices)
+    roles = _role_names("u", a.n) + _role_names("v", b.n)
     return Graph(a.n + b.n, tuple(edges), roles, ("join", a.family, b.family))
 
 
@@ -280,7 +304,8 @@ def delete_edge(g: Graph, e: Edge) -> Graph:
     e = edge(*e)
     if not g.has_edge(e):
         raise ParameterError(f"edge {e} not present")
-    edges = tuple(x for x in g.edges if x != e)
+    i = g.edges.index(e)
+    edges = g.edges[:i] + g.edges[i + 1:]
     return Graph(g.n, edges, g.roles, ("minus-edge", g.family, e))
 
 
@@ -411,4 +436,4 @@ def _co_component_chromatic(adj: dict[int, set[int]], part: list[int]) -> int:
         return 3
     index = {v: i for i, v in enumerate(part, 1)}
     edges = tuple((index[a], index[b]) for a in part for b in adj[a] & inside if a < b)
-    return chromatic_number_exact(Graph(len(part), edges, tuple(f"u{i}" for i in index.values())))
+    return chromatic_number_exact(Graph(len(part), edges, _role_names("u", len(part))))

@@ -138,13 +138,34 @@ class LabelingCertificate:
         }
 
 
-def vertex_sums(labels: dict[Edge, int], n: int) -> dict[int, int]:
-    """Sum of the incident labels at each of the vertices 1..n; no checks."""
-    sums = {v: 0 for v in range(1, n + 1)}
+def _sum_list(labels: dict[Edge, int], n: int) -> list[int]:
+    """The vertex-sum kernel: entry v is the total of v's incident labels.
+
+    Entry 0 is unused. Endpoints are not checked: the caller ensures they
+    lie in 1..n, since a list would take 0 and wrap a negative one.
+    """
+    sums = [0] * (n + 1)
     for (a, b), lab in labels.items():
         sums[a] += lab
         sums[b] += lab
     return sums
+
+
+def vertex_sums(labels: dict[Edge, int], n: int) -> dict[int, int]:
+    """Sum of the incident labels at each of the vertices 1..n.
+
+    Labels are not checked; an endpoint outside 1..n raises KeyError."""
+    if labels and not (min(map(min, labels)) >= 1 and max(map(max, labels)) <= n):
+        raise KeyError(next(v for e in labels for v in e if not 1 <= v <= n))
+    return dict(enumerate(_sum_list(labels, n)[1:], 1))
+
+
+def _is_bijection(values, q: int) -> bool:
+    """Whether the q labels ``values`` are 1..q, each once.
+
+    Equal values count alike: ``True`` is 1 and ``2.0`` is 2, as in a sort.
+    """
+    return set(values).issuperset(range(1, q + 1))
 
 
 def _check_edge_set(g: Graph, labels: dict[Edge, int]) -> None:
@@ -157,9 +178,9 @@ def induced_sums(g: Graph, labels: dict[Edge, int] | EdgeLabeling) -> dict[int, 
     if isinstance(labels, EdgeLabeling):
         labels = labels.labels
     _check_edge_set(g, labels)
-    if sorted(labels.values()) != list(range(1, g.q + 1)):
+    if not _is_bijection(labels.values(), g.q):
         raise LabelingError("labels must be a bijection onto 1..q")
-    return vertex_sums(labels, g.n)
+    return dict(enumerate(_sum_list(labels, g.n)[1:], 1))
 
 
 def verify_local_antimagic(
@@ -173,8 +194,8 @@ def verify_local_antimagic(
     labels = f.labels
     if labels.keys() != g._edge_set:
         return LabelingCertificate(False, False, {}, 0, lower_bound, None, None)
-    bijection_ok = sorted(labels.values()) == list(range(1, g.q + 1))
-    sums = vertex_sums(labels, g.n)
+    bijection_ok = _is_bijection(labels.values(), g.q)
+    sums = _sum_list(labels, g.n)
     failure = None
     for a, b in g.edges:
         if sums[a] == sums[b]:
@@ -226,23 +247,6 @@ def check_complement_valid(g: Graph, f: EdgeLabeling) -> tuple[bool, tuple[int, 
             # v shares one class with an earlier vertex but not the other
             return False, (min(x, y), v)
     return True, None
-
-
-def two_color_infeasible(q: int, part_sizes: tuple[int, int]) -> bool:
-    """Arithmetic certificate that no labeling can induce only two colors.
-
-    A two-color labeling of a size-q graph forces a bipartition with part
-    sizes X > Y and colors x < y satisfying xX = yY = q(q+1)/2. True means
-    those equations have no solution for the given part sizes, so at least
-    three colors are needed for that bipartite shape.
-    """
-    x_count, y_count = part_sizes
-    if not (x_count >= y_count >= 1):
-        raise ParameterError(f"part sizes must satisfy X >= Y >= 1, got {part_sizes}")
-    if x_count == y_count:
-        return True
-    half = q * (q + 1) // 2
-    return half % x_count != 0 or half % y_count != 0
 
 
 def check_deletion_certificate(g: Graph, f: EdgeLabeling, e: Edge) -> bool:
@@ -352,17 +356,13 @@ def export_matrix(g: Graph, f: EdgeLabeling) -> LabelingMatrix:
         raise ParameterError("matrix export needs a two-sided join graph")
     sums = f.sums
     u_set, v_set = set(us), set(vs)
-    grid = []
-    for u in us:
-        row = []
-        for v in vs:
-            e = edge(u, v)
-            row.append(f.labels.get(e))
-        grid.append(tuple(row))
+    labels = f.labels
+    # the two sides are disjoint, so u != v and no pair is a self-loop
+    grid = [tuple(labels.get((u, v) if u < v else (v, u)) for v in vs) for u in us]
     u_own = {u: 0 for u in us}
     v_own = {v: 0 for v in vs}
     has_v_edges = False
-    for (a, b), lab in f.labels.items():
+    for (a, b), lab in labels.items():
         if a in u_set and b in u_set:
             u_own[a] += lab
             u_own[b] += lab

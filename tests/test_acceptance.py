@@ -45,7 +45,6 @@ from lajoin.labelings import (
     complement_labeling,
     delete_labeled_edge,
     export_matrix,
-    two_color_infeasible,
     verify_local_antimagic,
 )
 from lajoin.solver import SearchConfig, confirm_theorem, exact_chi_la
@@ -295,12 +294,16 @@ def test_criterion_4c_two_color_vs_brute_force():
     for kind, params, parts in cases:
         g = build_family(kind, *params)
         assert g.q <= 9
-        infeasible = two_color_infeasible(g.q, parts)
+        # two colours on parts X > Y need colours x < y with
+        # xX = yY = q(q+1)/2; equal parts allow none
+        x_count, y_count = parts
+        half = g.q * (g.q + 1) // 2
+        feasible = x_count != y_count and half % x_count == 0 and half % y_count == 0
         exists = _exhaustive_two_color_exists(g)
         # the arithmetic certificate is sound: infeasible means no labeling
-        assert not (infeasible and exists), (kind, params)
-        if exists:
-            assert not infeasible
+        assert feasible or not exists, (kind, params)
+        # and the solver's optimum is 2 exactly when brute force finds one
+        assert (exact_chi_la(g).chi_la == 2) == exists, (kind, params)
     print(f"criterion 4c: PASS ({len(cases)} bipartite graphs, q <= 9)")
 
 

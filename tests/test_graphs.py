@@ -4,8 +4,9 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_graph
 from lajoin.graphs import (
     Graph,
     ParameterError,
@@ -312,3 +313,53 @@ def test_graph_from_json_role_and_family_limits():
 def test_graph_from_json_rejects_non_object(data):
     with pytest.raises(ParameterError):
         Graph.from_json(data)
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 10**6))
+def test_degree_table_matches_the_neighbours(seed):
+    rng = random.Random(seed)
+    a, b = random_graph(rng), random_graph(rng, 2, 5)
+    joined = join(a, b)
+    for g in (a, b, joined, delete_edge(joined, rng.choice(joined.edges))):
+        assert all(g.degree(v) == len(g.neighbors(v)) for v in g.vertices)
+        for v in (0, -1, g.n + 1):
+            with pytest.raises(KeyError):
+                g.degree(v)
+
+
+def _names(side, count):
+    return tuple(f"{side}{i}" for i in range(1, count + 1))
+
+
+# kind -> its smallest order
+_ORDERS = {"path": 2, "cycle": 3, "null": 1, "complete": 1}
+
+
+@given(st.sampled_from(sorted(_ORDERS)), st.integers(0, 40),
+       st.sampled_from(sorted(_ORDERS)), st.integers(0, 40), st.integers(1, 40))
+def test_roles_are_the_indexed_names(kind_a, extra_a, kind_b, extra_b, k):
+    a = build_family(kind_a, _ORDERS[kind_a] + extra_a)
+    b = build_family(kind_b, _ORDERS[kind_b] + extra_b)
+    assert a.roles == _names("v" if kind_a == "null" else "u", a.n)
+    assert b.roles == _names("v" if kind_b == "null" else "u", b.n)
+    assert join(a, b).roles == _names("u", a.n) + _names("v", b.n)
+    assert build_family("complete-bipartite", a.n, k).roles == _names("u", a.n) + _names("v", k)
+
+
+def test_a_larger_graph_leaves_earlier_roles_unchanged():
+    from lajoin.graphs import _ROLE_NAMES
+
+    # larger than any graph built so far, so each side's names must grow
+    m, n = len(_ROLE_NAMES["u"]) + 3, len(_ROLE_NAMES["v"]) + 3
+    small = join(build_family("path", m), build_family("null", n))
+    large = join(build_family("path", m + 40), build_family("null", n + 40))
+    assert small.roles == _names("u", m) + _names("v", n)
+    assert large.roles == _names("u", m + 40) + _names("v", n + 40)
+
+
+def test_graphs_share_their_role_strings():
+    a = build_family("path", 9)
+    b = join(build_family("cycle", 12), build_family("null", 4))
+    assert all(x is y for x, y in zip(a.roles, b.roles))
+    assert build_family("null", 4).roles[-1] is b.roles[-1]

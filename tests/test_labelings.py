@@ -18,6 +18,7 @@ from lajoin.constructions import (
 from lajoin.graphs import Graph, ParameterError, build_family, edge, is_int_pair, join
 from lajoin.labelings import (
     EdgeLabeling,
+    LabelingCertificate,
     LabelingError,
     check_complement_valid,
     check_deletion_certificate,
@@ -25,7 +26,6 @@ from lajoin.labelings import (
     delete_labeled_edge,
     export_matrix,
     induced_sums,
-    two_color_infeasible,
     verify_local_antimagic,
     vertex_sums,
 )
@@ -302,17 +302,6 @@ def test_matrix_views_are_pinned(family, params, csv, pretty):
     assert matrix.to_pretty() == pretty
 
 
-def test_two_color_infeasible_examples():
-    assert two_color_infeasible(2, (2, 1)) is True  # 3-vertex path
-    assert two_color_infeasible(3, (3, 1)) is False  # x=2, y=6 works
-    assert two_color_infeasible(4, (2, 2)) is True  # equal parts always infeasible
-
-
-def test_two_color_infeasible_rejects_bad_parts():
-    with pytest.raises(ParameterError):
-        two_color_infeasible(3, (1, 2))
-
-
 def _exhaustive_two_colorable(g, parts) -> bool:
     # Brute force: does any proper labeling induce exactly two colors?
     for perm in itertools.permutations(range(1, g.q + 1)):
@@ -344,13 +333,14 @@ def _exhaustive_two_colorable(g, parts) -> bool:
     ],
 )
 def test_two_color_infeasible_matches_exhaustive(kind, params, parts):
+    # Two colours on a bipartite graph with parts X > Y need colours x < y
+    # with xX = yY = q(q+1)/2, the label total; equal parts allow none.
     g = build_family(kind, *params)
-    infeasible = two_color_infeasible(g.q, parts)
+    x_count, y_count = parts
+    half = g.q * (g.q + 1) // 2
+    feasible = x_count != y_count and half % x_count == 0 and half % y_count == 0
     exists = _exhaustive_two_colorable(g, parts)
-    if infeasible:
-        assert not exists
-    if exists:
-        assert not infeasible
+    assert feasible or not exists
 
 
 def test_deletion_certificate_half_wheel_cycle_edge():
@@ -578,3 +568,113 @@ def test_bulk_readers_agree_with_the_per_item_loop(case):
     doc, base = case
     assert _read(Graph.from_json, doc["graph"]) == _read(per_item_graph, doc["graph"], base)
     assert _read(EdgeLabeling.from_json, doc) == _read(per_item_labeling, doc, base)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("cycle-join-null-minus-edge", {"m": 2, "n": 3, "which": "join-edge"}),  # a blank cell
+    ("cycle-join-cycle", {"m": 2, "n": 2}),  # own edges on the second side
+])
+def test_matrix_of_a_graph_whose_v_vertices_come_first(family, params):
+    # Roles read from JSON may give the second side the smaller ids, so a
+    # cell's edge is (v, u); the matrix must not depend on the numbering.
+    res = build_construction(family, params)
+    g, f = res.graph, res.labeling
+    order = g.v_vertices + g.u_vertices
+    new = {old: i for i, old in enumerate(order, 1)}
+    h = Graph(g.n, tuple(sorted(edge(new[a], new[b]) for a, b in g.edges)), tuple(map(g.role_of, order)))
+    moved = EdgeLabeling(h, {edge(new[a], new[b]): lab for (a, b), lab in f.labels.items()})
+    read = EdgeLabeling.from_json(json.loads(json.dumps(moved.to_json())))
+    assert read.graph.v_vertices < read.graph.u_vertices
+    assert export_matrix(read.graph, read) == export_matrix(g, f)
+
+
+# -- the vertex-sum kernel and the bijection check, against the code they
+# replaced: a dict of sums and a sort of every label
+
+
+def _reference_vertex_sums(labels, n):
+    sums = {v: 0 for v in range(1, n + 1)}
+    for (a, b), lab in labels.items():
+        sums[a] += lab
+        sums[b] += lab
+    return sums
+
+
+def _reference_induced_sums(g, labels):
+    if labels.keys() != g._edge_set:
+        raise LabelingError("labels must be defined on exactly the edge set")
+    if sorted(labels.values()) != list(range(1, g.q + 1)):
+        raise LabelingError("labels must be a bijection onto 1..q")
+    return _reference_vertex_sums(labels, g.n)
+
+
+def _reference_verify(g, f, lower_bound=None):
+    labels = f.labels
+    if labels.keys() != g._edge_set:
+        return LabelingCertificate(False, False, {}, 0, lower_bound, None, None)
+    bijection_ok = sorted(labels.values()) == list(range(1, g.q + 1))
+    sums = _reference_vertex_sums(labels, g.n)
+    failure = None
+    for a, b in g.edges:
+        if sums[a] == sums[b]:
+            failure = (a, b)
+            break
+    classes = {}
+    for v in g.vertices:
+        classes.setdefault(sums[v], []).append(v)
+    color_classes = {s: tuple(vs) for s, vs in classes.items()}
+    count = len(color_classes)
+    verdict = None
+    if lower_bound is not None:
+        if count == lower_bound:
+            verdict = "tight"
+        elif count > lower_bound:
+            verdict = "above-lower-bound"
+        else:
+            verdict = "below-lower-bound"
+    return LabelingCertificate(bijection_ok, failure is None, color_classes, count, lower_bound, verdict, failure)
+
+
+@st.composite
+def odd_labelings(draw):
+    """A random graph and a permutation of 1..q on its edges, with up to three
+    labels replaced by a duplicate, 0, q+1, True, 2.0, 2.5 or NaN, and at
+    times one edge left unlabeled."""
+    n = draw(st.integers(2, 7))
+    edges = draw(st.lists(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))),
+                          min_size=1, unique=True))
+    g = Graph(n, tuple(edges), tuple(f"u{i}" for i in range(1, n + 1)))
+    labels = dict(zip(g.edges, draw(st.permutations(range(1, g.q + 1)))))
+    for _ in range(draw(st.integers(0, 3))):
+        twin = labels[draw(st.sampled_from(g.edges))]
+        odd = draw(st.sampled_from([twin, 0, g.q + 1, True, 2.0, 2.5, float("nan")]))
+        labels[draw(st.sampled_from(g.edges))] = odd
+    if draw(st.integers(0, 9)) == 0:
+        del labels[draw(st.sampled_from(g.edges))]
+    return g, labels
+
+
+def _outcome(fn, *args):
+    # repr tells 2 from 2.0 and compares NaN keys, which == cannot
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(odd_labelings(), st.sampled_from([None, 1, 3]))
+def test_sum_kernel_and_bijection_check_match_the_sorting_code(case, lower_bound):
+    g, labels = case
+    f = EdgeLabeling(g, labels)
+    assert repr(verify_local_antimagic(g, f, lower_bound)) == repr(_reference_verify(g, f, lower_bound))
+    assert _outcome(induced_sums, g, labels) == _outcome(_reference_induced_sums, g, labels)
+    assert _outcome(vertex_sums, labels, g.n) == _outcome(_reference_vertex_sums, labels, g.n)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 4])
+def test_vertex_sums_rejects_an_endpoint_outside_1_to_n(bad):
+    for labels in ({(1, 2): 1, (bad, 3): 2}, {(1, 2): 1, (3, bad): 2}):
+        with pytest.raises(KeyError) as info:
+            vertex_sums(labels, 3)
+        assert info.value.args == (bad,)

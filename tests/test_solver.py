@@ -149,20 +149,21 @@ def test_edge_order_invariance():
 
 
 def test_two_color_certificate_lower_bounds_solver():
-    # when the arithmetic certificate rules out two colors, the exhaustive
-    # optimum must be at least three
-    from lajoin.labelings import two_color_infeasible
-
+    # Two colours on a bipartite graph with parts X > Y need colours x < y
+    # with xX = yY = q(q+1)/2. Each case fails that arithmetic (equal parts,
+    # or a part size not dividing the label total), so the exhaustive
+    # optimum must be at least three.
     cases = [
         ("path", (3,), (2, 1)),
         ("path", (4,), (2, 2)),
         ("complete-bipartite", (2, 3), (3, 2)),
         ("complete-bipartite", (1, 4), (4, 1)),
     ]
-    for kind, params, parts in cases:
+    for kind, params, (x_count, y_count) in cases:
         g = build_family(kind, *params)
-        if two_color_infeasible(g.q, parts):
-            assert exact_chi_la(g).chi_la >= 3
+        half = g.q * (g.q + 1) // 2
+        assert x_count == y_count or half % x_count or half % y_count
+        assert exact_chi_la(g).chi_la >= 3
 
 
 def test_optimum_at_least_chromatic():
