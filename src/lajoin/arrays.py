@@ -24,9 +24,10 @@ arguments, and every later call returns the same ``MagicArray``. Sharing it
 is safe because the result depends on the shape alone and cannot be
 changed: ``MagicArray`` is frozen and its entries are tuples of ints. A
 shape with no array raises ``ArrayError`` on every call, since exceptions
-are not cached. The cache is unbounded: every array built stays in memory
-until the process ends (the 596 shapes of a budget-400 sweep hold about
-1.3 MB).
+are not cached, and so does a side that is not an int, refused before the
+cache is read, where ``(4.0, 6)`` would find ``(4, 6)``. The cache is
+unbounded: every array built stays in memory until the process ends (the
+596 shapes of a budget-400 sweep hold about 1.3 MB).
 """
 
 from __future__ import annotations
@@ -229,7 +230,21 @@ def _transposed(entries) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row[c] for row in entries) for c in range(len(entries[0])))
 
 
-@functools.cache
+def _cached_per_shape(build):
+    # ``build`` cached on its arguments, which must be ints (see the module
+    # docstring); ``__wrapped__`` is the uncached ``build``.
+    cached = functools.cache(build)
+
+    @functools.wraps(build)
+    def checked(*sides):
+        if any(type(side) is not int for side in sides):
+            raise ArrayError(f"array dimensions must be integers, got {sides}")
+        return cached(*sides)
+
+    return checked
+
+
+@_cached_per_shape
 def siamese_magic_square(order: int) -> MagicArray:
     """Odd-order magic square by the up-and-right rule.
 
@@ -254,7 +269,7 @@ def siamese_magic_square(order: int) -> MagicArray:
     return m
 
 
-@functools.cache
+@_cached_per_shape
 def magic_rectangle(rows: int, cols: int) -> MagicArray:
     """Magic rectangle on [1..rows*cols]: constant row and column sums.
 
@@ -283,7 +298,7 @@ def magic_rectangle(rows: int, cols: int) -> MagicArray:
     return m
 
 
-@functools.cache
+@_cached_per_shape
 def nearly_magic_rectangle(rows: int, cols: int) -> MagicArray:
     """Even x odd rectangle: constant column sums, row sums two adjacent values.
 

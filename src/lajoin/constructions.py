@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .arrays import drop_column_and_rotate, magic_rectangle, nearly_magic_rectangle, siamese_magic_square
 from .graphs import Edge, Graph, ParameterError, build_family, edge, join
@@ -119,70 +119,53 @@ def _wrapped_cycle_colors(join_sum: int, base: int, count: int) -> set[int]:
     return {join_sum + 2 * base + c for c in (count, count + 1, (3 * count + 1) // 2)}
 
 
-def _even_null_join(m: int, n: int) -> dict[tuple[int, int], int]:
-    # Join labels of P_2m v O_2n for m, n >= 2, keyed (path index, null index).
-    J: dict[tuple[int, int], int] = {}
-    q = 4 * m * n + 2 * m - 1
-    J[(2 * m - 1, 1)] = 2 * m
-    J[(2 * m, 1)] = q
-    J[(2 * m - 1, 2)] = 3 * m
-    J[(2 * m, 3)] = 4 * m
-    for i in range(1, m):
-        J[(2 * i - 1, 1)] = 4 * m - i
-        J[(2 * i, 1)] = 4 * m * n + m - 1 - i
-        J[(2 * i - 1, 2)] = 3 * m - i
-        J[(2 * i, 3)] = 4 * m + i
+def _even_null_join(m: int, n: int) -> list[list[int]]:
+    # Join labels of P_2m v O_2n for m, n >= 2; row a - 1 is (u_a, v_1), ..., (u_a, v_2n).
+    J = []
     for i in range(1, m + 1):
-        J[(2 * i, 2)] = 4 * m * n + m - 2 + i
-        J[(2 * i - 1, 3)] = 4 * m * n - m + i - 1
-    for j in range(2, n + 1):
-        for i in range(1, m + 1):
-            J[(2 * i - 1, 2 * j)] = (2 * j + 1) * m - 1 + i
-            J[(2 * i, 2 * j)] = (4 * n + 3 - 2 * j) * m - i
-    for j in range(3, n + 1):
-        for i in range(1, m + 1):
-            J[(2 * i - 1, 2 * j - 1)] = (4 * n + 4 - 2 * j) * m - i
-            J[(2 * i, 2 * j - 1)] = 2 * j * m - 1 + i
+        J.append([  # u_{2i-1}
+            4 * m - i, 3 * m - i, 4 * m * n - m + i - 1, 5 * m - 1 + i,
+            *[x for j in range(3, n + 1) for x in ((4 * n + 4 - 2 * j) * m - i, (2 * j + 1) * m - 1 + i)],
+        ])
+        J.append([  # u_{2i}
+            4 * m * n + m - 1 - i, 4 * m * n + m - 2 + i, 4 * m + i, (4 * n - 1) * m - i,
+            *[x for j in range(3, n + 1) for x in (2 * j * m - 1 + i, (4 * n + 3 - 2 * j) * m - i)],
+        ])
+    # u_{2m-1} and u_2m break the pattern at v_1, v_2 and v_3.
+    J[-2][0], J[-2][1] = 2 * m, 3 * m
+    J[-1][0], J[-1][2] = 4 * m * n + 2 * m - 1, 4 * m
     return J
 
 
-def _odd_null_join(m: int, n: int) -> dict[tuple[int, int], int]:
-    # Join labels of P_2m v O_{2n-1} for m, n >= 2.
-    J: dict[tuple[int, int], int] = {}
-    J[(2 * m - 1, 1)] = 2 * m
-    J[(2 * m, 1)] = 4 * m * n - 1
-    J[(2 * m - 1, 2)] = 3 * m
-    for i in range(1, m):
-        J[(2 * i - 1, 1)] = 4 * m - i
-        J[(2 * i, 1)] = 4 * m * n - 2 * m + i - 1
-        J[(2 * i - 1, 2)] = 3 * m - i
+def _odd_null_join(m: int, n: int) -> list[list[int]]:
+    # Join labels of P_2m v O_{2n-1} for m, n >= 2, laid out as in _even_null_join.
+    J = []
     for i in range(1, m + 1):
-        J[(2 * i, 2)] = 4 * m * n - m - 2 + i
-        J[(2 * i - 1, 2 * n - 1)] = 2 * m * n + 2 * (i - 1)
-        J[(2 * i, 2 * n - 1)] = 2 * m * n + 2 * m + 1 - 2 * i
-    for j in range(2, n):
-        for i in range(1, m + 1):
-            J[(2 * i - 1, 2 * j - 1)] = 4 * m * n + 2 * m - 2 * j * m - i
-            J[(2 * i, 2 * j - 1)] = 2 * j * m + i - 1
-            J[(2 * i - 1, 2 * j)] = (2 * j + 1) * m + i - 1
-            J[(2 * i, 2 * j)] = 4 * m * n + m - 2 * j * m - i
+        J.append([  # u_{2i-1}
+            4 * m - i, 3 * m - i,
+            *[x for j in range(2, n) for x in ((4 * n + 2 - 2 * j) * m - i, (2 * j + 1) * m + i - 1)],
+            2 * m * n + 2 * (i - 1),
+        ])
+        J.append([  # u_{2i}
+            4 * m * n - 2 * m + i - 1, 4 * m * n - m - 2 + i,
+            *[x for j in range(2, n) for x in (2 * j * m + i - 1, (4 * n + 1 - 2 * j) * m - i)],
+            2 * m * n + 2 * m + 1 - 2 * i,
+        ])
+    # u_{2m-1} and u_2m break the pattern at v_1 and v_2.
+    J[-2][0], J[-2][1] = 2 * m, 3 * m
+    J[-1][0] = 4 * m * n - 1
     return J
 
 
-def _null2_join(m: int) -> dict[tuple[int, int], int]:
-    # Join labels of P_2m v O_2 for m >= 2.
-    J: dict[tuple[int, int], int] = {}
-    for i in range(1, 2 * m + 1):
-        if i % 2 == 1:
-            J[(i, 1)] = 2 * m + (i - 1) // 2
-            J[(i, 2)] = 5 * m - (i + 1) // 2
-        else:
-            J[(i, 1)] = 6 * m - 1 if i == 2 * m else 6 * m - (i + 2) // 2
-            J[(i, 2)] = 3 * m + (i - 2) // 2
+def _null2_join(m: int) -> list[list[int]]:
+    # Join labels of P_2m v O_2 for m >= 2: rows u_{2k-1} and u_2k, k = 1..m.
+    J = [row for k in range(1, m + 1)
+         for row in ([2 * m + k - 1, 5 * m - k], [6 * m - k - 1, 3 * m + k - 1])]
+    J[-1][0] = 6 * m - 1
     return J
 
 
-def _path_null_join(m: int, N: int) -> tuple[dict[tuple[int, int], int], set[int], int]:
+def _path_null_join(m: int, N: int) -> tuple[list[list[int]], set[int], int]:
     # P_2m v O_N for m, N >= 2: the join labels, the two path-side colors
     # under _path_labels(m), and the sum every null vertex gets from the join.
     if N == 2:
@@ -208,24 +191,24 @@ def _complete_labels(r: int) -> dict[Edge, int]:
 
 
 def _assemble(
-    graph: Graph,
-    first_n: int,
-    u_labels: dict[Edge, int],
-    join_labels: dict[tuple[int, int], int],
-    v_labels: dict[Edge, int] | None = None,
+    joined: Graph, first: Graph, second: Graph, u_labels: dict[Edge, int],
+    grid: Sequence[Sequence[int]], v_labels: dict[Edge, int] | None = None,
 ) -> EdgeLabeling:
-    # Every scheme writes normalized keys, (a, b) with a < b, and shifting
-    # both ends keeps them so; one check of the whole key set stands in for
-    # normalizing each key.
-    labels = dict(u_labels)
-    for (i, j), lab in join_labels.items():
-        labels[(i, first_n + j)] = lab
-    if v_labels:
-        for (a, b), lab in v_labels.items():
-            labels[(first_n + a, first_n + b)] = lab
-    if labels.keys() != graph._edge_set:
-        raise RuntimeError("the assembled labels do not cover exactly the graph's edges")
-    return EdgeLabeling(graph, labels)
+    # ``joined`` is join(first, second): first's edges, second's, then the
+    # join block row by row (see ``join``). The labels are chained in that
+    # order, each part's looked up along its own edges; with the counts and
+    # the grid's shape checked, a key off its part leaves an edge unfound.
+    v_labels = v_labels or {}
+    parts = (map(u_labels.__getitem__, first.edges), map(v_labels.__getitem__, second.edges))
+    try:
+        if (len(u_labels), len(v_labels), len(grid)) != (first.q, second.q, first.n) or any(
+            len(row) != second.n or None in row for row in grid
+        ):
+            raise ValueError
+        labels = dict(zip(joined.edges, itertools.chain(*parts, *grid), strict=True))
+    except (KeyError, ValueError):
+        raise RuntimeError("the assembled labels do not cover exactly the graph's edges") from None
+    return EdgeLabeling(joined, labels)
 
 
 def antimagic_complete(r: int) -> EdgeLabeling:
@@ -264,31 +247,32 @@ def label_path_join_null(m: int, null_order: int) -> ConstructionResult:
     """
     if m < 1 or null_order < 1:
         raise ParameterError("need m >= 1 and a null part of order >= 1")
-    g = join(build_family("path", 2 * m), build_family("null", null_order))
+    first, second = build_family("path", 2 * m), build_family("null", null_order)
+    g = join(first, second)
     if m == 1:
         _cited("P_2 v O_N joins", g, 3)
     if null_order == 1:
         _cited("fan joins P_2m v O_1", g, 4 if m == 2 else 3)
-    joins, u_colors, v_sum = _path_null_join(m, null_order)
-    f = _assemble(g, 2 * m, _path_labels(m), joins)
+    grid, u_colors, v_sum = _path_null_join(m, null_order)
+    f = _assemble(g, first, second, _path_labels(m), grid)
     return _result(g, f, u_colors | {v_sum}, 3)
 
 
 def label_p7_o3() -> ConstructionResult:
     """The stored one-off labeling of P_7 v O_3 with colors 51, 65, 119."""
-    g = join(build_family("path", 7), build_family("null", 3))
-    path_labels = dict(zip([(i, i + 1) for i in range(1, 7)], [4, 1, 5, 2, 6, 3]))
-    grid = {
-        1: (12, 14, 21),
-        2: (27, 11, 22),
-        3: (15, 10, 20),
-        4: (9, 26, 23),
-        5: (19, 16, 8),
-        6: (24, 25, 7),
-        7: (13, 17, 18),
-    }
-    join_labels = {(i, j + 1): grid[i][j] for i in grid for j in range(3)}
-    f = _assemble(g, 7, path_labels, join_labels)
+    first, second = build_family("path", 7), build_family("null", 3)
+    g = join(first, second)
+    path_labels = dict(zip(first.edges, [4, 1, 5, 2, 6, 3]))
+    grid = [
+        [12, 14, 21],
+        [27, 11, 22],
+        [15, 10, 20],
+        [9, 26, 23],
+        [19, 16, 8],
+        [24, 25, 7],
+        [13, 17, 18],
+    ]
+    f = _assemble(g, first, second, path_labels, grid)
     return _result(g, f, {51, 65, 119}, 3)
 
 
@@ -297,19 +281,19 @@ def label_path_join_cycle(m: int, n: int) -> ConstructionResult:
     if m < 1 or n < 2:
         raise ParameterError("need m >= 1 and n >= 2")
     count = 2 * n - 1
-    g = join(build_family("path", 2 * m), build_family("cycle", count))
+    first, second = build_family("path", 2 * m), build_family("cycle", count)
+    g = join(first, second)
     if m == 1:
         # The path edge contributes to both endpoints, so the first-side
         # sums, by direct summation, are 2n^2+3n-1 and 6n^2-n.
         u_labels = {(1, 2): 4 * n - 1}
-        joins = {(1, j): j for j in range(1, count + 1)}
-        joins.update({(2, j): 4 * n - 1 - j for j in range(1, count + 1)})
+        grid = [list(range(1, count + 1)), [4 * n - 1 - j for j in range(1, count + 1)]]
         u_colors, v_sum = {2 * n * n + 3 * n - 1, 6 * n * n - n}, 4 * n - 1
     else:
         u_labels = _path_labels(m)
-        joins, u_colors, v_sum = _path_null_join(m, count)
+        grid, u_colors, v_sum = _path_null_join(m, count)
     base = 4 * m * n - 1
-    f = _assemble(g, 2 * m, u_labels, joins, _wrapped_cycle_labels(count, base))
+    f = _assemble(g, first, second, u_labels, grid, _wrapped_cycle_labels(count, base))
     colors = u_colors | _wrapped_cycle_colors(v_sum, base, count)
     return _result(g, f, colors, 5)
 
@@ -330,8 +314,9 @@ def label_path_join_complete(m: int, r: int) -> ConstructionResult:
         # K_3 is the 3-cycle; reuse the path-cycle scheme.
         return label_path_join_cycle(m, 2)
     # The P_2m v O_r labels, then K_r's lexicographic labels above them.
-    g = join(build_family("path", 2 * m), build_family("complete", r))
-    joins, u_colors, v_sum = _path_null_join(m, r)
+    first, second = build_family("path", 2 * m), build_family("complete", r)
+    g = join(first, second)
+    grid, u_colors, v_sum = _path_null_join(m, r)
     q0 = 2 * m - 1 + 2 * m * r
     h = _complete_labels(r)
     h_sums = vertex_sums(h, r)
@@ -339,9 +324,9 @@ def label_path_join_complete(m: int, r: int) -> ConstructionResult:
     if r == 2:
         # Both K_2 ends would get one sum; swapping u_2m's two join labels
         # moves them 2m apart.
-        joins[(2 * m, 1)], joins[(2 * m, 2)] = joins[(2 * m, 2)], joins[(2 * m, 1)]
+        grid[-1].reverse()
         v_colors = {v_sum + q0 + 1 - 2 * m, v_sum + q0 + 1 + 2 * m}
-    f = _assemble(g, 2 * m, _path_labels(m), joins, {e: lab + q0 for e, lab in h.items()})
+    f = _assemble(g, first, second, _path_labels(m), grid, {e: lab + q0 for e, lab in h.items()})
     return _result(g, f, u_colors | v_colors, r + 2)
 
 
@@ -351,9 +336,10 @@ def _cycle_join(
     # C_2m v second for m, n >= 2, second having 2n - 1 vertices: the
     # P_2m v O_{2n-1} join labels shifted by one, the cycle labels that put
     # 1 on (u_{2m-1}, u_{2m}), and ``v_labels`` on second's own edges.
-    g = join(build_family("cycle", 2 * m), second)
-    joins = {k: lab + 1 for k, lab in _odd_null_join(m, n).items()}
-    return g, _assemble(g, 2 * m, _even_cycle_labels(m), joins, v_labels)
+    first = build_family("cycle", 2 * m)
+    g = join(first, second)
+    grid = [[lab + 1 for lab in row] for row in _odd_null_join(m, n)]
+    return g, _assemble(g, first, second, _even_cycle_labels(m), grid, v_labels)
 
 
 def _cycle_null_colors(m: int, n: int) -> tuple[set[int], int]:
@@ -398,10 +384,9 @@ def label_odd_cycle_join_even_null(n: int) -> ConstructionResult:
     if n < 1:
         raise ParameterError("need n >= 1")
     order = 2 * n + 1
-    g = join(build_family("cycle", order), build_family("null", 2 * n))
+    first, second = build_family("cycle", order), build_family("null", 2 * n)
+    g = join(first, second)
     square = siamese_magic_square(order)
-    grid = drop_column_and_rotate(square, n)
-    joins = {(i + 1, j + 1): grid.entries[i][j] for i in range(order) for j in range(order - 1)}
     cyc: dict[Edge, int] = {}
     for i in range(1, n + 2):
         a = 2 * i - 1
@@ -409,7 +394,7 @@ def label_odd_cycle_join_even_null(n: int) -> ConstructionResult:
         cyc[edge(a, b)] = 1 + 2 * (n + 1) * (i - 1)
     for i in range(1, n + 1):
         cyc[edge(2 * i, 2 * i + 1)] = 1 + 2 * (n + 1) * (n + i)
-    f = _assemble(g, order, cyc, joins)
+    f = _assemble(g, first, second, cyc, drop_column_and_rotate(square, n).entries)
     k = square.col_constant
     colors = {
         k,
@@ -525,9 +510,9 @@ def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
     if n < 1 or m < 2:
         raise ParameterError("need n >= 1 and m >= 2")
     count = 2 * m - 1
-    g = join(build_family("complete", 2 * n), build_family("cycle", count))
-    rect = nearly_magic_rectangle(2 * n, count)
-    joins = {(i + 1, j + 1): rect.entries[i][j] + count for i in range(2 * n) for j in range(count)}
+    first, second = build_family("complete", 2 * n), build_family("cycle", count)
+    g = join(first, second)
+    grid = [[x + count for x in row] for row in nearly_magic_rectangle(2 * n, count).entries]
     k_labels = _complete_labels(2 * n)
     k_sums = vertex_sums(k_labels, 2 * n)
     # Rename so odd positions carry the n smallest sums in order.
@@ -538,7 +523,7 @@ def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
     u_labels = {
         edge(renamed[a], renamed[b]): lab + shift for (a, b), lab in k_labels.items()
     }
-    f = _assemble(g, 2 * n, u_labels, joins, _wrapped_cycle_labels(count, 0))
+    f = _assemble(g, first, second, u_labels, grid, _wrapped_cycle_labels(count, 0))
     sorted_sums = sorted(k_sums.values())
     join_part = count * count + n * count * count
     k_shift_part = (2 * n - 1) * shift
@@ -603,13 +588,9 @@ def _generic_join(
     u = _clash(f, u_shift, new_colors)
     if u is not None:
         raise ParameterError(f"vertex {u} carries the forbidden sum {sums[u]}")
-    p, e, cols = g.n, g.q, second.n
     joined = join(g, second)
-    rect = magic_rectangle(p, cols)
-    joins = {
-        (i, j): rect.entries[i - 1][j - 1] + e for i in range(1, p + 1) for j in range(1, cols + 1)
-    }
-    lab = _assemble(joined, p, f.labels, joins, v_labels)
+    grid = [[x + g.q for x in row] for row in magic_rectangle(g.n, second.n).entries]
+    lab = _assemble(joined, g, second, f.labels, grid, v_labels)
     colors = {s + u_shift for s in sums.values()} | new_colors
     return _result(joined, lab, colors, len(set(sums.values())) + len(new_colors))
 

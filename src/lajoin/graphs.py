@@ -204,14 +204,9 @@ class Graph:
 
 
 def _normalized_in_range(edges, n: int) -> bool:
-    """Whether every edge is a pair (a, b) with 1 <= a < b <= n.
-
-    Raises ValueError or TypeError on an edge that is not a pair of
-    comparable values."""
-    if not edges:
-        return True
-    firsts, seconds = zip(*edges, strict=True)
-    return all(map(lt, firsts, seconds)) and min(firsts) >= 1 and max(seconds) <= n
+    """Whether every edge is a pair (a, b) with 1 <= a < b <= n, in one pass;
+    raises ValueError or TypeError on an edge that is not a pair of comparable values."""
+    return all(1 <= a < b <= n for a, b in edges)
 
 
 def _family_to_json(family):
@@ -290,6 +285,10 @@ def join(a: Graph, b: Graph) -> Graph:
 
     The first part keeps u-roles (re-indexed u_1..u_|A|), the second part
     gets v-roles. Ids of ``b`` are shifted past ``a``'s.
+
+    The edge order is a contract that the generators' ``_assemble`` relies
+    on: ``a``'s edges, then ``b``'s (shifted), each in their own order, then
+    the join edges row by row: (u_1, v_1), (u_1, v_2), ..., (u_|A|, v_|B|).
     """
     off = a.n
     edges = list(a.edges)

@@ -189,6 +189,7 @@ def test_criterion_2_construction_sweep():
         for params in points:
             res = build_construction(family, params)
             assert res.graph.q <= 400
+            assert tuple(res.labeling.labels) == res.graph.edges, (family, params)
             cert = verify_local_antimagic(res.graph, res.labeling)
             assert cert.ok, (family, params, cert.failure)
             assert cert.color_count == res.claimed_chi_la, (family, params)

@@ -241,6 +241,26 @@ def test_shapes_without_an_array_raise_on_every_call(build, args):
             build(*args)
 
 
+@pytest.mark.parametrize("build,sides", [
+    (magic_rectangle, (4, 6)),
+    (magic_rectangle, (6, 4)),
+    (nearly_magic_rectangle, (4, 5)),
+    (siamese_magic_square, (5,)),
+])
+def test_non_int_sides_raise_whether_or_not_the_shape_is_cached(build, sides):
+    # As a cache key (4.0, 6) equals (4, 6): a float side must be refused
+    # before the cache, or it would get the array of an earlier int call.
+    odd = (float(sides[0]), *sides[1:])
+    outcomes = []
+    for call in (odd, sides, odd):
+        try:
+            outcomes.append(build(*call).entries)
+        except ArrayError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[2] == f"array dimensions must be integers, got {odd}"
+    assert outcomes[1] == build.__wrapped__(*sides).entries
+
+
 def test_cached_arrays_equal_fresh_builds_over_the_sweep(monkeypatch):
     # Record every array shape the budget-400 sweep asks for, the transposed
     # builds of tall magic rectangles included, then rebuild each uncached.

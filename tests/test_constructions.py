@@ -589,15 +589,89 @@ def test_assemble_rejects_labels_off_the_edge_set():
     from lajoin.constructions import _assemble
     from lajoin.graphs import join
 
-    g = join(build_family("path", 2), build_family("null", 2))  # edges (1,2), (1,3), (1,4), (2,3), (2,4)
-    joins = {(1, 1): 2, (1, 2): 3, (2, 1): 4, (2, 2): 5}
-    assert _assemble(g, 2, {(1, 2): 1}, joins).labels == {
-        (1, 2): 1, (1, 3): 2, (1, 4): 3, (2, 3): 4, (2, 4): 5,
-    }
-    for u_labels, join_labels in (
-        ({(2, 1): 1}, joins),  # a key that is not normalized
-        ({}, joins),  # an edge left out
-        ({(1, 2): 1}, {**joins, (2, 3): 6}),  # a key off the graph
+    first, second = build_family("path", 2), build_family("null", 2)
+    g = join(first, second)  # edges (1,2), (1,3), (1,4), (2,3), (2,4)
+    grid = [[2, 3], [4, 5]]
+    labels = _assemble(g, first, second, {(1, 2): 1}, grid).labels
+    assert labels == {(1, 2): 1, (1, 3): 2, (1, 4): 3, (2, 3): 4, (2, 4): 5}
+    assert tuple(labels) == g.edges
+    for u_labels, join_grid in (
+        ({(2, 1): 1}, grid),  # a key that is not normalized
+        ({}, grid),  # an edge left out
+        ({(1, 2): 1}, [[2, 3, 6], [4, 5, 7]]),  # keys off the graph
+        ({(1, 2): 1}, [[2, 3, 4], [5]]),  # a ragged grid with the right cell count
+        ({(1, 2): 1}, [[2, None], [4, 5]]),  # a cell left unset
     ):
         with pytest.raises(RuntimeError, match="exactly the graph's edges"):
-            _assemble(g, 2, u_labels, join_labels)
+            _assemble(g, first, second, u_labels, join_grid)
+    with pytest.raises(RuntimeError, match="exactly the graph's edges"):
+        _assemble(g, first, second, {(1, 2): 1}, grid, {(1, 2): 6})  # the null part has no edges
+
+
+# -- the join-label grids against the per-cell tables they replaced, keyed
+# (path index, null index) as in the paper
+
+
+def _reference_even_null_join(m, n):
+    J = {(2 * m - 1, 1): 2 * m, (2 * m, 1): 4 * m * n + 2 * m - 1, (2 * m - 1, 2): 3 * m, (2 * m, 3): 4 * m}
+    for i in range(1, m):
+        J[(2 * i - 1, 1)] = 4 * m - i
+        J[(2 * i, 1)] = 4 * m * n + m - 1 - i
+        J[(2 * i - 1, 2)] = 3 * m - i
+        J[(2 * i, 3)] = 4 * m + i
+    for i in range(1, m + 1):
+        J[(2 * i, 2)] = 4 * m * n + m - 2 + i
+        J[(2 * i - 1, 3)] = 4 * m * n - m + i - 1
+    for j in range(2, n + 1):
+        for i in range(1, m + 1):
+            J[(2 * i - 1, 2 * j)] = (2 * j + 1) * m - 1 + i
+            J[(2 * i, 2 * j)] = (4 * n + 3 - 2 * j) * m - i
+    for j in range(3, n + 1):
+        for i in range(1, m + 1):
+            J[(2 * i - 1, 2 * j - 1)] = (4 * n + 4 - 2 * j) * m - i
+            J[(2 * i, 2 * j - 1)] = 2 * j * m - 1 + i
+    return J
+
+
+def _reference_odd_null_join(m, n):
+    J = {(2 * m - 1, 1): 2 * m, (2 * m, 1): 4 * m * n - 1, (2 * m - 1, 2): 3 * m}
+    for i in range(1, m):
+        J[(2 * i - 1, 1)] = 4 * m - i
+        J[(2 * i, 1)] = 4 * m * n - 2 * m + i - 1
+        J[(2 * i - 1, 2)] = 3 * m - i
+    for i in range(1, m + 1):
+        J[(2 * i, 2)] = 4 * m * n - m - 2 + i
+        J[(2 * i - 1, 2 * n - 1)] = 2 * m * n + 2 * (i - 1)
+        J[(2 * i, 2 * n - 1)] = 2 * m * n + 2 * m + 1 - 2 * i
+    for j in range(2, n):
+        for i in range(1, m + 1):
+            J[(2 * i - 1, 2 * j - 1)] = 4 * m * n + 2 * m - 2 * j * m - i
+            J[(2 * i, 2 * j - 1)] = 2 * j * m + i - 1
+            J[(2 * i - 1, 2 * j)] = (2 * j + 1) * m + i - 1
+            J[(2 * i, 2 * j)] = 4 * m * n + m - 2 * j * m - i
+    return J
+
+
+def _reference_null2_join(m):
+    J = {}
+    for i in range(1, 2 * m + 1):
+        if i % 2 == 1:
+            J[(i, 1)] = 2 * m + (i - 1) // 2
+            J[(i, 2)] = 5 * m - (i + 1) // 2
+        else:
+            J[(i, 1)] = 6 * m - 1 if i == 2 * m else 6 * m - (i + 2) // 2
+            J[(i, 2)] = 3 * m + (i - 2) // 2
+    return J
+
+
+def test_null_join_grids_match_the_per_cell_tables():
+    from lajoin.constructions import _even_null_join, _null2_join, _odd_null_join
+
+    def cells(grid):
+        return {(i, j): x for i, row in enumerate(grid, 1) for j, x in enumerate(row, 1)}
+
+    for m in range(2, 16):
+        assert cells(_null2_join(m)) == _reference_null2_join(m), m
+        for n in range(2, 16):
+            assert cells(_even_null_join(m, n)) == _reference_even_null_join(m, n), (m, n)
+            assert cells(_odd_null_join(m, n)) == _reference_odd_null_join(m, n), (m, n)

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_graph, random_labeling
 from lajoin.constructions import (
@@ -662,14 +662,31 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _key_orders(g, labels):
+    """The labels as drawn (in edge order), in sorted key order as
+    ``from_json`` gives them, and with the last key moved off the graph.
+    The last two take the set comparison after the ordered edge check,
+    unless the edges happen to be sorted."""
+    yield labels
+    yield dict(sorted(labels.items()))
+    if labels:
+        *_, last = labels
+        off = {e: lab for e, lab in labels.items() if e != last}
+        off[(g.n, g.n + 1)] = labels[last]
+        yield off
+
+
 @settings(max_examples=400)
 @given(odd_labelings(), st.sampled_from([None, 1, 3]))
+# unsorted edges, so that the sorted key order is not the edge order
+@example((Graph(3, ((2, 3), (1, 2), (1, 3)), ("u1", "u2", "u3")), {(2, 3): 1, (1, 2): 2, (1, 3): 3}), None)
 def test_sum_kernel_and_bijection_check_match_the_sorting_code(case, lower_bound):
-    g, labels = case
-    f = EdgeLabeling(g, labels)
-    assert repr(verify_local_antimagic(g, f, lower_bound)) == repr(_reference_verify(g, f, lower_bound))
-    assert _outcome(induced_sums, g, labels) == _outcome(_reference_induced_sums, g, labels)
-    assert _outcome(vertex_sums, labels, g.n) == _outcome(_reference_vertex_sums, labels, g.n)
+    g, drawn = case
+    for labels in _key_orders(g, drawn):
+        f = EdgeLabeling(g, labels)
+        assert repr(verify_local_antimagic(g, f, lower_bound)) == repr(_reference_verify(g, f, lower_bound))
+        assert _outcome(induced_sums, g, labels) == _outcome(_reference_induced_sums, g, labels)
+        assert _outcome(vertex_sums, labels, g.n) == _outcome(_reference_vertex_sums, labels, g.n)
 
 
 @pytest.mark.parametrize("bad", [0, -1, 4])
