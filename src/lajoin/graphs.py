@@ -67,9 +67,16 @@ class Graph:
     and is never used as evidence: every property, the chromatic lower
     bound included, is computed from ``n`` and ``edges``.
 
-    Validation keeps the edge set it builds as ``_edge_set``, which
-    ``has_edge`` and the labeling checks compare against. It is derived
-    from ``edges`` and is not a field, so ``==`` and ``repr`` ignore it.
+    Data from a caller or a file is checked: ``Graph(...)`` and
+    ``from_json`` refuse a graph with fewer than one vertex, a role count
+    other than ``n``, or an edge that is repeated or not ``1 <= a < b <= n``.
+    Graphs from ``build_family``, ``join`` and ``delete_edge`` are valid by
+    construction and are not checked again (see ``_unchecked``).
+
+    ``_edge_set``, which ``has_edge`` and the labeling checks compare
+    against, is the frozenset of ``edges``. The check keeps the set it
+    builds; on a graph built unchecked it is built on first use. It is not
+    a field, so ``==`` and ``repr`` ignore it.
     """
 
     n: int
@@ -93,6 +100,19 @@ class Graph:
             edge_set = self._checked_edge_set()
         object.__setattr__(self, "_edge_set", edge_set)
 
+    @classmethod
+    def _unchecked(cls, n: int, edges: tuple[Edge, ...], roles: tuple[str, ...], family) -> "Graph":
+        """A graph whose fields are valid by construction, built without the checks."""
+        # Not ``g.__dict__.update``: reading ``__dict__`` on a new instance
+        # moves its attributes into a plain dict, and every later attribute
+        # read gets slower (the verifier, over the sweep, by about a third).
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "roles", roles)
+        object.__setattr__(g, "family", family)
+        return g
+
     def _checked_edge_set(self) -> frozenset[Edge]:
         # Raises on the first bad edge in order, else returns the edge set.
         seen = set()
@@ -103,6 +123,10 @@ class Graph:
                 raise ParameterError(f"duplicate edge ({a},{b})")
             seen.add((a, b))
         return frozenset(seen)
+
+    @cached_property
+    def _edge_set(self) -> frozenset[Edge]:
+        return frozenset(self.edges)
 
     @property
     def q(self) -> int:
@@ -170,9 +194,9 @@ class Graph:
         Roles must be unique and match ``u<i>`` or ``v<j>`` with
         1 <= i, j < 10**9, the form of every role the library builds;
         matrix export sorts by their index. The role check is made here and
-        not in ``__post_init__``, which runs for every graph built in code,
-        where roles are valid by construction. ``family``, when present, is
-        null or a list nested at most 32 deep.
+        not in ``__post_init__``, which also runs for graphs built in code
+        with ``Graph(...)``, where roles are valid by construction.
+        ``family``, when present, is null or a list nested at most 32 deep.
         """
         if not isinstance(data, dict):
             raise ParameterError("a graph must be a JSON object")
@@ -246,37 +270,40 @@ def build_family(kind: str, *params: int) -> Graph:
 
     Vertices are u_1..u_m for path/cycle/complete, v_1..v_n for null, and
     u_1..u_m / v_1..v_n for the two sides of a complete bipartite graph.
+    The parameters are checked here, so the graph needs no check of its own.
     """
+    if any(type(p) is not int for p in params):
+        raise ParameterError(f"{kind} parameters must be integers, got {params}")
     if kind == "path":
         (m,) = params
         if m < 2:
             raise ParameterError(f"path needs order >= 2, got {m}")
         edges = tuple((i, i + 1) for i in range(1, m))
-        return Graph(m, edges, _role_names("u", m), ("path", m))
+        return Graph._unchecked(m, edges, _role_names("u", m), ("path", m))
     if kind == "cycle":
         (m,) = params
         if m < 3:
             raise ParameterError(f"cycle needs order >= 3, got {m}")
         edges = tuple((i, i + 1) for i in range(1, m)) + ((1, m),)
-        return Graph(m, edges, _role_names("u", m), ("cycle", m))
+        return Graph._unchecked(m, edges, _role_names("u", m), ("cycle", m))
     if kind == "null":
         (n,) = params
         if n < 1:
             raise ParameterError(f"null graph needs order >= 1, got {n}")
-        return Graph(n, (), _role_names("v", n), ("null", n))
+        return Graph._unchecked(n, (), _role_names("v", n), ("null", n))
     if kind == "complete":
         (r,) = params
         if r < 1:
             raise ParameterError(f"complete graph needs order >= 1, got {r}")
         edges = tuple((i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1))
-        return Graph(r, edges, _role_names("u", r), ("complete", r))
+        return Graph._unchecked(r, edges, _role_names("u", r), ("complete", r))
     if kind == "complete-bipartite":
         m, n = params
         if m < 1 or n < 1:
             raise ParameterError(f"complete bipartite parts must be >= 1, got ({m},{n})")
         edges = tuple((i, m + j) for i in range(1, m + 1) for j in range(1, n + 1))
         roles = _role_names("u", m) + _role_names("v", n)
-        return Graph(m + n, edges, roles, ("complete-bipartite", m, n))
+        return Graph._unchecked(m + n, edges, roles, ("complete-bipartite", m, n))
     raise ParameterError(f"unknown family kind {kind!r}")
 
 
@@ -289,23 +316,32 @@ def join(a: Graph, b: Graph) -> Graph:
     The edge order is a contract that the generators' ``_assemble`` relies
     on: ``a``'s edges, then ``b``'s (shifted), each in their own order, then
     the join edges row by row: (u_1, v_1), (u_1, v_2), ..., (u_|A|, v_|B|).
+    The join of two valid graphs is valid, so it is not checked again:
+    ``b``'s edges are shifted into ``|A|+1..|A|+|B|``, apart from ``a``'s, and
+    each join edge has one endpoint ``<= |A|`` and one ``> |A|``.
     """
     off = a.n
     edges = list(a.edges)
     edges.extend((x + off, y + off) for x, y in b.edges)
     edges.extend(itertools.product(a.vertices, range(off + 1, off + b.n + 1)))
     roles = _role_names("u", a.n) + _role_names("v", b.n)
-    return Graph(a.n + b.n, tuple(edges), roles, ("join", a.family, b.family))
+    return Graph._unchecked(a.n + b.n, tuple(edges), roles, ("join", a.family, b.family))
 
 
 def delete_edge(g: Graph, e: Edge) -> Graph:
-    """Remove one edge; the family descriptor records parent and deleted edge."""
+    """Remove one edge; the family descriptor records parent and deleted edge.
+
+    The endpoints must be ints; what is left of a valid graph is valid.
+    """
+    if any(type(x) is not int for x in e):
+        raise ParameterError(f"edge endpoints must be integers, got {e}")
     e = edge(*e)
-    if not g.has_edge(e):
-        raise ParameterError(f"edge {e} not present")
-    i = g.edges.index(e)
+    try:
+        i = g.edges.index(e)
+    except ValueError:
+        raise ParameterError(f"edge {e} not present") from None
     edges = g.edges[:i] + g.edges[i + 1:]
-    return Graph(g.n, edges, g.roles, ("minus-edge", g.family, e))
+    return Graph._unchecked(g.n, edges, g.roles, ("minus-edge", g.family, e))
 
 
 # The largest graph chromatic_number_exact accepts.

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -97,6 +98,32 @@ def test_delete_edge_descriptor():
     g = build_family("cycle", 4)
     h = delete_edge(g, (1, 2))
     assert h.family == ("minus-edge", ("cycle", 4), (1, 2))
+    assert delete_edge(g, (2, 1)) == h
+    assert Graph.from_json(h.to_json()) == h
+
+
+@pytest.mark.parametrize("e", [(1, 3), (0, 1), (4, 5), (2, 9)])
+def test_delete_edge_names_a_missing_edge(e):
+    with pytest.raises(ParameterError, match=rf"^edge \({e[0]}, {e[1]}\) not present$"):
+        delete_edge(build_family("path", 4), e)
+
+
+@pytest.mark.parametrize("e", [(1.0, 2), (True, 2), (2, 1.0), (1, 2.0), (1, "2")])
+def test_delete_edge_refuses_non_int_endpoints(e):
+    # (1.0, 2) and (True, 2) are equal to the edge (1, 2) and would
+    # delete it, with a descriptor that from_json refuses.
+    with pytest.raises(ParameterError, match="endpoints must be integers"):
+        delete_edge(build_family("path", 4), e)
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [("null", (True,)), ("path", (4.0,)), ("cycle", ("5",)), ("complete", (None,)),
+     ("complete-bipartite", (2, 3.0)), ("complete-bipartite", (False, 3))],
+)
+def test_build_family_refuses_non_int_parameters(kind, params):
+    with pytest.raises(ParameterError, match="parameters must be integers"):
+        build_family(kind, *params)
 
 
 def test_duplicate_and_self_loop_rejected():
@@ -158,6 +185,47 @@ def test_graph_rejects_what_the_per_edge_check_rejects(case):
         assert g._edge_set == frozenset(edges)
         pairs = itertools.combinations(range(0, n + 2), 2)
         assert all(g.has_edge(e) == (e in edges) for e in pairs)
+
+
+# kind -> its smallest order
+_ORDERS = {"path": 2, "cycle": 3, "null": 1, "complete": 1}
+
+
+def _base_graphs():
+    one_order = st.sampled_from(sorted(_ORDERS)).flatmap(
+        lambda kind: st.integers(_ORDERS[kind], _ORDERS[kind] + 6).map(lambda k: build_family(kind, k))
+    )
+    sides = st.tuples(st.integers(1, 7), st.integers(1, 7))
+    return st.one_of(one_order, sides.map(lambda mn: build_family("complete-bipartite", *mn)))
+
+
+def _minus_an_edge(g):
+    if not g.edges:
+        return st.just(g)
+    # either endpoint first: delete_edge normalizes the edge
+    return st.sampled_from(g.edges).flatmap(lambda e: st.sampled_from([e, e[::-1]])).map(
+        lambda e: delete_edge(g, e)
+    )
+
+
+# Graphs as the generators build them: base families, nested joins and
+# edge deletions, none of which runs the checks of Graph(...).
+built_graphs = st.recursive(
+    _base_graphs(),
+    lambda inner: st.one_of(st.tuples(inner, inner).map(lambda ab: join(*ab)), inner.flatmap(_minus_an_edge)),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=200)
+@given(built_graphs)
+def test_graphs_built_without_the_check_pass_it(g):
+    assert Graph(g.n, g.edges, g.roles, g.family) == g
+    assert g._edge_set == frozenset(g.edges) and len(g._edge_set) == g.q
+    edges = set(g.edges)
+    assert all(g.has_edge(e) == (e in edges) for e in itertools.combinations(range(g.n + 2), 2))
+    degrees = Counter(v for e in g.edges for v in e)
+    assert all(g.degree(v) == degrees[v] for v in g.vertices)
 
 
 def test_edge_set_matches_the_edges():
@@ -330,10 +398,6 @@ def test_degree_table_matches_the_neighbours(seed):
 
 def _names(side, count):
     return tuple(f"{side}{i}" for i in range(1, count + 1))
-
-
-# kind -> its smallest order
-_ORDERS = {"path": 2, "cycle": 3, "null": 1, "complete": 1}
 
 
 @given(st.sampled_from(sorted(_ORDERS)), st.integers(0, 40),
