@@ -205,10 +205,10 @@ def _assemble(
             len(row) != second.n or None in row for row in grid
         ):
             raise ValueError
-        labels = dict(zip(joined.edges, itertools.chain(*parts, *grid), strict=True))
+        # from_values raises a LabelingError, a ValueError, if joined is not join(first, second)
+        return EdgeLabeling.from_values(joined, itertools.chain(*parts, *grid))
     except (KeyError, ValueError):
         raise RuntimeError("the assembled labels do not cover exactly the graph's edges") from None
-    return EdgeLabeling(joined, labels)
 
 
 def antimagic_complete(r: int) -> EdgeLabeling:
@@ -744,7 +744,7 @@ def generic_seed(family: str) -> tuple[Graph, EdgeLabeling]:
     if fam is None or fam.seed is None:
         raise ParameterError(f"no generic seed for {family!r}")
     g = build_family(*fam.seed)
-    return g, EdgeLabeling(g, dict(zip(g.edges, range(1, g.q + 1))))
+    return g, EdgeLabeling.from_values(g, range(1, g.q + 1))
 
 
 def check_params(family: str, params: dict) -> Family:

@@ -13,7 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import lt
+from operator import itemgetter, lt
 
 Edge = tuple[int, int]
 
@@ -27,6 +27,8 @@ _ROLE = re.compile(r"[uv][1-9][0-9]{0,8}")
 _MAX_FAMILY_DEPTH = 32
 # side -> its role names "u1", "u2", ... so far; see _role_names.
 _ROLE_NAMES = {"u": (), "v": ()}
+# build_family kind -> how many parameters it takes
+_FAMILY_ARITY = {"path": 1, "cycle": 1, "null": 1, "complete": 1, "complete-bipartite": 2}
 
 
 class ParameterError(ValueError):
@@ -68,8 +70,9 @@ class Graph:
     bound included, is computed from ``n`` and ``edges``.
 
     Data from a caller or a file is checked: ``Graph(...)`` and
-    ``from_json`` refuse a graph with fewer than one vertex, a role count
-    other than ``n``, or an edge that is repeated or not ``1 <= a < b <= n``.
+    ``from_json`` refuse a graph whose ``n`` is not an int of at least 1, a
+    role count other than ``n``, or an edge that is repeated or not
+    ``1 <= a < b <= n``.
     Graphs from ``build_family``, ``join`` and ``delete_edge`` are valid by
     construction and are not checked again (see ``_unchecked``).
 
@@ -85,6 +88,8 @@ class Graph:
     family: tuple | None = None
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ParameterError(f"graph order must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ParameterError("graph needs at least one vertex")
         if len(self.roles) != self.n:
@@ -221,7 +226,19 @@ class Graph:
         if len(set(roles)) != len(roles):
             raise ParameterError("vertex roles must be unique")
         edges = tuple(map(tuple, pairs)) if normalized else tuple(edge(a, b) for a, b in pairs)
-        return Graph(len(ids), edges, tuple(roles), _family_from_json(data.get("family")))
+        n, roles, family = len(ids), tuple(roles), _family_from_json(data.get("family"))
+        # Every edge is now an int pair (a, b) with a < b, so what is left of
+        # Graph's check is the range 1..n and repeats, each made over all
+        # edges at once; only a graph that fails goes through Graph(...),
+        # which words the error.
+        firsts, seconds = map(itemgetter(0), edges), map(itemgetter(1), edges)
+        if n >= 1 and (not edges or (min(firsts) >= 1 and max(seconds) <= n)):
+            edge_set = frozenset(edges)
+            if len(edge_set) == len(edges):
+                g = Graph._unchecked(n, edges, roles, family)
+                object.__setattr__(g, "_edge_set", edge_set)
+                return g
+        return Graph(n, edges, roles, family)
 
     def __repr__(self):
         return f"Graph(n={self.n}, q={self.q}, family={self.family!r})"
@@ -274,6 +291,11 @@ def build_family(kind: str, *params: int) -> Graph:
     """
     if any(type(p) is not int for p in params):
         raise ParameterError(f"{kind} parameters must be integers, got {params}")
+    arity = _FAMILY_ARITY.get(kind) if isinstance(kind, str) else None
+    if arity is None:
+        raise ParameterError(f"unknown family kind {kind!r}")
+    if len(params) != arity:
+        raise ParameterError(f"{kind} takes {arity} parameter{'' if arity == 1 else 's'}, got {params}")
     if kind == "path":
         (m,) = params
         if m < 2:
@@ -297,14 +319,12 @@ def build_family(kind: str, *params: int) -> Graph:
             raise ParameterError(f"complete graph needs order >= 1, got {r}")
         edges = tuple((i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1))
         return Graph._unchecked(r, edges, _role_names("u", r), ("complete", r))
-    if kind == "complete-bipartite":
-        m, n = params
-        if m < 1 or n < 1:
-            raise ParameterError(f"complete bipartite parts must be >= 1, got ({m},{n})")
-        edges = tuple((i, m + j) for i in range(1, m + 1) for j in range(1, n + 1))
-        roles = _role_names("u", m) + _role_names("v", n)
-        return Graph._unchecked(m + n, edges, roles, ("complete-bipartite", m, n))
-    raise ParameterError(f"unknown family kind {kind!r}")
+    m, n = params  # complete-bipartite, the one kind left
+    if m < 1 or n < 1:
+        raise ParameterError(f"complete bipartite parts must be >= 1, got ({m},{n})")
+    edges = tuple((i, m + j) for i in range(1, m + 1) for j in range(1, n + 1))
+    roles = _role_names("u", m) + _role_names("v", n)
+    return Graph._unchecked(m + n, edges, roles, ("complete-bipartite", m, n))
 
 
 def join(a: Graph, b: Graph) -> Graph:
@@ -333,9 +353,13 @@ def delete_edge(g: Graph, e: Edge) -> Graph:
 
     The endpoints must be ints; what is left of a valid graph is valid.
     """
-    if any(type(x) is not int for x in e):
+    try:
+        a, b = e
+    except (TypeError, ValueError):
+        raise ParameterError(f"an edge is a pair of endpoints, got {e!r}") from None
+    if type(a) is not int or type(b) is not int:
         raise ParameterError(f"edge endpoints must be integers, got {e}")
-    e = edge(*e)
+    e = edge(a, b)
     try:
         i = g.edges.index(e)
     except ValueError:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from typing import Mapping
 
 from .graphs import Edge, Graph, ParameterError, are_increasing_int_pairs, edge, is_int_pair
 
@@ -22,12 +23,52 @@ class LabelingError(ValueError):
     """A labeling is structurally unusable (wrong domain or label set)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EdgeLabeling:
-    """A map from the edges of ``graph`` onto [1..q], treated as immutable."""
+    """A labeling of the edges of ``graph``, treated as immutable.
+
+    ``values[i]`` is the label of ``graph.edges[i]``; the verifier checks
+    that the labels are a bijection onto [1..q]. ``EdgeLabeling(graph,
+    labels)`` aligns a mapping from edges to labels with one lookup per
+    edge, and ``from_values`` takes the labels in edge order. A mapping
+    whose keys are not exactly the graph's edges has ``values`` None and is
+    kept as ``labels``, so the verifier can report it as a failed certificate.
+    """
 
     graph: Graph
-    labels: dict[Edge, int]
+    values: tuple[int, ...] | None
+    _off_edges: Mapping[Edge, int] | None
+
+    def __init__(self, graph: Graph, labels: Mapping[Edge, int]):
+        values = None
+        if len(labels) == graph.q:
+            try:
+                values = tuple(map(labels.__getitem__, graph.edges))
+            except KeyError:
+                pass
+        self._set(graph, values, None if values is not None else labels)
+
+    @classmethod
+    def from_values(cls, graph: Graph, values) -> "EdgeLabeling":
+        """The labeling whose ``values[i]`` labels ``graph.edges[i]``."""
+        values = tuple(values)
+        if len(values) != graph.q:
+            raise LabelingError(f"{len(values)} labels for the {graph.q} edges")
+        f = object.__new__(cls)
+        f._set(graph, values, None)
+        return f
+
+    def _set(self, graph: Graph, values, off_edges) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_off_edges", off_edges)
+
+    @cached_property
+    def labels(self) -> Mapping[Edge, int]:
+        """Edge -> label, in the graph's edge order (a mapping off the edges as given)."""
+        if self.values is None:
+            return self._off_edges
+        return dict(zip(self.graph.edges, self.values))
 
     @property
     def q(self) -> int:
@@ -35,21 +76,23 @@ class EdgeLabeling:
 
     @cached_property
     def sums(self) -> dict[int, int]:
-        return induced_sums(self.graph, self.labels)
+        return induced_sums(self.graph, self)
 
     def edge_with_label(self, value: int) -> Edge:
-        for e, lab in self.labels.items():
+        for e, lab in self._items():
             if lab == value:
                 return e
         raise LabelingError(f"no edge carries label {value}")
+
+    def _items(self):
+        """(edge, label) pairs, without building ``labels`` when ``values`` has them."""
+        return self.labels.items() if self.values is None else zip(self.graph.edges, self.values)
 
     def to_json(self) -> dict:
         return {
             "schema": "v1",
             "graph": self.graph.to_json(),
-            "labels": [
-                {"edge": list(e), "label": self.labels[e]} for e in sorted(self.labels)
-            ],
+            "labels": [{"edge": list(e), "label": lab} for e, lab in sorted(self._items())],
         }
 
     @staticmethod
@@ -86,8 +129,10 @@ class EdgeLabeling:
             raise LabelingError(f"malformed labeling JSON: {exc!r}") from None
         except ParameterError as exc:
             raise LabelingError(f"malformed labeling: {exc}") from None
-        _check_edge_set(g, labels)
-        return EdgeLabeling(g, labels)
+        f = EdgeLabeling(g, labels)
+        if f.values is None:
+            raise LabelingError(_OFF_EDGES)
+        return f
 
     def __repr__(self):
         return f"EdgeLabeling(q={self.q}, graph={self.graph!r})"
@@ -138,26 +183,27 @@ class LabelingCertificate:
         }
 
 
-def _sum_list(labels: dict[Edge, int], n: int) -> list[int]:
-    """The vertex-sum kernel: entry v is the total of v's incident labels.
+def _sum_list(pairs, n: int) -> list[int]:
+    """The vertex-sum kernel over (edge, label) pairs: entry v is the total
+    of v's incident labels.
 
     Entry 0 is unused. Endpoints are not checked: the caller ensures they
     lie in 1..n, since a list would take 0 and wrap a negative one.
     """
     sums = [0] * (n + 1)
-    for (a, b), lab in labels.items():
+    for (a, b), lab in pairs:
         sums[a] += lab
         sums[b] += lab
     return sums
 
 
-def vertex_sums(labels: dict[Edge, int], n: int) -> dict[int, int]:
+def vertex_sums(labels: Mapping[Edge, int], n: int) -> dict[int, int]:
     """Sum of the incident labels at each of the vertices 1..n.
 
     Labels are not checked; an endpoint outside 1..n raises KeyError."""
     if labels and not (min(map(min, labels)) >= 1 and max(map(max, labels)) <= n):
         raise KeyError(next(v for e in labels for v in e if not 1 <= v <= n))
-    return dict(enumerate(_sum_list(labels, n)[1:], 1))
+    return dict(enumerate(_sum_list(labels.items(), n)[1:], 1))
 
 
 def _is_bijection(values, q: int) -> bool:
@@ -168,21 +214,31 @@ def _is_bijection(values, q: int) -> bool:
     return set(values).issuperset(range(1, q + 1))
 
 
-def _check_edge_set(g: Graph, labels: dict[Edge, int]) -> None:
-    # Keys in edge order are the edge set, and labelings built in code have
-    # them so; only another order (from_json sorts) needs the set compare.
-    if tuple(labels) != g.edges and labels.keys() != g._edge_set:
-        raise LabelingError("labels must be defined on exactly the edge set")
+_OFF_EDGES = "labels must be defined on exactly the edge set"
 
 
-def induced_sums(g: Graph, labels: dict[Edge, int] | EdgeLabeling) -> dict[int, int]:
+def _values_on(g: Graph, f: EdgeLabeling) -> tuple | None:
+    """f's labels in g's edge order; None unless f's graph has g's edge tuple
+    (the same object, or an equal tuple) and f labels exactly those edges."""
+    edges = f.graph.edges
+    return f.values if edges is g.edges or edges == g.edges else None
+
+
+def _aligned(g: Graph, f: EdgeLabeling) -> tuple:
+    values = _values_on(g, f)
+    if values is None:
+        raise LabelingError(_OFF_EDGES)
+    return values
+
+
+def induced_sums(g: Graph, labels: Mapping[Edge, int] | EdgeLabeling) -> dict[int, int]:
     """Vertex sums of incident labels; rejects non-bijective labelings."""
-    if isinstance(labels, EdgeLabeling):
-        labels = labels.labels
-    _check_edge_set(g, labels)
-    if not _is_bijection(labels.values(), g.q):
+    if not isinstance(labels, EdgeLabeling):
+        labels = EdgeLabeling(g, labels)
+    values = _aligned(g, labels)
+    if not _is_bijection(values, g.q):
         raise LabelingError("labels must be a bijection onto 1..q")
-    return dict(enumerate(_sum_list(labels, g.n)[1:], 1))
+    return dict(enumerate(_sum_list(zip(g.edges, values), g.n)[1:], 1))
 
 
 def verify_local_antimagic(
@@ -193,11 +249,11 @@ def verify_local_antimagic(
     Failures are reported in the certificate, never raised; the first
     offending adjacent pair is recorded when the labeling is not proper.
     """
-    labels = f.labels
-    if tuple(labels) != g.edges and labels.keys() != g._edge_set:  # as in _check_edge_set
+    values = _values_on(g, f)
+    if values is None:
         return LabelingCertificate(False, False, {}, 0, lower_bound, None, None)
-    bijection_ok = _is_bijection(labels.values(), g.q)
-    sums = _sum_list(labels, g.n)
+    bijection_ok = _is_bijection(values, g.q)
+    sums = _sum_list(zip(g.edges, values), g.n)
     failure = None
     for a, b in g.edges:
         if sums[a] == sums[b]:
@@ -223,7 +279,7 @@ def verify_local_antimagic(
 def complement_labeling(g: Graph, f: EdgeLabeling) -> EdgeLabeling:
     """The reflected labeling e -> q+1-f(e); sums become deg(v)(q+1)-f+(v)."""
     q = g.q
-    return EdgeLabeling(g, {e: q + 1 - lab for e, lab in f.labels.items()})
+    return EdgeLabeling.from_values(g, [q + 1 - lab for lab in _aligned(g, f)])
 
 
 def check_complement_valid(g: Graph, f: EdgeLabeling) -> tuple[bool, tuple[int, int] | None]:
@@ -259,8 +315,7 @@ def check_deletion_certificate(g: Graph, f: EdgeLabeling, e: Edge) -> bool:
     distinct. Under these conditions the relabeling f-1 of the deleted
     graph is proper with the same number of colors.
     """
-    e = edge(*e)
-    if f.labels.get(e) != 1:
+    if _label_one_index(g, _values_on(g, f), e) is None:
         return False
     sums = f.sums
     classes: dict[int, list[int]] = {}
@@ -286,12 +341,22 @@ def delete_labeled_edge(g: Graph, f: EdgeLabeling, e: Edge) -> tuple[Graph, Edge
     """
     from .graphs import delete_edge
 
-    e = edge(*e)
-    if f.labels.get(e) != 1:
+    values = _values_on(g, f)
+    i = _label_one_index(g, values, e)
+    if i is None:
         raise ParameterError("only the edge carrying label 1 can be deleted with a relabel")
-    h = delete_edge(g, e)
-    labels = {x: lab - 1 for x, lab in f.labels.items() if x != e}
-    return h, EdgeLabeling(h, labels)
+    h = delete_edge(g, e)  # g.edges without index i
+    return h, EdgeLabeling.from_values(h, [lab - 1 for lab in values[:i] + values[i + 1:]])
+
+
+def _label_one_index(g: Graph, values: tuple | None, e: Edge) -> int | None:
+    """Where edge ``e`` sits in ``g.edges`` when ``values`` gives it label 1, else None."""
+    e = edge(*e)
+    try:
+        i = g.edges.index(e)
+    except ValueError:
+        return None
+    return i if values is not None and values[i] == 1 else None
 
 
 @dataclass(frozen=True)
@@ -357,25 +422,31 @@ def export_matrix(g: Graph, f: EdgeLabeling) -> LabelingMatrix:
     if not us or not vs:
         raise ParameterError("matrix export needs a two-sided join graph")
     sums = f.sums
-    u_set, v_set = set(us), set(vs)
-    labels = f.labels
-    # the two sides are disjoint, so u != v and no pair is a self-loop
-    grid = [tuple(labels.get((u, v) if u < v else (v, u)) for v in vs) for u in us]
-    u_own = {u: 0 for u in us}
-    v_own = {v: 0 for v in vs}
+    row = {u: i for i, u in enumerate(us)}
+    col = {v: j for j, v in enumerate(vs)}
+    grid = [[None] * len(vs) for _ in us]
+    u_own = dict.fromkeys(us, 0)
+    v_own = dict.fromkeys(vs, 0)
     has_v_edges = False
-    for (a, b), lab in labels.items():
-        if a in u_set and b in u_set:
-            u_own[a] += lab
-            u_own[b] += lab
-        elif a in v_set and b in v_set:
-            has_v_edges = True
-            v_own[a] += lab
-            v_own[b] += lab
+    for (a, b), lab in f._items():
+        # a join edge is (v, u) when the second side has the smaller ids
+        if a in row:
+            if b in col:
+                grid[row[a]][col[b]] = lab
+            elif b in row:
+                u_own[a] += lab
+                u_own[b] += lab
+        elif a in col:
+            if b in row:
+                grid[row[b]][col[a]] = lab
+            elif b in col:
+                has_v_edges = True
+                v_own[a] += lab
+                v_own[b] += lab
     matrix = LabelingMatrix(
         u_names=tuple(g.role_of(u) for u in us),
         v_names=tuple(g.role_of(v) for v in vs),
-        grid=tuple(grid),
+        grid=tuple(map(tuple, grid)),
         u_side=tuple(u_own[u] for u in us),
         u_margins=tuple(sums[u] for u in us),
         v_side=tuple(v_own[v] for v in vs) if has_v_edges else None,

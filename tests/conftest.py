@@ -2,9 +2,9 @@ import functools
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
-from lajoin.graphs import Graph, edge
+from lajoin.graphs import Graph, build_family, delete_edge, edge, join
 
 settings.register_profile("default", derandomize=True, database=None, deadline=None)
 settings.load_profile("default")
@@ -30,6 +30,36 @@ def random_labeling(rng: random.Random, g: Graph):
     labels = list(range(1, g.q + 1))
     rng.shuffle(labels)
     return EdgeLabeling(g, dict(zip(g.edges, labels)))
+
+
+# kind -> its smallest order
+SMALLEST_ORDER = {"path": 2, "cycle": 3, "null": 1, "complete": 1}
+
+
+def _base_graphs():
+    one_order = st.sampled_from(sorted(SMALLEST_ORDER)).flatmap(
+        lambda kind: st.integers(SMALLEST_ORDER[kind], SMALLEST_ORDER[kind] + 6).map(lambda k: build_family(kind, k))
+    )
+    sides = st.tuples(st.integers(1, 7), st.integers(1, 7))
+    return st.one_of(one_order, sides.map(lambda mn: build_family("complete-bipartite", *mn)))
+
+
+def _minus_an_edge(g):
+    if not g.edges:
+        return st.just(g)
+    # either endpoint first: delete_edge normalizes the edge
+    return st.sampled_from(g.edges).flatmap(lambda e: st.sampled_from([e, e[::-1]])).map(
+        lambda e: delete_edge(g, e)
+    )
+
+
+# Graphs as the generators build them: base families, nested joins and
+# edge deletions, none of which runs the checks of Graph(...).
+built_graphs = st.recursive(
+    _base_graphs(),
+    lambda inner: st.one_of(st.tuples(inner, inner).map(lambda ab: join(*ab)), inner.flatmap(_minus_an_edge)),
+    max_leaves=4,
+)
 
 
 # The timeout tests' cited point: the wheel C_6 v O_1 (q 12, cited chi_la 3).

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_graph
+from conftest import SMALLEST_ORDER, built_graphs, random_graph
 from lajoin.graphs import (
     Graph,
     ParameterError,
@@ -126,6 +126,34 @@ def test_build_family_refuses_non_int_parameters(kind, params):
         build_family(kind, *params)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: build_family("path"), "path takes 1 parameter, got ()"),
+        (lambda: build_family("path", 3, 4), "path takes 1 parameter, got (3, 4)"),
+        (lambda: build_family("null", 1, 1), "null takes 1 parameter, got (1, 1)"),
+        (lambda: build_family("complete-bipartite", 3), "complete-bipartite takes 2 parameters, got (3,)"),
+        (lambda: build_family("complete-bipartite", 1, 2, 3),
+         "complete-bipartite takes 2 parameters, got (1, 2, 3)"),
+        (lambda: delete_edge(build_family("path", 4), (1, 2, 3)), "an edge is a pair of endpoints, got (1, 2, 3)"),
+        (lambda: delete_edge(build_family("path", 4), (1,)), "an edge is a pair of endpoints, got (1,)"),
+        (lambda: delete_edge(build_family("path", 4), 2), "an edge is a pair of endpoints, got 2"),
+    ],
+    ids=["path-none", "path-two", "null-two", "bipartite-one", "bipartite-three", "edge-three", "edge-one",
+         "edge-int"],
+)
+def test_wrong_argument_counts_name_the_input(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "2", None])
+def test_graph_refuses_an_order_that_is_not_an_int(n):
+    with pytest.raises(ParameterError, match="graph order must be an integer"):
+        Graph(n, (), ("u1", "u2"))
+
+
 def test_duplicate_and_self_loop_rejected():
     with pytest.raises(ParameterError):
         Graph(3, ((1, 2), (1, 2)), ("u1", "u2", "u3"))
@@ -187,34 +215,26 @@ def test_graph_rejects_what_the_per_edge_check_rejects(case):
         assert all(g.has_edge(e) == (e in edges) for e in pairs)
 
 
-# kind -> its smallest order
-_ORDERS = {"path": 2, "cycle": 3, "null": 1, "complete": 1}
+@given(edge_lists())
+def test_graph_from_json_checks_as_graph_does(case):
+    # from_json checks the range and repeats over all edges at once and
+    # builds the graph unchecked; it must accept and refuse what Graph(...)
+    # does, reversed edges normalized, with the same message.
+    n, edges = case
+    roles = tuple(f"u{i}" for i in range(1, n + 1))
+    doc = {"schema": "v1", "vertices": [{"id": v, "role": r} for v, r in enumerate(roles, 1)],
+           "edges": [list(e) for e in edges], "family": None}
 
+    def reference():
+        if not all(len(e) == 2 for e in edges):
+            raise ParameterError('graph "edges" must be a list of integer pairs')
+        return Graph(n, tuple(edge(a, b) for a, b in edges), roles)
 
-def _base_graphs():
-    one_order = st.sampled_from(sorted(_ORDERS)).flatmap(
-        lambda kind: st.integers(_ORDERS[kind], _ORDERS[kind] + 6).map(lambda k: build_family(kind, k))
-    )
-    sides = st.tuples(st.integers(1, 7), st.integers(1, 7))
-    return st.one_of(one_order, sides.map(lambda mn: build_family("complete-bipartite", *mn)))
-
-
-def _minus_an_edge(g):
-    if not g.edges:
-        return st.just(g)
-    # either endpoint first: delete_edge normalizes the edge
-    return st.sampled_from(g.edges).flatmap(lambda e: st.sampled_from([e, e[::-1]])).map(
-        lambda e: delete_edge(g, e)
-    )
-
-
-# Graphs as the generators build them: base families, nested joins and
-# edge deletions, none of which runs the checks of Graph(...).
-built_graphs = st.recursive(
-    _base_graphs(),
-    lambda inner: st.one_of(st.tuples(inner, inner).map(lambda ab: join(*ab)), inner.flatmap(_minus_an_edge)),
-    max_leaves=4,
-)
+    expected = _outcome(reference)
+    assert _outcome(Graph.from_json, doc) == expected
+    if expected is None:
+        g = Graph.from_json(doc)
+        assert g == reference() and g._edge_set == frozenset(g.edges)
 
 
 @settings(max_examples=200)
@@ -400,11 +420,11 @@ def _names(side, count):
     return tuple(f"{side}{i}" for i in range(1, count + 1))
 
 
-@given(st.sampled_from(sorted(_ORDERS)), st.integers(0, 40),
-       st.sampled_from(sorted(_ORDERS)), st.integers(0, 40), st.integers(1, 40))
+@given(st.sampled_from(sorted(SMALLEST_ORDER)), st.integers(0, 40),
+       st.sampled_from(sorted(SMALLEST_ORDER)), st.integers(0, 40), st.integers(1, 40))
 def test_roles_are_the_indexed_names(kind_a, extra_a, kind_b, extra_b, k):
-    a = build_family(kind_a, _ORDERS[kind_a] + extra_a)
-    b = build_family(kind_b, _ORDERS[kind_b] + extra_b)
+    a = build_family(kind_a, SMALLEST_ORDER[kind_a] + extra_a)
+    b = build_family(kind_b, SMALLEST_ORDER[kind_b] + extra_b)
     assert a.roles == _names("v" if kind_a == "null" else "u", a.n)
     assert b.roles == _names("v" if kind_b == "null" else "u", b.n)
     assert join(a, b).roles == _names("u", a.n) + _names("v", b.n)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_graph, random_labeling
+from conftest import built_graphs, random_graph, random_labeling
 from lajoin.constructions import (
     ALL_FAMILIES,
     GENERIC_FAMILIES,
@@ -15,7 +15,7 @@ from lajoin.constructions import (
     label_path_join_null,
     sweep_points,
 )
-from lajoin.graphs import Graph, ParameterError, build_family, edge, is_int_pair, join
+from lajoin.graphs import Graph, ParameterError, build_family, delete_edge, edge, is_int_pair, join
 from lajoin.labelings import (
     EdgeLabeling,
     LabelingCertificate,
@@ -695,3 +695,51 @@ def test_vertex_sums_rejects_an_endpoint_outside_1_to_n(bad):
         with pytest.raises(KeyError) as info:
             vertex_sums(labels, 3)
         assert info.value.args == (bad,)
+
+
+# -- labelings held as one label tuple in the graph's edge order, against
+# the dicts they replaced
+
+
+@st.composite
+def labeled_graphs(draw):
+    """A graph as the generators build it, labels for its edges in edge order
+    (a permutation of 1..q, at times with one label repeated), and the
+    (edge, label) pairs in a shuffled order."""
+    g = draw(built_graphs)
+    values = list(draw(st.permutations(range(1, g.q + 1))))
+    if g.q >= 2 and draw(st.integers(0, 4)) == 0:
+        values[draw(st.integers(0, g.q - 1))] = values[draw(st.integers(0, g.q - 1))]
+    return g, tuple(values), draw(st.permutations(list(zip(g.edges, values))))
+
+
+@settings(max_examples=200)
+@given(labeled_graphs())
+def test_labelings_from_values_mappings_and_json_agree(case):
+    g, values, shuffled = case
+    from_values = EdgeLabeling.from_values(g, values)
+    from_mapping = EdgeLabeling(g, dict(shuffled))
+    from_json = EdgeLabeling.from_json(json.loads(json.dumps(from_values.to_json())))
+    assert from_json.graph == g
+    labels = dict(zip(g.edges, values))
+    for f in (from_values, from_mapping, from_json):
+        assert f.values == values and f.labels == labels and tuple(f.labels) == g.edges
+        assert repr(verify_local_antimagic(g, f)) == repr(_reference_verify(g, f))
+        assert repr(verify_local_antimagic(f.graph, f)) == repr(_reference_verify(g, f))
+    q = g.q
+    comp = complement_labeling(g, from_mapping)
+    assert comp.labels == {e: q + 1 - lab for e, lab in labels.items()} and tuple(comp.labels) == g.edges
+    if 1 in values:
+        e = g.edges[values.index(1)]
+        h, deleted = delete_labeled_edge(g, from_json, e[::-1])
+        assert h == delete_edge(g, e) and deleted.graph is h
+        assert deleted.labels == {x: lab - 1 for x, lab in labels.items() if x != e}
+        assert tuple(deleted.labels) == h.edges
+
+
+def test_from_values_needs_one_label_per_edge():
+    g = build_family("path", 3)
+    assert EdgeLabeling.from_values(g, [2, 1]).labels == {(1, 2): 2, (2, 3): 1}
+    for values in ([1], [1, 2, 3]):
+        with pytest.raises(LabelingError, match=f"{len(values)} labels for the 2 edges"):
+            EdgeLabeling.from_values(g, values)
