@@ -8,16 +8,20 @@ colors already fixed: a branch with as many as the best labeling so far is
 cut, and at a leaf it is the color count. The chromatic number gives a
 global lower bound, so the search stops as soon as it is attained.
 
-Reach prune. When the finalized sums number one fewer than the best
-labeling's colors, a better labeling adds no new sum, so every open vertex
-must end on a finalized one. An open endpoint of the edge just labeled,
-with sum s and r unlabeled edges, ends between s plus the r smallest and s
-plus the r largest free labels; if no finalized sum in that range is free
-of its finalized neighbors' sums, the branch is cut. A cut subtree holds
-no leaf better than the best so far, and the best only falls, so the
-search meets the same improving leaves in the same order: the optimum,
-the witness and where a target stops are unchanged, only the node count
-falls (and with it where a time budget runs out).
+Reach prune. The slack is the best labeling's colors minus the finalized
+sums; a better labeling adds fewer new sums than that. An open endpoint of
+the edge just labeled, with sum s and r unlabeled edges, ends between s
+plus the r smallest and s plus the r largest free labels; if no finalized
+sum in that range is free of its finalized neighbors' sums, it needs a
+new sum of its own. The two endpoints are adjacent, so if both need one,
+they need two. A branch survives only while the slack exceeds the number
+of endpoints that need a new sum: at slack 0 or less this is the color
+bound, at slack 1 both endpoints must reach a finalized sum, at slack 2
+one of them must, and at slack 3 or more nothing is checked. A cut subtree
+holds no leaf better than the best so far, and the best only falls, so
+the search meets the same improving leaves in the same order: the
+optimum, the witness and where a target stops are unchanged, only the
+node count falls (and with it where a time budget runs out).
 
 Edge order. Edges are labeled in finalize-soonest order: repeatedly the
 vertex with the fewest unplaced incident edges (ties: smaller degree, then
@@ -72,6 +76,13 @@ class SearchConfig:
     time_budget: float = 60.0
 
     def __post_init__(self):
+        # exact types: neither True nor "12" is a count
+        if type(self.max_edges) is not int:
+            raise ParameterError(f"max_edges must be an integer, got {self.max_edges!r}")
+        if self.target_colors is not None and type(self.target_colors) is not int:
+            raise ParameterError(f"target colors must be an integer, got {self.target_colors!r}")
+        if type(self.time_budget) not in (int, float):
+            raise ParameterError(f"time budget must be a number of seconds, got {self.time_budget!r}")
         if self.max_edges < 1:
             raise ParameterError("max_edges must be at least 1")
         if self.target_colors is not None and self.target_colors < 1:
@@ -255,10 +266,12 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
                 done = [sums[v] for v in (a, b) if remaining[v] == 0]
                 for s in done:
                     final[s] = final.get(s, 0) + 1
-                # one color short of the best, no new sum may appear, so each
-                # open endpoint must be able to reach a finalized one
+                # a leaf must add fewer than ``slack`` new sums; each open
+                # endpoint that cannot end on a finalized sum adds one, and
+                # the two are adjacent, so they add two
                 slack = best_count - len(final)
-                if (slack > 1 or slack == 1 and can_finish(a) and can_finish(b)) and search(i + 1):
+                if (slack > 2 or slack == 2 and (can_finish(a) or can_finish(b))
+                        or slack == 1 and can_finish(a) and can_finish(b)) and search(i + 1):
                     return True
                 for s in done:
                     final[s] -= 1

@@ -67,16 +67,23 @@ SLOW_CITED = ("cycle-join-null", {"m": 3, "n": 1})
 
 
 @functools.cache
+def slow_cited_graph() -> Graph:
+    """The graph of SLOW_CITED, carried by its CitedCaseError."""
+    from lajoin.constructions import CitedCaseError, build_construction
+
+    with pytest.raises(CitedCaseError) as info:
+        build_construction(*SLOW_CITED)
+    return info.value.graph
+
+
+@functools.cache
 def slow_cited_nodes() -> int:
     """Nodes the unbounded exact search explores on SLOW_CITED. A tiny time
     budget times the search out only if this passes the first deadline
     check, at node 4096."""
-    from lajoin.constructions import CitedCaseError, build_construction
     from lajoin.solver import exact_chi_la
 
-    with pytest.raises(CitedCaseError) as info:
-        build_construction(*SLOW_CITED)
-    return exact_chi_la(info.value.graph).nodes_explored
+    return exact_chi_la(slow_cited_graph()).nodes_explored
 
 
 @pytest.fixture

@@ -3,10 +3,11 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
-from conftest import SLOW_CITED, random_graph, slow_cited_nodes
+from conftest import SLOW_CITED, random_graph, slow_cited_graph, slow_cited_nodes
 from lajoin.constructions import CitedCaseError, build_construction, sweep_points
 from lajoin.graphs import (
     Graph,
@@ -108,7 +109,25 @@ def oracle_corpus():
         ((1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5), (4, 6)),
     ):
         graphs.append(Graph(6, edges, tuple(f"u{i}" for i in range(1, 7))))
-    return graphs + above_bound_corpus()
+    return graphs + far_first_witness_corpus() + above_bound_corpus()
+
+
+def far_first_witness_corpus():
+    """Four graphs, q <= 7, chi_la 3, whose first witness has two or three
+    colors more: the search then runs two and three colors short of its
+    best while the optimum is still ahead, where the reach prune counts
+    the new sums both endpoints need. A prune that cuts at slack 2 when one
+    endpoint needs a new sum, or at slack 3 when either does, misses the
+    optimum on each (found among random_graph draws from random.Random(7))."""
+    graphs = []
+    for n, edges in (
+        (7, ((1, 2), (1, 5), (2, 3), (2, 4), (3, 6), (4, 5), (5, 7))),
+        (6, ((1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (3, 4), (5, 6))),
+        (6, ((1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (2, 6), (3, 5))),
+        (5, ((1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5))),
+    ):
+        graphs.append(Graph(n, edges, tuple(f"u{i}" for i in range(1, n + 1))))
+    return graphs
 
 
 def above_bound_corpus():
@@ -131,6 +150,13 @@ def test_above_bound_corpus_is_what_it_says():
     assert len(graphs) == 24 and all(g.q <= 7 for g in graphs)
     assert sum(g.q >= g.n for g in graphs) >= 5
     assert all(brute_chi_la(g) > chromatic_lower_bound(g) for g in graphs)
+
+
+def test_far_first_witness_corpus_is_what_it_says():
+    for g in far_first_witness_corpus():
+        # a target of n colors stops the search at its first witness
+        first = exact_chi_la(g, SearchConfig(target_colors=g.n)).chi_la
+        assert g.q <= 7 and brute_chi_la(g) == 3 and first >= 5, g.edges
 
 
 def test_brute_force_oracle_all_configs():
@@ -184,9 +210,10 @@ def test_optimum_at_least_chromatic():
 
 
 def test_timeout_reports_inexact():
-    # proving this optimum needs a full exhaust (the chromatic bound is 3
-    # but the optimum is 4), so a tiny budget must report inexact
-    g = join(build_family("path", 4), build_family("null", 1))
+    # the wheel's first witness at its chromatic bound lies past the first
+    # deadline check, so a tiny budget stops the search short of any proof
+    assert slow_cited_nodes() > 4096
+    g = slow_cited_graph()
     cfg = SearchConfig(time_budget=1e-6)
     report = exact_chi_la(g, cfg)
     assert not report.exact
@@ -211,6 +238,26 @@ def test_search_config_validation():
     for target in (0, -1):
         with pytest.raises(ParameterError):
             SearchConfig(target_colors=target)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("target_colors", 2.5),
+    ("target_colors", "3"),
+    ("target_colors", True),
+    ("max_edges", True),
+    ("max_edges", "12"),
+    ("max_edges", 12.0),
+    ("time_budget", True),
+    ("time_budget", "1"),
+    ("time_budget", None),
+])
+def test_search_config_refuses_a_wrong_type(field, value):
+    with pytest.raises(ParameterError, match=re.escape(f"got {value!r}") + "$"):
+        SearchConfig(**{field: value})
+
+
+def test_search_config_takes_an_int_budget():
+    assert SearchConfig(time_budget=5).time_budget == 5
 
 
 def test_confirm_cited_fan():
@@ -335,25 +382,25 @@ def test_verdict_json_is_the_fields_plus_schema():
     assert data == {f.name: getattr(verdict, f.name) for f in dataclasses.fields(verdict)}
 
 
-# Each desk instance's search, pinned: (chi_la, nodes_explored, sha256 of
-# the witness JSON). Any change to the edge order, the symmetry rules, the
-# label order or a prune shows here.
+# Each desk instance's search, and two larger ones, pinned: (chi_la,
+# nodes_explored, sha256 of the witness JSON). Any change to the edge
+# order, the symmetry rules, the label order or a prune shows here.
 DESK_SEARCHES = [
-    ("path-join-null", {"m": 2, "N": 1}, 4, 4471,
+    ("path-join-null", {"m": 2, "N": 1}, 4, 3084,
      "cf6efb55e47fd81bb3fd647433d642b9dacefbf5b5082f15a8135e2e631a08e8"),
-    ("path-join-null", {"m": 3, "N": 1}, 3, 3574,
+    ("path-join-null", {"m": 3, "N": 1}, 3, 2760,
      "a19908af326a2bd20c6b6ae3d2ac799755787b024c094fd73768ffbac94c7cbc"),
     ("path-join-null", {"m": 1, "N": 2}, 3, 27,
      "8839c650bfcd06a31985139d3f84e9a9159ad6dc4d37be05268ad24b15f077a0"),
-    ("path-join-null", {"m": 1, "N": 4}, 3, 2566,
+    ("path-join-null", {"m": 1, "N": 4}, 3, 1922,
      "c3f47c1c9ab47e7f2b43d6d9ed7876d1189c0d1bd97d4164335c0cfb777adab9"),
-    ("path-join-null", {"m": 2, "N": 2}, 3, 7195,
+    ("path-join-null", {"m": 2, "N": 2}, 3, 2184,
      "093a8d17382d1bef6c31746192b1e636361efb5f59b147511736e0e51c69b8d7"),
     ("path-join-cycle", {"m": 1, "n": 2}, 5, 11,
      "e2996c32e33fa019472f4e9181b97db5e74597baa8d942bf1697858c158bcf52"),
     ("path-join-complete", {"m": 1, "r": 3}, 5, 11,
      "eedab1bb338d67fe3d125b9b4f339a4eb57e0d603284112c3d362e864362e273"),
-    ("cycle-join-null", {"m": 2, "n": 1}, 3, 5009,
+    ("cycle-join-null", {"m": 2, "n": 1}, 3, 3011,
      "d8c944cdf17d9ef553d43deaeee4496d5b3c35639ed0f3b094d0d5404d2c2a65"),
     ("odd-cycle-join-even-null", {"n": 1}, 4, 6989,
      "72132181ba22842efd32df16254289c9b20354865372b7d7503d1cc92baacfd0"),
@@ -361,8 +408,13 @@ DESK_SEARCHES = [
      "8abfa123a89b7dcf6cc04d5f086c386fc1b768fe7cbd757bb692f32a38be6e20"),
     ("C3 v O2 minus", (1, 4), 4, 12,
      "f12b33c129334f8e2b32764d510b6226a1f93c7c835da547071dc38bdeb52b18"),
-    ("C3 v O2 minus", (1, 2), 3, 1355,
+    ("C3 v O2 minus", (1, 2), 3, 567,
      "b07bfe56e8edf4a0ce949c73829c86f22d773794ec3727359e2cefe2886cbb3d"),
+    # C_4 v O_2 (q 12) and C_5 v O_2 (q 15, past the default max_edges)
+    ("C v O", (4, 2), 3, 1576,
+     "48d34fd82c11c8f2750ad5900cb23db805d46d5e7b99e5f22408821ea7fc6de2"),
+    ("C v O", (5, 2), 4, 17731,
+     "060953145fdd4fd127d65318211ba1da50dac75f9e92f995b79d3bd1834259be"),
 ]
 
 
@@ -371,12 +423,14 @@ DESK_SEARCHES = [
 def test_desk_searches_are_pinned(family, params, chi_la, nodes, digest):
     if family == "C3 v O2 minus":
         g = delete_edge(join(build_family("cycle", 3), build_family("null", 2)), params)
+    elif family == "C v O":
+        g = join(build_family("cycle", params[0]), build_family("null", params[1]))
     else:
         try:
             g = build_construction(family, params).graph
         except CitedCaseError as exc:
             g = exc.graph
-    report = exact_chi_la(g)
+    report = exact_chi_la(g, SearchConfig(max_edges=15))
     witness = json.dumps(report.witness.to_json(), sort_keys=True).encode()
     assert (report.chi_la, report.exact, report.nodes_explored) == (chi_la, True, nodes)
     assert hashlib.sha256(witness).hexdigest() == digest
