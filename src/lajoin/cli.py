@@ -46,19 +46,68 @@ from .solver import SearchConfig, confirm_theorem, exact_chi_la
 # Every family parameter, each a flag, and the values ``--which`` takes.
 PARAM_KEYS = tuple(dict.fromkeys(key for fam in FAMILIES for key in fam.params))
 WHICH_VALUES = tuple(dict.fromkeys(w for fam in FAMILIES for w in fam.which_values))
+# The most edges gen and matrix --family, or cells arrays, take on in one
+# request. The size is computed in closed form before anything is built, so
+# a larger request exits 2 instead of exhausting memory.
+MAX_OUTPUT_SIZE = 1_000_000
 
 
 def dump_json(obj) -> str:
     """``obj`` as JSON, byte for byte what ``json.dumps`` writes with sorted
     keys and an indent of 2, plus a final newline.
 
-    Every JSON document lajoin emits is written here. Given an indent,
-    ``json`` runs its pure-Python encoder, a chain of generators; this
-    writes a list column by column (see ``_columns``). Dict keys must be
-    strings (``TypeError`` otherwise); a float or other leaf is written by
+    Every JSON document lajoin emits is written here, apart from gen's
+    labeling document (see ``dump_labeling``). Given an indent, ``json``
+    runs its pure-Python encoder, a chain of generators; this writes a list
+    column by column (see ``_columns``). Dict keys must be strings
+    (``TypeError`` otherwise); a float or other leaf is written by
     ``json.dumps``.
     """
     return _dumps(obj, "\n") + "\n"
+
+
+# One item of each long list of gen's labeling document, indented where
+# dump_json puts it: graph edges and vertices at depth 3, labels at depth 2.
+_EDGE_ITEM = "[\n        %d,\n        %d\n      ]"
+_VERTEX_ITEM = '{\n        "id": %d,\n        "role": %s\n      }'
+_LABEL_ITEM = '{\n      "edge": [\n        %d,\n        %d\n      ],\n      "label": %d\n    }'
+
+
+def dump_labeling(res: ConstructionResult, family: str, params: dict) -> str:
+    """gen's labeling document: byte for byte ``dump_json`` of
+    ``res.labeling.to_json()`` with ``family``, ``params``,
+    ``claimed_chi_la`` and ``claimed_colors`` added.
+
+    The graph's edges and vertices and the labels are written straight
+    from the edge tuple, the roles and the label tuple, one ``%`` template
+    per item, with no dict or list per edge; the other fields go through
+    ``_dumps``. Ids, endpoints and labels are ints, as in every labeling
+    lajoin builds.
+    """
+    g, edges = res.graph, res.graph.edges
+    firsts, seconds = map(itemgetter(0), edges), map(itemgetter(1), edges)
+    return "".join((
+        '{\n  "claimed_chi_la": ', _dumps(res.claimed_chi_la, "\n  "),
+        ',\n  "claimed_colors": ', _dumps(sorted(res.claimed_colors), "\n  "),
+        ',\n  "family": ', _dumps(family, "\n  "),
+        ',\n  "graph": {\n    "edges": ', _items(_EDGE_ITEM, edges, "\n    "),
+        # tuples are written as lists, as Graph.to_json gives them
+        ',\n    "family": ', _dumps(g.family, "\n    "),
+        ',\n    "schema": "v1",\n    "vertices": ',
+        _items(_VERTEX_ITEM, zip(g.vertices, map(_escape, g.roles)), "\n    "),
+        '\n  },\n  "labels": ',
+        _items(_LABEL_ITEM, sorted(zip(firsts, seconds, res.labeling.values)), "\n  "),
+        ',\n  "params": ', _dumps(params, "\n  "),
+        ',\n  "schema": "v1"\n}\n',
+    ))
+
+
+def _items(template: str, rows, newline: str) -> str:
+    """A list whose items are ``template % row``, as ``_encode`` writes it
+    on a line indented as ``newline``."""
+    inner = newline + "  "
+    body = ("," + inner).join(map(template.__mod__, rows))
+    return "[" + inner + body + newline + "]" if body else "[]"
 
 
 def _dumps(obj, newline: str) -> str:
@@ -88,9 +137,8 @@ def _encode(obj, newline: str, out: list[str]) -> None:
         if not obj:
             out.append("[]")
             return
-        inner = newline + "  "
-        template, columns = _columns(obj, inner)
-        out.append("[" + inner + ("," + inner).join(map(template.__mod__, zip(*columns))) + newline + "]")
+        template, columns = _columns(obj, newline + "  ")
+        out.append(_items(template, zip(*columns), newline))
     elif obj is None:
         out.append("null")
     elif obj is True:
@@ -185,6 +233,11 @@ def _add_param_flags(sub, required: bool = False, number=int):
             sub.add_argument(f"--{key}", type=number)
 
 
+def _check_size(command: str, size: int, unit: str) -> None:
+    if size > MAX_OUTPUT_SIZE:
+        raise ParameterError(f"{command} takes at most {MAX_OUTPUT_SIZE} {unit}; this request has {size}")
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -195,6 +248,7 @@ def _write(path: str | None, text: str) -> None:
 def _gen(args) -> int:
     params = _collect_params(args)
     cfg = _search_config(args)
+    _check_size("gen", edge_count(args.family, params), "edges")
     try:
         res = build_construction(args.family, params)
         note = None
@@ -215,12 +269,7 @@ def _gen(args) -> int:
         print(f"error: generated labeling failed verification at {cert.failure}", file=sys.stderr)
         return 1
     out_prefix = args.out
-    payload = res.labeling.to_json()
-    payload["family"] = args.family
-    payload["params"] = params
-    payload["claimed_chi_la"] = res.claimed_chi_la
-    payload["claimed_colors"] = sorted(res.claimed_colors)
-    text = dump_json(payload)
+    text = dump_labeling(res, args.family, params)
     if out_prefix:
         _write(f"{out_prefix}.labeling.json", text)
         if args.matrix:
@@ -265,8 +314,12 @@ def _solve(args) -> int:
     if path:
         g = Graph.from_json(_read_json(path))
     else:
+        params = _collect_params(args)
+        q = edge_count(args.family, params)
+        if q > cfg.max_edges:  # exact_chi_la's own refusal, made before the graph is built
+            raise ParameterError(f"graph has {q} > {cfg.max_edges} edges; raise max_edges to force the search")
         try:
-            g = build_construction(args.family, _collect_params(args)).graph
+            g = build_construction(args.family, params).graph
         except CitedCaseError as exc:
             g = exc.graph
     report = exact_chi_la(g, cfg)
@@ -279,7 +332,9 @@ def _matrix(args) -> int:
     if path:
         f = EdgeLabeling.from_json(_read_json(path))
     else:
-        f = build_construction(args.family, _collect_params(args)).labeling
+        params = _collect_params(args)
+        _check_size("matrix", edge_count(args.family, params), "edges")
+        f = build_construction(args.family, params).labeling
     matrix = export_matrix(f.graph, f)
     text = matrix.to_csv() if args.format == "csv" else matrix.to_pretty()
     _write(args.out, text)
@@ -355,13 +410,16 @@ def _arrays(args) -> int:
     if args.kind == "square":
         if args.order is None:
             raise ParameterError("square needs --order")
+        _check_size("arrays", args.order * args.order, "cells")
         arr = siamese_magic_square(args.order)
     elif args.rows is None or args.cols is None:
         raise ParameterError(f"{args.kind} needs --rows and --cols")
-    elif args.kind == "rectangle":
-        arr = magic_rectangle(args.rows, args.cols)
     else:
-        arr = nearly_magic_rectangle(args.rows, args.cols)
+        _check_size("arrays", args.rows * args.cols, "cells")
+        if args.kind == "rectangle":
+            arr = magic_rectangle(args.rows, args.cols)
+        else:
+            arr = nearly_magic_rectangle(args.rows, args.cols)
     text = dump_json(array_to_json(arr)) if args.format == "json" else array_to_csv(arr)
     _write(args.out, text)
     return 0

@@ -206,23 +206,26 @@ class Graph:
         if not isinstance(data, dict):
             raise ParameterError("a graph must be a JSON object")
         verts, pairs = data.get("vertices"), data.get("edges")
-        if not isinstance(verts, list) or not all(
-            isinstance(v, dict) and type(v.get("id")) is int and isinstance(v.get("role"), str)
-            for v in verts
-        ):
+        # The vertices are checked over their id and role columns, each
+        # taken with ``dict.get`` (None where a key is missing).
+        if not isinstance(verts, list) or not _all_subclasses({*map(type, verts)}, dict):
+            ids = roles = None
+        else:
+            ids = list(map(dict.get, verts, itertools.repeat("id")))
+            roles = list(map(dict.get, verts, itertools.repeat("role")))
+        if ids is None or {*map(type, ids)} - {int} or not _all_subclasses({*map(type, roles)}, str):
             raise ParameterError('graph "vertices" must be a list of {"id": int, "role": str} objects')
         normalized = isinstance(pairs, list) and are_increasing_int_pairs(pairs)
         if not normalized and (not isinstance(pairs, list) or not all(map(is_int_pair, pairs))):
             raise ParameterError('graph "edges" must be a list of integer pairs')
-        ids = [v["id"] for v in verts]
-        if sorted(ids) != list(range(1, len(ids) + 1)):
+        in_order = list(range(1, len(ids) + 1))
+        if ids != in_order and sorted(ids) != in_order:
             raise ParameterError("vertex ids must be exactly 1..n")
-        roles = [""] * len(ids)
-        for v in verts:
-            role = v["role"]
-            if not _ROLE.fullmatch(role):
-                raise ParameterError(f"vertex role {role!r} is not u<i> or v<j> with i, j >= 1")
-            roles[v["id"] - 1] = role
+        bad = next(itertools.filterfalse(_ROLE.fullmatch, roles), None)
+        if bad is not None:
+            raise ParameterError(f"vertex role {bad!r} is not u<i> or v<j> with i, j >= 1")
+        if ids != in_order:
+            roles = [role for _, role in sorted(zip(ids, roles))]  # ids are unique
         if len(set(roles)) != len(roles):
             raise ParameterError("vertex roles must be unique")
         edges = tuple(map(tuple, pairs)) if normalized else tuple(edge(a, b) for a, b in pairs)
@@ -242,6 +245,11 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, q={self.q}, family={self.family!r})"
+
+
+def _all_subclasses(kinds: set, base: type) -> bool:
+    """Whether every type in ``kinds`` is ``base`` or a subclass, as ``isinstance`` asks."""
+    return all(issubclass(kind, base) for kind in kinds)
 
 
 def _normalized_in_range(edges, n: int) -> bool:

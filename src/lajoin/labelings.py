@@ -231,13 +231,20 @@ def _aligned(g: Graph, f: EdgeLabeling) -> tuple:
     return values
 
 
+def _bijective_values(g: Graph, f: EdgeLabeling) -> tuple:
+    """f's labels in g's edge order; LabelingError unless they lie on
+    exactly g's edges and are a bijection onto 1..q."""
+    values = _aligned(g, f)
+    if not _is_bijection(values, g.q):
+        raise LabelingError("labels must be a bijection onto 1..q")
+    return values
+
+
 def induced_sums(g: Graph, labels: Mapping[Edge, int] | EdgeLabeling) -> dict[int, int]:
     """Vertex sums of incident labels; rejects non-bijective labelings."""
     if not isinstance(labels, EdgeLabeling):
         labels = EdgeLabeling(g, labels)
-    values = _aligned(g, labels)
-    if not _is_bijection(values, g.q):
-        raise LabelingError("labels must be a bijection onto 1..q")
+    values = _bijective_values(g, labels)
     return dict(enumerate(_sum_list(zip(g.edges, values), g.n)[1:], 1))
 
 
@@ -421,14 +428,15 @@ def export_matrix(g: Graph, f: EdgeLabeling) -> LabelingMatrix:
     us, vs = g.u_vertices, g.v_vertices
     if not us or not vs:
         raise ParameterError("matrix export needs a two-sided join graph")
-    sums = f.sums
+    values = _bijective_values(g, f)
+    sums = _sum_list(zip(g.edges, values), g.n)
     row = {u: i for i, u in enumerate(us)}
     col = {v: j for j, v in enumerate(vs)}
     grid = [[None] * len(vs) for _ in us]
     u_own = dict.fromkeys(us, 0)
     v_own = dict.fromkeys(vs, 0)
     has_v_edges = False
-    for (a, b), lab in f._items():
+    for (a, b), lab in zip(g.edges, values):
         # a join edge is (v, u) when the second side has the smaller ids
         if a in row:
             if b in col:

@@ -16,10 +16,16 @@ from conftest import slow_cited_nodes
 import lajoin
 import lajoin.cli as cli
 from lajoin.arrays import array_to_json, magic_rectangle
-from lajoin.cli import build_parser, dump_json, main
-from lajoin.constructions import ALL_FAMILIES, build_construction, sweep_points
+from lajoin.cli import MAX_OUTPUT_SIZE, build_parser, dump_json, dump_labeling, main
+from lajoin.constructions import (
+    ALL_FAMILIES,
+    CitedCaseError,
+    ConstructionResult,
+    build_construction,
+    sweep_points,
+)
 from lajoin.graphs import build_family
-from lajoin.labelings import verify_local_antimagic
+from lajoin.labelings import EdgeLabeling, verify_local_antimagic
 from lajoin.solver import exact_chi_la
 
 
@@ -906,3 +912,100 @@ def test_dump_json_matches_json_dumps_on_lajoin_documents():
 def test_dump_json_rejects_keys_that_are_not_strings(doc):
     with pytest.raises(TypeError):
         dump_json(doc)
+
+
+# -- gen's labeling document -------------------------------------------------
+
+
+def gen_payload(res, family, params):
+    """gen's labeling document as a dict: ``to_json()`` plus the claim fields."""
+    payload = res.labeling.to_json()
+    payload.update(family=family, params=params, claimed_chi_la=res.claimed_chi_la,
+                   claimed_colors=sorted(res.claimed_colors))
+    return payload
+
+
+def test_dump_labeling_is_dump_json_on_the_sweep():
+    count = 0
+    for family in ALL_FAMILIES:
+        for params in sweep_points(family, 400):
+            res = build_construction(family, params)
+            assert dump_labeling(res, family, params) == dump_json(gen_payload(res, family, params)), \
+                (family, params)
+            count += 1
+    assert count == 3395
+
+
+@pytest.mark.parametrize("family,params", [
+    # a nested family descriptor: ("minus-edge", ("join", ...), (a, b))
+    ("cycle-join-null-minus-edge", {"m": 2, "n": 3, "which": "join-edge"}),
+    ("p7-o3", {}),  # "params": {}
+])
+def test_gen_writes_dump_json_of_the_payload(capsys, family, params):
+    flags = [x for key, value in params.items() for x in (f"--{key}", str(value))]
+    assert run_cli("gen", "--family", family, *flags) == 0
+    res = build_construction(family, params)
+    assert capsys.readouterr().out == dump_json(gen_payload(res, family, params))
+
+
+def test_gen_on_the_solver_route_writes_dump_json_of_the_payload(capsys):
+    params = {"m": 1, "N": 2}
+    assert run_cli("gen", "--family", "path-join-null", "--m", "1", "--N", "2") == 0
+    out = capsys.readouterr().out
+    with pytest.raises(CitedCaseError) as cited:
+        build_construction("path-join-null", params)
+    report = exact_chi_la(cited.value.graph)
+    witness = report.witness
+    res = ConstructionResult(witness.graph, witness, frozenset(witness.sums.values()), report.chi_la)
+    assert out == dump_json(gen_payload(res, "path-join-null", params))
+
+
+def test_dump_labeling_writes_empty_lists_as_dump_json_does():
+    g = build_family("null", 3)
+    res = ConstructionResult(g, EdgeLabeling.from_values(g, ()), frozenset(), 1)
+    text = dump_labeling(res, "null", {})
+    assert text == dump_json(gen_payload(res, "null", {}))
+    assert '"edges": [],' in text and '"labels": [],' in text and '"claimed_colors": [],' in text
+
+
+def test_gen_stdout_is_the_out_file(tmp_path, capsys):
+    flags = ["--family", "cycle-join-cycle-minus-edge", "--m", "2", "--n", "3"]
+    assert run_cli("gen", *flags) == 0
+    out = capsys.readouterr().out
+    assert run_cli("gen", *flags, "--out", str(tmp_path / "p")) == 0
+    assert (tmp_path / "p.labeling.json").read_text(encoding="utf-8") == out
+
+
+# -- requests past the size limit --------------------------------------------
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--family", "path-join-null", "--m", "1", "--N", "500000"],
+     "gen takes at most 1000000 edges; this request has 1000001"),
+    (["gen", "--family", "cycle-join-null", "--m", "100000", "--n", "100000", "--matrix"],
+     "gen takes at most 1000000 edges; this request has 40000000000"),
+    (["matrix", "--family", "cycle-join-null", "--m", "1000", "--n", "1000"],
+     "matrix takes at most 1000000 edges; this request has 4000000"),
+    (["arrays", "--kind", "rectangle", "--rows", "99999", "--cols", "99999"],
+     "arrays takes at most 1000000 cells; this request has 9999800001"),
+    (["arrays", "--kind", "nearly-rectangle", "--rows", "1000", "--cols", "1001"],
+     "arrays takes at most 1000000 cells; this request has 1001000"),
+    (["arrays", "--kind", "square", "--order", "1001"],
+     "arrays takes at most 1000000 cells; this request has 1002001"),
+    (["solve", "--family", "cycle-join-null", "--m", "100000", "--n", "100000"],
+     "graph has 40000000000 > 12 edges; raise max_edges to force the search"),
+    (["solve", "--family", "path-join-null", "--m", "2", "--N", "2", "--max-edges", "10"],
+     "graph has 11 > 10 edges; raise max_edges to force the search"),
+], ids=["gen-one-over", "gen", "matrix", "rectangle", "nearly-rectangle", "square", "solve",
+        "solve-max-edges"])
+def test_oversized_requests_exit_2_before_building(tmp_path, capsys, monkeypatch, argv, message):
+    def refuse(*args):
+        raise AssertionError("built a graph or array for an oversized request")
+
+    for name in ("build_construction", "magic_rectangle", "nearly_magic_rectangle",
+                 "siamese_magic_square"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert MAX_OUTPUT_SIZE == 1_000_000
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []

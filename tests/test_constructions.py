@@ -15,6 +15,7 @@ from lajoin.constructions import (
     CitedCaseError,
     antimagic_complete,
     build_construction,
+    edge_count,
     generic_seed,
     label_complete_join_odd_cycle,
     label_cycle_join_complete,
@@ -675,3 +676,25 @@ def test_null_join_grids_match_the_per_cell_tables():
         for n in range(2, 16):
             assert cells(_even_null_join(m, n)) == _reference_even_null_join(m, n), (m, n)
             assert cells(_odd_null_join(m, n)) == _reference_odd_null_join(m, n), (m, n)
+
+
+def test_edge_count_is_the_built_graphs_edge_count():
+    # gen, matrix and solve refuse an oversized request by edge_count
+    # before building, so it must be q at every point that builds, cited
+    # points and reroutes included.
+    checked = cited = 0
+    for fam in FAMILIES:
+        keys = [key for key in fam.params if key != "which"]
+        for values in itertools.product(range(1, 7), repeat=len(keys)):
+            for which in fam.which_values or (None,):
+                params = dict(zip(keys, values), **({"which": which} if which else {}))
+                try:
+                    g = build_construction(fam.name, params).graph
+                except CitedCaseError as exc:
+                    g = exc.graph
+                    cited += 1
+                except ParameterError:
+                    continue
+                assert edge_count(fam.name, params) == g.q, (fam.name, params)
+                checked += 1
+    assert (checked, cited) == (292, 26)

@@ -1,11 +1,12 @@
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import SMALLEST_ORDER, built_graphs, random_graph
 from lajoin.graphs import (
@@ -386,6 +387,69 @@ def test_graph_from_json_rejects_malformed(mutate):
     mutate(data)
     with pytest.raises(ParameterError):
         Graph.from_json(data)
+
+
+def _per_vertex_roles(verts):
+    """The roles in id order, checked one vertex at a time as Graph.from_json
+    did before it checked columns; raises its messages in its order."""
+    if not isinstance(verts, list) or not all(
+        isinstance(v, dict) and type(v.get("id")) is int and isinstance(v.get("role"), str)
+        for v in verts
+    ):
+        raise ParameterError('graph "vertices" must be a list of {"id": int, "role": str} objects')
+    ids = [v["id"] for v in verts]
+    if sorted(ids) != list(range(1, len(ids) + 1)):
+        raise ParameterError("vertex ids must be exactly 1..n")
+    roles = [""] * len(ids)
+    for v in verts:
+        role = v["role"]
+        if not re.fullmatch(r"[uv][1-9][0-9]{0,8}", role):
+            raise ParameterError(f"vertex role {role!r} is not u<i> or v<j> with i, j >= 1")
+        roles[v["id"] - 1] = role
+    if len(set(roles)) != len(roles):
+        raise ParameterError("vertex roles must be unique")
+    return tuple(roles)
+
+
+@st.composite
+def vertex_lists(draw):
+    """Vertex lists of 1..6 items in any id order, some items faulty: an id
+    or role that is missing, of the wrong type, repeated or out of range, a
+    malformed role, or an item that is not a dict."""
+    n = draw(st.integers(1, 6))
+    ids = draw(st.permutations(range(1, n + 1)))
+    verts = [{"id": v, "role": f"{draw(st.sampled_from('uv'))}{v}"} for v in ids]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, n - 1))
+        fault = draw(st.sampled_from(["id", "role", "no-id", "no-role", "not-dict", "role-copy"]))
+        if not isinstance(verts[i], dict):
+            continue
+        if fault == "id":
+            verts[i]["id"] = draw(st.sampled_from([0, n + 1, 1, True, 1.0, "1", None]))
+        elif fault == "role":
+            verts[i]["role"] = draw(st.sampled_from(["ux", "u0", "w1", "u01", "", 1, None, "u1" + "0" * 9]))
+        elif fault in ("no-id", "no-role"):
+            verts[i].pop(fault[3:], None)
+        elif fault == "not-dict":
+            verts[i] = draw(st.sampled_from([1, "u1", [1, "u1"], None]))
+        else:
+            verts[i]["role"] = verts[0].get("role", "u1") if isinstance(verts[0], dict) else "u1"
+    return verts
+
+
+@settings(max_examples=300)
+@given(verts=vertex_lists())
+# two bad roles, listed against id order: the first listed is named
+@example(verts=[{"id": 2, "role": "ux"}, {"id": 1, "role": "w1"}])
+@example(verts=[{"id": 2, "role": "u1"}, {"id": 1, "role": "v1"}])
+def test_graph_from_json_checks_vertices_as_the_per_vertex_loop_did(verts):
+    # same outcome, message included, as the one-vertex-at-a-time check;
+    # an edgeless graph, so that only the vertices can fail
+    expected = _outcome(_per_vertex_roles, verts)
+    doc = {"schema": "v1", "vertices": verts, "edges": []}
+    assert _outcome(Graph.from_json, doc) == expected
+    if expected is None:
+        assert Graph.from_json(doc).roles == _per_vertex_roles(verts)
 
 
 def test_graph_from_json_role_and_family_limits():

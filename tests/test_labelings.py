@@ -417,6 +417,22 @@ def test_matrix_requires_join():
         export_matrix(g, f)
 
 
+def test_matrix_refuses_labels_that_are_not_a_bijection_on_the_edges():
+    res = build_construction("cycle-join-null", {"m": 2, "n": 2})
+    g, f = res.graph, res.labeling
+    twice = EdgeLabeling.from_values(g, f.values[1:2] + f.values[1:])
+    off = EdgeLabeling(g, dict(list(f.labels.items())[1:]))
+    wider = build_construction("cycle-join-null", {"m": 2, "n": 3}).graph
+    for graph, labeling, message in [
+        (g, twice, "labels must be a bijection onto 1..q"),
+        (g, off, "labels must be defined on exactly the edge set"),
+        (wider, f, "labels must be defined on exactly the edge set"),  # f labels another graph
+    ]:
+        with pytest.raises(LabelingError) as exc:
+            export_matrix(graph, labeling)
+        assert str(exc.value) == message
+
+
 def test_matrix_with_deleted_join_edge_has_hole():
     res = label_cycle_join_null(2, 2)
     from lajoin.labelings import complement_labeling as comp

@@ -1,9 +1,13 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import random
 import re
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ from lajoin.graphs import (
     delete_edge,
     join,
 )
+import lajoin.solver
 from lajoin.labelings import verify_local_antimagic
 from lajoin.solver import SearchConfig, confirm_theorem, exact_chi_la
 
@@ -159,13 +164,77 @@ def test_far_first_witness_corpus_is_what_it_says():
         assert g.q <= 7 and brute_chi_la(g) == 3 and first >= 5, g.edges
 
 
+@functools.cache
+def oracle_values():
+    """(graph, brute-force chi_la) over the oracle corpus, computed once."""
+    return tuple((g, brute_chi_la(g)) for g in oracle_corpus())
+
+
 def test_brute_force_oracle_all_configs():
-    for g in oracle_corpus():
-        expected = brute_chi_la(g)
+    for g, expected in oracle_values():
         report = exact_chi_la(g)
         assert report.exact and report.chi_la == expected, g.edges
         if expected is not None:
             assert verify_local_antimagic(g, report.witness).color_count == expected
+
+
+# Known-unsound edits to src/lajoin/solver.py, each (name, exact text, its
+# replacement). The text must occur exactly once, so a refactor that moves
+# an anchor fails here instead of letting its mutant pass unchecked.
+SOLVER_MUTANTS = [
+    # cut at slack 3 unless both endpoints of the edge just labeled can
+    # still end on a finalized sum; one stuck endpoint needs only one new sum
+    ("slack-3 cut on one stuck endpoint",
+     "if (slack > 2 or slack == 2 and (can_finish(a) or can_finish(b))",
+     "if (slack > 3 or slack == 3 and can_finish(a) and can_finish(b)"
+     " or slack == 2 and (can_finish(a) or can_finish(b))"),
+    # at slack 2 one new sum is still allowed, so one endpoint may be stuck
+    ("slack-2 cut unless both endpoints finish",
+     "slack == 2 and (can_finish(a) or can_finish(b))",
+     "slack == 2 and (can_finish(a) and can_finish(b))"),
+    # an open neighbour's current sum is not final and blocks nothing
+    ("can_finish blocks on every neighbour's sum",
+     "if sums[u] == s and not remaining[u]:",
+     "if sums[u] == s:"),
+    # the reflection f <-> q+1-f keeps the colour count only on regular
+    # graphs, and with the twin rules it can exclude a whole orbit
+    ("reflection rule on non-regular graphs",
+     "if regular and (lab == q and not used[1] or lab == 1 and used[q]):",
+     "if lab == q and not used[1] or lab == 1 and used[q]:"),
+]
+
+
+def load_solver(edit=None):
+    """A throwaway copy of lajoin.solver, with ``edit`` (text, replacement) made."""
+    path = Path(lajoin.solver.__file__)
+    source = path.read_text(encoding="utf-8")
+    if edit is not None:
+        old, new = edit
+        assert source.count(old) == 1, f"mutant anchor not found exactly once: {old!r}"
+        source = source.replace(old, new)
+    module = types.ModuleType("lajoin._solver_mutant")
+    module.__package__ = "lajoin"
+    # dataclass reads its class's module from sys.modules while it runs
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(source, str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+def wrong_answers(solver):
+    return [g.edges for g, expected in oracle_values() if solver.exact_chi_la(g).chi_la != expected]
+
+
+def test_unmutated_solver_copy_passes_the_oracle():
+    # the loader itself changes nothing
+    assert wrong_answers(load_solver()) == []
+
+
+@pytest.mark.parametrize("name,old,new", SOLVER_MUTANTS, ids=[m[0] for m in SOLVER_MUTANTS])
+def test_oracle_catches_unsound_solver_mutant(name, old, new):
+    assert wrong_answers(load_solver((old, new))), name
 
 
 def test_edge_order_invariance():
