@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (sweep: no row is a mismatch; ``inconclusive`` rows
 exit 0), 1 verification failure or claim mismatch, 2 usage, parameter or
-input-file error, reported as one line on stderr. All output files are
-deterministic for a given command line.
+input-file error, reported as one line on stderr. gen, matrix and arrays
+output is byte-stable across runs; solve reports include elapsed time and
+are not.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ def dump_json(obj) -> str:
 
     Every JSON document lajoin emits is written here, apart from gen's
     labeling document (see ``dump_labeling``). Given an indent, ``json``
-    runs its pure-Python encoder, a chain of generators; this writes a list
-    column by column (see ``_columns``). Dict keys must be strings
-    (``TypeError`` otherwise); a float or other leaf is written by
+    runs its pure-Python encoder, a chain of generators; this writes each
+    dict and list item by item into one list of strings. Dict keys must be
+    strings (``TypeError`` otherwise); a float or other leaf is written by
     ``json.dumps``.
     """
     return _dumps(obj, "\n") + "\n"
@@ -137,8 +138,13 @@ def _encode(obj, newline: str, out: list[str]) -> None:
         if not obj:
             out.append("[]")
             return
-        template, columns = _columns(obj, newline + "  ")
-        out.append(_items(template, zip(*columns), newline))
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
     elif obj is None:
         out.append("null")
     elif obj is True:
@@ -147,45 +153,6 @@ def _encode(obj, newline: str, out: list[str]) -> None:
         out.append("false")
     else:
         out.append(json.dumps(obj))
-
-
-def _columns(items, newline: str) -> tuple[str, list]:
-    """A ``%`` template that writes one of ``items`` and its leaf columns.
-
-    ``items`` are the values at one place in the items of a list, each
-    written on a line indented as ``newline``. Ints (``%d``) and strings
-    (``%s``, escaped) are leaves; dicts with the same keys and lists of
-    the same length are walked once, and each of their places gives its
-    own columns. Any other column (mixed types, floats, None, bools,
-    differing keys or lengths, empty containers) is one ``%s`` leaf of
-    items written one by one. Every template takes at least one column.
-    """
-    kinds = {*map(type, items)}
-    if kinds == {int}:
-        return "%d", [items]
-    if kinds == {str}:
-        return "%s", [list(map(_escape, items))]
-    inner = newline + "  "
-    if kinds == {dict}:
-        keys = items[0].keys()
-        if keys and all(map(keys.__eq__, map(dict.keys, items))):
-            parts, columns = [], []
-            for key in sorted(keys):
-                template, cols = _columns(list(map(itemgetter(key), items)), inner)
-                # TypeError on a key that is not a string
-                parts.append(inner + _escape(key).replace("%", "%%") + ": " + template)
-                columns += cols
-            return "{" + ",".join(parts) + newline + "}", columns
-    elif kinds <= {list, tuple}:
-        lengths = {*map(len, items)}
-        if len(lengths) == 1 and 0 not in lengths:
-            parts, columns = [], []
-            for i in range(len(items[0])):
-                template, cols = _columns(list(map(itemgetter(i), items)), inner)
-                parts.append(inner + template)
-                columns += cols
-            return "[" + ",".join(parts) + newline + "]", columns
-    return "%s", [[_dumps(item, newline) for item in items]]
 
 
 def _read_json(path: str):
@@ -268,24 +235,21 @@ def _gen(args) -> int:
     if not cert.ok:
         print(f"error: generated labeling failed verification at {cert.failure}", file=sys.stderr)
         return 1
-    out_prefix = args.out
-    text = dump_labeling(res, args.family, params)
-    if out_prefix:
-        _write(f"{out_prefix}.labeling.json", text)
-        if args.matrix:
-            matrix = export_matrix(res.graph, res.labeling)
-            _write(f"{out_prefix}.matrix.csv", matrix.to_csv())
-    else:
-        _write(None, text)
-        if args.matrix:
-            matrix = export_matrix(res.graph, res.labeling)
-            _write(None, matrix.to_pretty())
+    # With --out PREFIX the JSON and the CSV matrix go to files; with no
+    # --out, or an empty PREFIX, the JSON and the pretty matrix go to stdout.
+    prefix = args.out or None
+    _write(prefix and f"{prefix}.labeling.json", dump_labeling(res, args.family, params))
+    if args.matrix:
+        matrix = export_matrix(res.graph, res.labeling)
+        _write(prefix and f"{prefix}.matrix.csv", matrix.to_csv() if prefix else matrix.to_pretty())
     if note:
         print(note, file=sys.stderr)
     return 0
 
 
 def _verify(args) -> int:
+    if args.lower_bound is not None and args.lower_bound < 1:
+        raise ParameterError("lower bound must be at least 1")
     f = EdgeLabeling.from_json(_read_json(args.labeling))
     cert = verify_local_antimagic(f.graph, f, lower_bound=args.lower_bound)
     if args.format == "json":

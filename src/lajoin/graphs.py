@@ -76,10 +76,9 @@ class Graph:
     Graphs from ``build_family``, ``join`` and ``delete_edge`` are valid by
     construction and are not checked again (see ``_unchecked``).
 
-    ``_edge_set``, which ``has_edge`` and the labeling checks compare
-    against, is the frozenset of ``edges``. The check keeps the set it
-    builds; on a graph built unchecked it is built on first use. It is not
-    a field, so ``==`` and ``repr`` ignore it.
+    ``_edge_set``, which ``has_edge`` reads, is the frozenset of ``edges``.
+    ``Graph(...)`` keeps the set its check builds; on any other graph it is
+    built on first use. It is not a field, so ``==`` and ``repr`` ignore it.
     """
 
     n: int
@@ -94,16 +93,7 @@ class Graph:
             raise ParameterError("graph needs at least one vertex")
         if len(self.roles) != self.n:
             raise ParameterError("one role tag required per vertex")
-        # The checks run over all edges at once; only a graph that fails
-        # them goes through the per-edge loop, which words the error.
-        try:
-            edge_set = frozenset(self.edges)
-            valid = len(edge_set) == len(self.edges) and _normalized_in_range(self.edges, self.n)
-        except (TypeError, ValueError):  # an unhashable, non-pair or incomparable edge
-            valid = False
-        if not valid:
-            edge_set = self._checked_edge_set()
-        object.__setattr__(self, "_edge_set", edge_set)
+        object.__setattr__(self, "_edge_set", self._checked_edge_set())
 
     @classmethod
     def _unchecked(cls, n: int, edges: tuple[Edge, ...], roles: tuple[str, ...], family) -> "Graph":
@@ -235,12 +225,9 @@ class Graph:
         # edges at once; only a graph that fails goes through Graph(...),
         # which words the error.
         firsts, seconds = map(itemgetter(0), edges), map(itemgetter(1), edges)
-        if n >= 1 and (not edges or (min(firsts) >= 1 and max(seconds) <= n)):
-            edge_set = frozenset(edges)
-            if len(edge_set) == len(edges):
-                g = Graph._unchecked(n, edges, roles, family)
-                object.__setattr__(g, "_edge_set", edge_set)
-                return g
+        in_range = n >= 1 and (not edges or (min(firsts) >= 1 and max(seconds) <= n))
+        if in_range and len(set(edges)) == len(edges):
+            return Graph._unchecked(n, edges, roles, family)
         return Graph(n, edges, roles, family)
 
     def __repr__(self):
@@ -250,12 +237,6 @@ class Graph:
 def _all_subclasses(kinds: set, base: type) -> bool:
     """Whether every type in ``kinds`` is ``base`` or a subclass, as ``isinstance`` asks."""
     return all(issubclass(kind, base) for kind in kinds)
-
-
-def _normalized_in_range(edges, n: int) -> bool:
-    """Whether every edge is a pair (a, b) with 1 <= a < b <= n, in one pass;
-    raises ValueError or TypeError on an edge that is not a pair of comparable values."""
-    return all(1 <= a < b <= n for a, b in edges)
 
 
 def _family_to_json(family):

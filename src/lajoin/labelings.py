@@ -16,7 +16,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Mapping
 
-from .graphs import Edge, Graph, ParameterError, are_increasing_int_pairs, edge, is_int_pair
+from .graphs import Edge, Graph, ParameterError, are_increasing_int_pairs, delete_edge, edge, is_int_pair
 
 
 class LabelingError(ValueError):
@@ -79,20 +79,16 @@ class EdgeLabeling:
         return induced_sums(self.graph, self)
 
     def edge_with_label(self, value: int) -> Edge:
-        for e, lab in self._items():
+        for e, lab in self.labels.items():
             if lab == value:
                 return e
         raise LabelingError(f"no edge carries label {value}")
-
-    def _items(self):
-        """(edge, label) pairs, without building ``labels`` when ``values`` has them."""
-        return self.labels.items() if self.values is None else zip(self.graph.edges, self.values)
 
     def to_json(self) -> dict:
         return {
             "schema": "v1",
             "graph": self.graph.to_json(),
-            "labels": [{"edge": list(e), "label": lab} for e, lab in sorted(self._items())],
+            "labels": [{"edge": list(e), "label": lab} for e, lab in sorted(self.labels.items())],
         }
 
     @staticmethod
@@ -346,8 +342,6 @@ def delete_labeled_edge(g: Graph, f: EdgeLabeling, e: Edge) -> tuple[Graph, Edge
     labeling passing the deletion certificate stays proper with the same
     color count.
     """
-    from .graphs import delete_edge
-
     values = _values_on(g, f)
     i = _label_one_index(g, values, e)
     if i is None:

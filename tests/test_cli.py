@@ -140,6 +140,17 @@ def test_verify_reports_against_a_lower_bound(tmp_path, capsys, bound, verdict):
     assert lines[3:] == ([] if bound is None else [f"against lower bound {bound}: {verdict}"])
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_verify_lower_bound_below_1_exits_2(tmp_path, capsys, bound):
+    prefix = tmp_path / "p"
+    assert run_cli("gen", "--family", "path-join-null", "--m", "2", "--N", "3",
+                   "--out", str(prefix)) == 0
+    path = str(prefix.with_suffix(".labeling.json"))
+    for flags in ([], ["--format", "json"]):
+        assert run_cli("verify", path, "--lower-bound", bound, *flags) == 2
+        assert capsys.readouterr() == ("", "error: lower bound must be at least 1\n")
+
+
 def test_usage_errors_exit_2(tmp_path):
     proc = run_subprocess("gen", "--family", "nonsense")
     assert proc.returncode == 2
@@ -974,6 +985,19 @@ def test_gen_stdout_is_the_out_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert run_cli("gen", *flags, "--out", str(tmp_path / "p")) == 0
     assert (tmp_path / "p.labeling.json").read_text(encoding="utf-8") == out
+
+
+def test_gen_with_an_empty_out_writes_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flags = ["--family", "path-join-null", "--m", "2", "--N", "3", "--matrix"]
+    assert run_cli("gen", *flags) == 0
+    expected = capsys.readouterr()
+    res = build_construction("path-join-null", {"m": 2, "N": 3})
+    pretty = cli.export_matrix(res.graph, res.labeling).to_pretty()
+    assert expected.out.endswith("}\n" + pretty) and expected.err == ""
+    assert run_cli("gen", *flags, "--out", "") == 0
+    assert capsys.readouterr() == expected
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- requests past the size limit --------------------------------------------
