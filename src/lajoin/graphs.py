@@ -13,7 +13,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter, lt
 
 Edge = tuple[int, int]
 
@@ -40,19 +39,6 @@ def is_int_pair(x) -> bool:
     return isinstance(x, list) and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
 
 
-def are_increasing_int_pairs(items: list) -> bool:
-    """True when every item is a list of two integers, the first the smaller.
-
-    Checked over columns with builtins: a list that passes needs no
-    per-item check and no normalization. One that fails may still hold
-    valid (reversed) edges; the per-item loop decides and words the error.
-    """
-    if {*map(type, items)} != {list} or {*map(len, items)} != {2}:
-        return False
-    firsts, seconds = zip(*items)
-    return {*map(type, firsts), *map(type, seconds)} == {int} and all(map(lt, firsts, seconds))
-
-
 def edge(a: int, b: int) -> Edge:
     """Normalized undirected edge: smaller endpoint first."""
     if a == b:
@@ -69,16 +55,14 @@ class Graph:
     and is never used as evidence: every property, the chromatic lower
     bound included, is computed from ``n`` and ``edges``.
 
-    Data from a caller or a file is checked: ``Graph(...)`` and
-    ``from_json`` refuse a graph whose ``n`` is not an int of at least 1, a
-    role count other than ``n``, or an edge that is repeated or not
-    ``1 <= a < b <= n``.
+    Data from a caller or a file is checked: ``Graph(...)`` refuses a graph
+    whose ``n`` is not an int of at least 1, a role count other than ``n``,
+    or an edge whose endpoints are not both of type ``int`` (``True`` and
+    ``1.0`` are refused), that is repeated, or that is not
+    ``1 <= a < b <= n``, the first bad edge reported. ``from_json`` builds
+    through ``Graph(...)``, so a file gets the same check.
     Graphs from ``build_family``, ``join`` and ``delete_edge`` are valid by
     construction and are not checked again (see ``_unchecked``).
-
-    ``_edge_set``, which ``has_edge`` reads, is the frozenset of ``edges``.
-    ``Graph(...)`` keeps the set its check builds; on any other graph it is
-    built on first use. It is not a field, so ``==`` and ``repr`` ignore it.
     """
 
     n: int
@@ -93,7 +77,7 @@ class Graph:
             raise ParameterError("graph needs at least one vertex")
         if len(self.roles) != self.n:
             raise ParameterError("one role tag required per vertex")
-        object.__setattr__(self, "_edge_set", self._checked_edge_set())
+        self._check_edges()
 
     @classmethod
     def _unchecked(cls, n: int, edges: tuple[Edge, ...], roles: tuple[str, ...], family) -> "Graph":
@@ -108,20 +92,17 @@ class Graph:
         object.__setattr__(g, "family", family)
         return g
 
-    def _checked_edge_set(self) -> frozenset[Edge]:
-        # Raises on the first bad edge in order, else returns the edge set.
+    def _check_edges(self) -> None:
+        # Raises on the first bad edge in order.
         seen = set()
         for a, b in self.edges:
+            if type(a) is not int or type(b) is not int:
+                raise ParameterError(f"edge endpoints must be integers, got {(a, b)!r}")
             if not (1 <= a < b <= self.n):
                 raise ParameterError(f"edge ({a},{b}) not normalized or out of range")
             if (a, b) in seen:
                 raise ParameterError(f"duplicate edge ({a},{b})")
             seen.add((a, b))
-        return frozenset(seen)
-
-    @cached_property
-    def _edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
 
     @property
     def q(self) -> int:
@@ -153,9 +134,6 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
-
-    def has_edge(self, e: Edge) -> bool:
-        return e in self._edge_set
 
     def role_of(self, v: int) -> str:
         return self.roles[v - 1]
@@ -205,8 +183,7 @@ class Graph:
             roles = list(map(dict.get, verts, itertools.repeat("role")))
         if ids is None or {*map(type, ids)} - {int} or not _all_subclasses({*map(type, roles)}, str):
             raise ParameterError('graph "vertices" must be a list of {"id": int, "role": str} objects')
-        normalized = isinstance(pairs, list) and are_increasing_int_pairs(pairs)
-        if not normalized and (not isinstance(pairs, list) or not all(map(is_int_pair, pairs))):
+        if not isinstance(pairs, list) or not all(map(is_int_pair, pairs)):
             raise ParameterError('graph "edges" must be a list of integer pairs')
         in_order = list(range(1, len(ids) + 1))
         if ids != in_order and sorted(ids) != in_order:
@@ -218,17 +195,8 @@ class Graph:
             roles = [role for _, role in sorted(zip(ids, roles))]  # ids are unique
         if len(set(roles)) != len(roles):
             raise ParameterError("vertex roles must be unique")
-        edges = tuple(map(tuple, pairs)) if normalized else tuple(edge(a, b) for a, b in pairs)
-        n, roles, family = len(ids), tuple(roles), _family_from_json(data.get("family"))
-        # Every edge is now an int pair (a, b) with a < b, so what is left of
-        # Graph's check is the range 1..n and repeats, each made over all
-        # edges at once; only a graph that fails goes through Graph(...),
-        # which words the error.
-        firsts, seconds = map(itemgetter(0), edges), map(itemgetter(1), edges)
-        in_range = n >= 1 and (not edges or (min(firsts) >= 1 and max(seconds) <= n))
-        if in_range and len(set(edges)) == len(edges):
-            return Graph._unchecked(n, edges, roles, family)
-        return Graph(n, edges, roles, family)
+        edges = tuple(edge(a, b) for a, b in pairs)
+        return Graph(len(ids), edges, tuple(roles), _family_from_json(data.get("family")))
 
     def __repr__(self):
         return f"Graph(n={self.n}, q={self.q}, family={self.family!r})"

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Mapping
 
-from .graphs import Edge, Graph, ParameterError, are_increasing_int_pairs, delete_edge, edge, is_int_pair
+from .graphs import Edge, Graph, ParameterError, delete_edge, edge, is_int_pair
 
 
 class LabelingError(ValueError):
@@ -107,20 +106,17 @@ class EdgeLabeling:
             items = data["labels"]
             if not isinstance(items, list):
                 raise LabelingError('"labels" must be a list of {"edge", "label"} objects')
-            # Checked over columns; only a list that fails goes through the
-            # per-item loop, which normalizes reversed edges or words the error.
-            labels = _bulk_labels(items)
-            if labels is None:
-                labels = {}
-                for item in items:
-                    e, lab = item["edge"], item["label"]
-                    if not is_int_pair(e):
-                        raise LabelingError(f"edge {e!r} is not a pair of integers")
-                    if type(lab) is not int:
-                        raise LabelingError(f"label {lab!r} on edge {e} is not an integer")
-                    if edge(*e) in labels:
-                        raise LabelingError(f"edge {e} is labeled twice")
-                    labels[edge(*e)] = lab
+            labels = {}
+            for item in items:
+                e, lab = item["edge"], item["label"]
+                if not is_int_pair(e):
+                    raise LabelingError(f"edge {e!r} is not a pair of integers")
+                if type(lab) is not int:
+                    raise LabelingError(f"label {lab!r} on edge {e} is not an integer")
+                key = edge(*e)  # reversed edges normalized; errors name ``e`` as given
+                if key in labels:
+                    raise LabelingError(f"edge {e} is labeled twice")
+                labels[key] = lab
         except (KeyError, TypeError) as exc:
             raise LabelingError(f"malformed labeling JSON: {exc!r}") from None
         except ParameterError as exc:
@@ -132,22 +128,6 @@ class EdgeLabeling:
 
     def __repr__(self):
         return f"EdgeLabeling(q={self.q}, graph={self.graph!r})"
-
-
-def _bulk_labels(items: list) -> dict[Edge, int] | None:
-    """The labels, when every item is a dict whose "edge" is an increasing
-    integer pair, whose "label" is an integer, and no edge repeats; else None."""
-    if {*map(type, items)} != {dict}:
-        return None
-    try:
-        edges = list(map(itemgetter("edge"), items))
-        values = list(map(itemgetter("label"), items))
-    except KeyError:
-        return None
-    if not are_increasing_int_pairs(edges) or {*map(type, values)} != {int}:
-        return None
-    labels = dict(zip(map(tuple, edges), values))
-    return labels if len(labels) == len(items) else None
 
 
 @dataclass(frozen=True)

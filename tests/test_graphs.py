@@ -17,6 +17,7 @@ from lajoin.graphs import (
     chromatic_number_exact,
     delete_edge,
     edge,
+    is_int_pair,
     join,
 )
 
@@ -167,6 +168,8 @@ def per_edge_check(n: int, edges) -> None:
     # first bad edge decides the exception and its message.
     seen = set()
     for a, b in edges:
+        if type(a) is not int or type(b) is not int:
+            raise ParameterError(f"edge endpoints must be integers, got {(a, b)!r}")
         if not (1 <= a < b <= n):
             raise ParameterError(f"edge ({a},{b}) not normalized or out of range")
         if (a, b) in seen:
@@ -185,7 +188,7 @@ def _outcome(fn, *args):
 @st.composite
 def edge_lists(draw):
     """Mostly valid edges, each possibly replaced by a reversed, 0, n+1,
-    repeated or non-pair one, in any order."""
+    1.0, True, repeated or non-pair one, in any order."""
     n = draw(st.integers(1, 7))
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     edges = list(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
@@ -193,6 +196,8 @@ def edge_lists(draw):
         st.sampled_from(pairs).map(lambda e: (e[1], e[0])) if pairs else st.just((1, 1)),
         st.integers(1, n).map(lambda v: (0, v)),
         st.integers(1, n).map(lambda v: (v, n + 1)),
+        st.integers(1, n).map(lambda v: (1.0, v)),
+        st.integers(1, n).map(lambda v: (True, v)),
         st.sampled_from(edges) if edges else st.just((1, 1)),
         st.tuples(st.integers(0, n + 1)),
         st.tuples(st.integers(0, n + 1), st.integers(0, n + 1), st.integers(0, n + 1)),
@@ -209,25 +214,20 @@ def test_graph_rejects_what_the_per_edge_check_rejects(case):
     roles = tuple(f"u{i}" for i in range(1, n + 1))
     expected = _outcome(per_edge_check, n, edges)
     assert _outcome(Graph, n, edges, roles) == expected
-    if expected is None:
-        g = Graph(n, edges, roles)
-        assert g._edge_set == frozenset(edges)
-        pairs = itertools.combinations(range(0, n + 2), 2)
-        assert all(g.has_edge(e) == (e in edges) for e in pairs)
 
 
 @given(edge_lists())
 def test_graph_from_json_checks_as_graph_does(case):
-    # from_json checks the range and repeats over all edges at once and
-    # builds the graph unchecked; it must accept and refuse what Graph(...)
-    # does, reversed edges normalized, with the same message.
+    # from_json refuses edges that are not JSON integer pairs, normalizes
+    # reversed ones and leaves the range and repeats to Graph(...); it must
+    # accept and refuse what Graph(...) does, with the same message.
     n, edges = case
     roles = tuple(f"u{i}" for i in range(1, n + 1))
     doc = {"schema": "v1", "vertices": [{"id": v, "role": r} for v, r in enumerate(roles, 1)],
            "edges": [list(e) for e in edges], "family": None}
 
     def reference():
-        if not all(len(e) == 2 for e in edges):
+        if not all(is_int_pair(list(e)) for e in edges):
             raise ParameterError('graph "edges" must be a list of integer pairs')
         return Graph(n, tuple(edge(a, b) for a, b in edges), roles)
 
@@ -235,26 +235,15 @@ def test_graph_from_json_checks_as_graph_does(case):
     assert _outcome(Graph.from_json, doc) == expected
     if expected is None:
         g = Graph.from_json(doc)
-        assert g == reference() and g._edge_set == frozenset(g.edges)
+        assert g == reference()
 
 
 @settings(max_examples=200)
 @given(built_graphs)
 def test_graphs_built_without_the_check_pass_it(g):
     assert Graph(g.n, g.edges, g.roles, g.family) == g
-    assert g._edge_set == frozenset(g.edges) and len(g._edge_set) == g.q
-    edges = set(g.edges)
-    assert all(g.has_edge(e) == (e in edges) for e in itertools.combinations(range(g.n + 2), 2))
     degrees = Counter(v for e in g.edges for v in e)
     assert all(g.degree(v) == degrees[v] for v in g.vertices)
-
-
-def test_edge_set_matches_the_edges():
-    for g in (build_family("path", 5), join(build_family("cycle", 5), build_family("null", 4)),
-              build_family("null", 3), delete_edge(build_family("complete", 5), (2, 4))):
-        assert g._edge_set == frozenset(g.edges) and len(g._edge_set) == g.q
-        assert all(g.has_edge(e) for e in g.edges)
-        assert not any(g.has_edge((b, a)) for a, b in g.edges)
 
 
 def test_chromatic_small():

@@ -617,7 +617,7 @@ def _reference_vertex_sums(labels, n):
 
 
 def _reference_induced_sums(g, labels):
-    if labels.keys() != g._edge_set:
+    if labels.keys() != set(g.edges):
         raise LabelingError("labels must be defined on exactly the edge set")
     if sorted(labels.values()) != list(range(1, g.q + 1)):
         raise LabelingError("labels must be a bijection onto 1..q")
@@ -626,7 +626,7 @@ def _reference_induced_sums(g, labels):
 
 def _reference_verify(g, f, lower_bound=None):
     labels = f.labels
-    if labels.keys() != g._edge_set:
+    if labels.keys() != set(g.edges):
         return LabelingCertificate(False, False, {}, 0, lower_bound, None, None)
     bijection_ok = sorted(labels.values()) == list(range(1, g.q + 1))
     sums = _reference_vertex_sums(labels, g.n)
