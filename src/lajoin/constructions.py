@@ -2,7 +2,10 @@
 
 Each generator builds its graph, writes down the closed-form edge
 labeling, and returns it together with the color values and color count
-the scheme is designed to achieve. Verification is deliberately left to
+the scheme is designed to achieve. A join generator writes each part's
+own labels as a sequence in that part's edge order and the join labels
+as a grid, as the paper's tables do; ``_assemble`` chains them in
+``join``'s edge order. Verification is deliberately left to
 the caller (``verify_local_antimagic`` or the solver harness) so claimed
 and recomputed data stay independent.
 
@@ -31,7 +34,6 @@ from .labelings import (
     complement_labeling,
     delete_labeled_edge,
     verify_local_antimagic,
-    vertex_sums,
 )
 
 
@@ -85,30 +87,26 @@ JOIN_EDGE_COLLISION = (4, 3)  # (C_2m v O_{2n-1}) minus the join edge
 # shared label schemes
 
 
-def _path_labels(m: int) -> dict[Edge, int]:
-    # P_2m edge (u_i, u_{i+1}): even i -> i/2, odd i -> 2m - (i+1)/2
-    return {(i, i + 1): (i // 2 if i % 2 == 0 else 2 * m - (i + 1) // 2) for i in range(1, 2 * m)}
+# The own-part schemes give a part's labels in its ``build_family`` edge
+# order: edge i of a path or cycle is (u_i, u_{i+1}), the closing edge last.
 
 
-def _even_cycle_labels(m: int) -> dict[Edge, int]:
-    # C_2m: odd i -> m - (i-1)/2, even i -> m + 1 + i/2, closing edge m + 1.
-    # Puts label 1 on (u_{2m-1}, u_{2m}).
-    lab = {}
-    for i in range(1, 2 * m):
-        lab[(i, i + 1)] = m - (i - 1) // 2 if i % 2 == 1 else m + 1 + i // 2
-    lab[(1, 2 * m)] = m + 1
-    return lab
+def _path_labels(m: int) -> list[int]:
+    # P_2m edge i: even i -> i/2, odd i -> 2m - (i+1)/2
+    return [i // 2 if i % 2 == 0 else 2 * m - (i + 1) // 2 for i in range(1, 2 * m)]
 
 
-def _wrapped_cycle_labels(count: int, base: int) -> dict[Edge, int]:
+def _even_cycle_labels(m: int) -> list[int]:
+    # C_2m edge i: odd i -> m - (i-1)/2, even i -> m + 1 + i/2, closing edge
+    # m + 1. Puts label 1 on (u_{2m-1}, u_{2m}).
+    return [m - (i - 1) // 2 if i % 2 == 1 else m + 1 + i // 2 for i in range(1, 2 * m)] + [m + 1]
+
+
+def _wrapped_cycle_labels(count: int, base: int) -> list[int]:
     # Odd cycle v_1..v_count: edge j (closing at j = count) gets
     # base + j/2 for even j and base + count - (j-1)/2 for odd j,
     # a bijection onto [base+1, base+count].
-    lab = {}
-    for j in range(1, count + 1):
-        a, b = (j, j + 1) if j < count else (1, count)
-        lab[(a, b)] = base + j // 2 if j % 2 == 0 else base + count - (j - 1) // 2
-    return lab
+    return [base + j // 2 if j % 2 == 0 else base + count - (j - 1) // 2 for j in range(1, count + 1)]
 
 
 def _wrapped_cycle_colors(join_sum: int, base: int, count: int) -> set[int]:
@@ -178,45 +176,33 @@ def _path_null_join(m: int, N: int) -> tuple[list[list[int]], set[int], int]:
     return _odd_null_join(m, n), u_colors, m * (4 * m * n + 2 * m - 1)
 
 
-def _complete_labels(r: int) -> dict[Edge, int]:
-    # Lexicographic labeling of K_r; vertex sums strictly increase with the
-    # vertex index, so all r sums are distinct.
-    lab = {}
-    k = 1
-    for a in range(1, r + 1):
-        for b in range(a + 1, r + 1):
-            lab[(a, b)] = k
-            k += 1
-    return lab
+def _in_edge_order(g: Graph) -> EdgeLabeling:
+    # The labels 1..q in g's edge order. On K_r that order is lexicographic,
+    # and the vertex sums strictly increase with the vertex index.
+    return EdgeLabeling.from_values(g, range(1, g.q + 1))
 
 
 def _assemble(
-    joined: Graph, first: Graph, second: Graph, u_labels: dict[Edge, int],
-    grid: Sequence[Sequence[int]], v_labels: dict[Edge, int] | None = None,
-) -> EdgeLabeling:
-    # ``joined`` is join(first, second): first's edges, second's, then the
-    # join block row by row (see ``join``). The labels are chained in that
-    # order, each part's looked up along its own edges; with the counts and
-    # the grid's shape checked, a key off its part leaves an edge unfound.
-    v_labels = v_labels or {}
-    parts = (map(u_labels.__getitem__, first.edges), map(v_labels.__getitem__, second.edges))
-    try:
-        if (len(u_labels), len(v_labels), len(grid)) != (first.q, second.q, first.n) or any(
-            len(row) != second.n or None in row for row in grid
-        ):
-            raise ValueError
-        # from_values raises a LabelingError, a ValueError, if joined is not join(first, second)
-        return EdgeLabeling.from_values(joined, itertools.chain(*parts, *grid))
-    except (KeyError, ValueError):
-        raise RuntimeError("the assembled labels do not cover exactly the graph's edges") from None
+    first: Graph, second: Graph, u_labels: Sequence[int], grid: Sequence[Sequence[int]],
+    v_labels: Sequence[int] = (),
+) -> tuple[Graph, EdgeLabeling]:
+    # join(first, second) lays out first's edges, second's, then the join
+    # block row by row (see ``join``). Each part's labels come in its own
+    # edge order and the grid row by row, so chaining them labels the join
+    # in its edge order, and only the counts and the grid's shape need checking.
+    if (len(u_labels), len(v_labels), len(grid)) != (first.q, second.q, first.n) or any(
+        len(row) != second.n or None in row for row in grid
+    ):
+        raise RuntimeError("the assembled labels do not cover exactly the graph's edges")
+    g = join(first, second)
+    return g, EdgeLabeling.from_values(g, itertools.chain(u_labels, v_labels, *grid))
 
 
 def antimagic_complete(r: int) -> EdgeLabeling:
     """Labeling of K_r with pairwise distinct vertex sums (r >= 3)."""
     if r < 3:
         raise ParameterError(f"complete graph labeling needs order >= 3, got {r}")
-    g = build_family("complete", r)
-    f = EdgeLabeling(g, _complete_labels(r))
+    f = _in_edge_order(build_family("complete", r))
     if len(set(f.sums.values())) != r:
         raise RuntimeError("complete graph labeling produced equal sums")
     return f
@@ -231,7 +217,7 @@ def three_color_odd_cycle(length: int) -> EdgeLabeling:
     """
     if length < 3 or length % 2 == 0:
         raise ParameterError(f"needs an odd cycle length >= 3, got {length}")
-    return EdgeLabeling(build_family("cycle", length), _wrapped_cycle_labels(length, 0))
+    return EdgeLabeling.from_values(build_family("cycle", length), _wrapped_cycle_labels(length, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -248,21 +234,17 @@ def label_path_join_null(m: int, null_order: int) -> ConstructionResult:
     if m < 1 or null_order < 1:
         raise ParameterError("need m >= 1 and a null part of order >= 1")
     first, second = build_family("path", 2 * m), build_family("null", null_order)
-    g = join(first, second)
     if m == 1:
-        _cited("P_2 v O_N joins", g, 3)
+        _cited("P_2 v O_N joins", join(first, second), 3)
     if null_order == 1:
-        _cited("fan joins P_2m v O_1", g, 4 if m == 2 else 3)
+        _cited("fan joins P_2m v O_1", join(first, second), 4 if m == 2 else 3)
     grid, u_colors, v_sum = _path_null_join(m, null_order)
-    f = _assemble(g, first, second, _path_labels(m), grid)
+    g, f = _assemble(first, second, _path_labels(m), grid)
     return _result(g, f, u_colors | {v_sum}, 3)
 
 
 def label_p7_o3() -> ConstructionResult:
     """The stored one-off labeling of P_7 v O_3 with colors 51, 65, 119."""
-    first, second = build_family("path", 7), build_family("null", 3)
-    g = join(first, second)
-    path_labels = dict(zip(first.edges, [4, 1, 5, 2, 6, 3]))
     grid = [
         [12, 14, 21],
         [27, 11, 22],
@@ -272,7 +254,7 @@ def label_p7_o3() -> ConstructionResult:
         [24, 25, 7],
         [13, 17, 18],
     ]
-    f = _assemble(g, first, second, path_labels, grid)
+    g, f = _assemble(build_family("path", 7), build_family("null", 3), [4, 1, 5, 2, 6, 3], grid)
     return _result(g, f, {51, 65, 119}, 3)
 
 
@@ -282,18 +264,17 @@ def label_path_join_cycle(m: int, n: int) -> ConstructionResult:
         raise ParameterError("need m >= 1 and n >= 2")
     count = 2 * n - 1
     first, second = build_family("path", 2 * m), build_family("cycle", count)
-    g = join(first, second)
     if m == 1:
         # The path edge contributes to both endpoints, so the first-side
         # sums, by direct summation, are 2n^2+3n-1 and 6n^2-n.
-        u_labels = {(1, 2): 4 * n - 1}
+        u_labels = [4 * n - 1]
         grid = [list(range(1, count + 1)), [4 * n - 1 - j for j in range(1, count + 1)]]
         u_colors, v_sum = {2 * n * n + 3 * n - 1, 6 * n * n - n}, 4 * n - 1
     else:
         u_labels = _path_labels(m)
         grid, u_colors, v_sum = _path_null_join(m, count)
     base = 4 * m * n - 1
-    f = _assemble(g, first, second, u_labels, grid, _wrapped_cycle_labels(count, base))
+    g, f = _assemble(first, second, u_labels, grid, _wrapped_cycle_labels(count, base))
     colors = u_colors | _wrapped_cycle_colors(v_sum, base, count)
     return _result(g, f, colors, 5)
 
@@ -303,9 +284,10 @@ def label_path_join_complete(m: int, r: int) -> ConstructionResult:
     if m < 1 or r < 1:
         raise ParameterError("need m >= 1 and r >= 1")
     if m == 1:
-        # P_2 v K_r is the complete graph on r + 2 vertices.
+        # P_2 v K_r is the complete graph on r + 2 vertices. It takes K_{r+2}'s
+        # labels keyed by edge, since join numbers the vertices differently.
         g = join(build_family("path", 2), build_family("complete", r))
-        f = EdgeLabeling(g, _complete_labels(g.n))
+        f = EdgeLabeling(g, _in_edge_order(build_family("complete", g.n)).labels)
         return _result(g, f, f.sums.values(), r + 2)
     if r == 1:
         # K_1 is O_1, which makes P_2m v K_1 a fan.
@@ -315,31 +297,24 @@ def label_path_join_complete(m: int, r: int) -> ConstructionResult:
         return label_path_join_cycle(m, 2)
     # The P_2m v O_r labels, then K_r's lexicographic labels above them.
     first, second = build_family("path", 2 * m), build_family("complete", r)
-    g = join(first, second)
     grid, u_colors, v_sum = _path_null_join(m, r)
     q0 = 2 * m - 1 + 2 * m * r
-    h = _complete_labels(r)
-    h_sums = vertex_sums(h, r)
-    v_colors = {h_sums[v] + v_sum + (r - 1) * q0 for v in range(1, r + 1)}
+    v_colors = {s + v_sum + (r - 1) * q0 for s in _in_edge_order(second).sums.values()}
     if r == 2:
         # Both K_2 ends would get one sum; swapping u_2m's two join labels
         # moves them 2m apart.
         grid[-1].reverse()
         v_colors = {v_sum + q0 + 1 - 2 * m, v_sum + q0 + 1 + 2 * m}
-    f = _assemble(g, first, second, _path_labels(m), grid, {e: lab + q0 for e, lab in h.items()})
+    g, f = _assemble(first, second, _path_labels(m), grid, range(q0 + 1, q0 + second.q + 1))
     return _result(g, f, u_colors | v_colors, r + 2)
 
 
-def _cycle_join(
-    m: int, n: int, second: Graph, v_labels: dict[Edge, int] | None = None
-) -> tuple[Graph, EdgeLabeling]:
+def _cycle_join(m: int, n: int, second: Graph, v_labels: Sequence[int] = ()) -> tuple[Graph, EdgeLabeling]:
     # C_2m v second for m, n >= 2, second having 2n - 1 vertices: the
     # P_2m v O_{2n-1} join labels shifted by one, the cycle labels that put
     # 1 on (u_{2m-1}, u_{2m}), and ``v_labels`` on second's own edges.
-    first = build_family("cycle", 2 * m)
-    g = join(first, second)
     grid = [[lab + 1 for lab in row] for row in _odd_null_join(m, n)]
-    return g, _assemble(g, first, second, _even_cycle_labels(m), grid, v_labels)
+    return _assemble(build_family("cycle", 2 * m), second, _even_cycle_labels(m), grid, v_labels)
 
 
 def _cycle_null_colors(m: int, n: int) -> tuple[set[int], int]:
@@ -384,17 +359,12 @@ def label_odd_cycle_join_even_null(n: int) -> ConstructionResult:
     if n < 1:
         raise ParameterError("need n >= 1")
     order = 2 * n + 1
-    first, second = build_family("cycle", order), build_family("null", 2 * n)
-    g = join(first, second)
     square = siamese_magic_square(order)
-    cyc: dict[Edge, int] = {}
-    for i in range(1, n + 2):
-        a = 2 * i - 1
-        b = 2 * i if i <= n else 1
-        cyc[edge(a, b)] = 1 + 2 * (n + 1) * (i - 1)
-    for i in range(1, n + 1):
-        cyc[edge(2 * i, 2 * i + 1)] = 1 + 2 * (n + 1) * (n + i)
-    f = _assemble(g, first, second, cyc, drop_column_and_rotate(square, n).entries)
+    # Cycle edge k: (u_{2i-1}, u_{2i}) and the closing edge, k = 2i - 1,
+    # get 1 + 2(n+1)(i-1); (u_{2i}, u_{2i+1}) gets 1 + 2(n+1)(n+i).
+    cyc = [1 + (n + 1) * (k - 1 if k % 2 == 1 else 2 * n + k) for k in range(1, order + 1)]
+    grid = drop_column_and_rotate(square, n).entries
+    g, f = _assemble(build_family("cycle", order), build_family("null", 2 * n), cyc, grid)
     k = square.col_constant
     colors = {
         k,
@@ -490,12 +460,10 @@ def label_cycle_join_complete(m: int, r: int) -> ConstructionResult:
     if r == 3:
         return label_cycle_join_cycle(m, 2)
     n = (r + 1) // 2
-    h = _complete_labels(r)
-    h_sums = vertex_sums(h, r)
-    shifted = {e: lab + 4 * m * n for e, lab in h.items()}
-    g, f = _cycle_join(m, n, build_family("complete", r), shifted)
+    second, shift = build_family("complete", r), 4 * m * n
+    g, f = _cycle_join(m, n, second, range(shift + 1, shift + second.q + 1))
     u_colors, v_sum = _cycle_null_colors(m, n)
-    v_colors = {h_sums[v] + v_sum + (r - 1) * 4 * m * n for v in range(1, r + 1)}
+    v_colors = {s + v_sum + (r - 1) * shift for s in _in_edge_order(second).sums.values()}
     return _result(g, f, u_colors | v_colors, r + 2)
 
 
@@ -511,19 +479,20 @@ def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
         raise ParameterError("need n >= 1 and m >= 2")
     count = 2 * m - 1
     first, second = build_family("complete", 2 * n), build_family("cycle", count)
-    g = join(first, second)
     grid = [[x + count for x in row] for row in nearly_magic_rectangle(2 * n, count).entries]
-    k_labels = _complete_labels(2 * n)
-    k_sums = vertex_sums(k_labels, 2 * n)
+    lex = _in_edge_order(first)
+    k_sums = lex.sums
     # Rename so odd positions carry the n smallest sums in order.
     ranked = sorted(range(1, 2 * n + 1), key=lambda v: (k_sums[v], v))
     positions = list(range(1, 2 * n + 1, 2)) + list(range(2, 2 * n + 1, 2))
     renamed = {old: positions[k] for k, old in enumerate(ranked)}
     shift = (2 * n + 1) * count
-    u_labels = {
-        edge(renamed[a], renamed[b]): lab + shift for (a, b), lab in k_labels.items()
-    }
-    f = _assemble(g, first, second, u_labels, grid, _wrapped_cycle_labels(count, 0))
+    u_labels = {edge(renamed[a], renamed[b]): lab + shift for (a, b), lab in lex.labels.items()}
+    # K_2n's labels sit on renamed vertices, so they are keyed by edge and
+    # read back in K_2n's edge order.
+    g, f = _assemble(
+        first, second, EdgeLabeling(first, u_labels).values, grid, _wrapped_cycle_labels(count, 0)
+    )
     sorted_sums = sorted(k_sums.values())
     join_part = count * count + n * count * count
     k_shift_part = (2 * n - 1) * shift
@@ -577,7 +546,7 @@ def _cycle_colors(g: Graph, m: int) -> tuple[int, set[int]]:
 
 def _generic_join(
     g: Graph, f: EdgeLabeling, second: Graph, u_shift: int, new_colors: set[int],
-    v_labels: dict[Edge, int] | None = None,
+    v_labels: Sequence[int] = (),
 ) -> ConstructionResult:
     # G v second: join edges take a magic (|V(G)|, |V(second)|)-rectangle
     # shifted by |E(G)|, second's own edges take ``v_labels``. Every sum of
@@ -588,9 +557,8 @@ def _generic_join(
     u = _clash(f, u_shift, new_colors)
     if u is not None:
         raise ParameterError(f"vertex {u} carries the forbidden sum {sums[u]}")
-    joined = join(g, second)
     grid = [[x + g.q for x in row] for row in magic_rectangle(g.n, second.n).entries]
-    lab = _assemble(joined, g, second, f.labels, grid, v_labels)
+    joined, lab = _assemble(g, second, f.values, grid, v_labels)
     colors = {s + u_shift for s in sums.values()} | new_colors
     return _result(joined, lab, colors, len(set(sums.values())) + len(new_colors))
 
@@ -625,12 +593,8 @@ def label_generic_join_complete_bipartite(
         raise ParameterError("need an even first-part order >= 4")
     if not _bipartite_parts_ok(m, n):
         raise ParameterError("need m != n, both >= 2, of equal parity")
-    small = magic_rectangle(m, n)
-    v_labels = {
-        (j, m + k): e + p * (m + n) + small.entries[j - 1][k - 1]
-        for j in range(1, m + 1)
-        for k in range(1, n + 1)
-    }
+    # K_{m,n}'s edges (j, m+k) run row by row, as the rectangle's cells do
+    v_labels = [e + p * (m + n) + x for row in magic_rectangle(m, n).entries for x in row]
     return _generic_join(
         g, f, build_family("complete-bipartite", m, n), *_bipartite_colors(g, m, n), v_labels
     )
@@ -744,7 +708,7 @@ def generic_seed(family: str) -> tuple[Graph, EdgeLabeling]:
     if fam is None or fam.seed is None:
         raise ParameterError(f"no generic seed for {family!r}")
     g = build_family(*fam.seed)
-    return g, EdgeLabeling.from_values(g, range(1, g.q + 1))
+    return g, _in_edge_order(g)
 
 
 def check_params(family: str, params: dict) -> Family:

@@ -173,15 +173,6 @@ def _sum_list(pairs, n: int) -> list[int]:
     return sums
 
 
-def vertex_sums(labels: Mapping[Edge, int], n: int) -> dict[int, int]:
-    """Sum of the incident labels at each of the vertices 1..n.
-
-    Labels are not checked; an endpoint outside 1..n raises KeyError."""
-    if labels and not (min(map(min, labels)) >= 1 and max(map(max, labels)) <= n):
-        raise KeyError(next(v for e in labels for v in e if not 1 <= v <= n))
-    return dict(enumerate(_sum_list(labels.items(), n)[1:], 1))
-
-
 def _is_bijection(values, q: int) -> bool:
     """Whether the q labels ``values`` are 1..q, each once.
 
@@ -274,9 +265,10 @@ def check_complement_valid(g: Graph, f: EdgeLabeling) -> tuple[bool, tuple[int, 
     f+(x) = f+(y) <=> c(x) = c(y), so one pass compares each vertex with
     the first vertex of its sum class and of its complement class.
     Returns the flag plus a violating pair when one exists. On regular
-    graphs this always holds for proper labelings.
+    graphs this always holds for proper labelings. Raises LabelingError
+    unless f labels exactly g's edges with 1..q.
     """
-    sums = f.sums
+    sums = induced_sums(g, f)
     q = g.q
     first_with_sum: dict[int, int] = {}
     first_with_comp: dict[int, int] = {}

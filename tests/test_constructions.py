@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -34,7 +35,8 @@ from lajoin.constructions import (
     sweep_points,
     three_color_odd_cycle,
 )
-from lajoin.graphs import Graph, ParameterError, build_family, edge
+from lajoin.arrays import magic_rectangle
+from lajoin.graphs import Graph, ParameterError, build_family, edge, join
 from lajoin.labelings import EdgeLabeling, verify_local_antimagic
 
 
@@ -588,25 +590,190 @@ def test_families_md_lists_the_registry():
 
 def test_assemble_rejects_labels_off_the_edge_set():
     from lajoin.constructions import _assemble
-    from lajoin.graphs import join
 
-    first, second = build_family("path", 2), build_family("null", 2)
-    g = join(first, second)  # edges (1,2), (1,3), (1,4), (2,3), (2,4)
-    grid = [[2, 3], [4, 5]]
-    labels = _assemble(g, first, second, {(1, 2): 1}, grid).labels
-    assert labels == {(1, 2): 1, (1, 3): 2, (1, 4): 3, (2, 3): 4, (2, 4): 5}
-    assert tuple(labels) == g.edges
-    for u_labels, join_grid in (
-        ({(2, 1): 1}, grid),  # a key that is not normalized
-        ({}, grid),  # an edge left out
-        ({(1, 2): 1}, [[2, 3, 6], [4, 5, 7]]),  # keys off the graph
-        ({(1, 2): 1}, [[2, 3, 4], [5]]),  # a ragged grid with the right cell count
-        ({(1, 2): 1}, [[2, None], [4, 5]]),  # a cell left unset
+    # join(P_2, P_2) has the edges (1,2), (3,4), (1,3), (1,4), (2,3), (2,4)
+    first = second = build_family("path", 2)
+    grid = [[3, 4], [5, 6]]
+    g, f = _assemble(first, second, [1], grid, [2])
+    assert g == join(first, second)
+    assert f.graph is g and f.values == (1, 2, 3, 4, 5, 6)
+    for u_labels, join_grid, v_labels in (
+        ([1, 7], grid, [2]),  # first's labels one too long
+        ([], grid, [2]),  # one too short
+        ([1], grid, [2, 7]),  # second's labels one too long
+        ([1], grid, []),  # one too short
+        ([1], [[3, 4, 5], [6]], [2]),  # a ragged grid with the right cell count
+        ([1], [[3, None], [5, 6]], [2]),  # a cell left unset
     ):
-        with pytest.raises(RuntimeError, match="exactly the graph's edges"):
-            _assemble(g, first, second, u_labels, join_grid)
-    with pytest.raises(RuntimeError, match="exactly the graph's edges"):
-        _assemble(g, first, second, {(1, 2): 1}, grid, {(1, 2): 6})  # the null part has no edges
+        with pytest.raises(RuntimeError, match="^the assembled labels do not cover exactly the graph's edges$"):
+            _assemble(first, second, u_labels, join_grid, v_labels)
+
+
+# -- each part's own labels, now a sequence in the part's edge order,
+# against the per-edge tables they replaced
+
+
+def _reference_path_table(m):
+    return {(i, i + 1): (i // 2 if i % 2 == 0 else 2 * m - (i + 1) // 2) for i in range(1, 2 * m)}
+
+
+def _reference_even_cycle_table(m):
+    lab = {(i, i + 1): m - (i - 1) // 2 if i % 2 == 1 else m + 1 + i // 2 for i in range(1, 2 * m)}
+    lab[(1, 2 * m)] = m + 1
+    return lab
+
+
+def _reference_wrapped_cycle_table(count, base):
+    lab = {}
+    for j in range(1, count + 1):
+        a, b = (j, j + 1) if j < count else (1, count)
+        lab[(a, b)] = base + j // 2 if j % 2 == 0 else base + count - (j - 1) // 2
+    return lab
+
+
+def _reference_odd_cycle_column(n):
+    cyc = {}
+    for i in range(1, n + 2):
+        cyc[edge(2 * i - 1, 2 * i if i <= n else 1)] = 1 + 2 * (n + 1) * (i - 1)
+    for i in range(1, n + 1):
+        cyc[edge(2 * i, 2 * i + 1)] = 1 + 2 * (n + 1) * (n + i)
+    return cyc
+
+
+def _reference_complete_table(r):
+    # K_r labeled lexicographically
+    return {e: k for k, e in enumerate(itertools.combinations(range(1, r + 1), 2), 1)}
+
+
+def _reference_bipartite_table(g, m, n):
+    # K_{m,n} on top of g's join with it: edge (j, m+k) takes the (m, n)
+    # rectangle's cell (j, k) above the labels of g and the join
+    small = magic_rectangle(m, n).entries
+    offset = g.q + g.n * (m + n)
+    return {(j, m + k): offset + small[j - 1][k - 1] for j in range(1, m + 1) for k in range(1, n + 1)}
+
+
+def _own_tables(res, first, second):
+    # Each part's own labels in a join labeling, keyed by the part's edges.
+    values = res.labeling.values
+    return (dict(zip(first.edges, values[:first.q])),
+            dict(zip(second.edges, values[first.q:first.q + second.q])))
+
+
+def test_own_part_sequences_match_the_per_edge_tables():
+    from lajoin.constructions import _even_cycle_labels, _path_labels, _wrapped_cycle_labels
+
+    for m in range(1, 16):
+        path = build_family("path", 2 * m)
+        assert dict(zip(path.edges, _path_labels(m))) == _reference_path_table(m), m
+        if m >= 2:
+            cycle = build_family("cycle", 2 * m)
+            assert dict(zip(cycle.edges, _even_cycle_labels(m))) == _reference_even_cycle_table(m), m
+    for count in range(3, 30, 2):
+        cycle = build_family("cycle", count)
+        for base in (0, 7, 100):
+            table = dict(zip(cycle.edges, _wrapped_cycle_labels(count, base)))
+            assert table == _reference_wrapped_cycle_table(count, base), (count, base)
+    for n in range(1, 12):
+        cycle = build_family("cycle", 2 * n + 1)
+        first, _ = _own_tables(label_odd_cycle_join_even_null(n), cycle, build_family("null", 2 * n))
+        assert first == _reference_odd_cycle_column(n), n
+    assert _own_tables(label_p7_o3(), build_family("path", 7), build_family("null", 3))[0] == {
+        (1, 2): 4, (2, 3): 1, (3, 4): 5, (4, 5): 2, (5, 6): 6, (6, 7): 3,
+    }
+    for n in range(2, 12):
+        res = label_path_join_cycle(1, n)
+        assert _own_tables(res, build_family("path", 2), build_family("cycle", 2 * n - 1))[0] == {(1, 2): 4 * n - 1}
+    # the shifted K_r parts
+    for m in range(2, 6):
+        for r in (2, *range(4, 10)):
+            q0 = 2 * m - 1 + 2 * m * r
+            parts = build_family("path", 2 * m), build_family("complete", r)
+            table = {e: lab + q0 for e, lab in _reference_complete_table(r).items()}
+            assert _own_tables(label_path_join_complete(m, r), *parts)[1] == table, (m, r)
+        for r in range(5, 12, 2):
+            shift = 4 * m * (r + 1) // 2
+            parts = build_family("cycle", 2 * m), build_family("complete", r)
+            table = {e: lab + shift for e, lab in _reference_complete_table(r).items()}
+            assert _own_tables(label_cycle_join_complete(m, r), *parts)[1] == table, (m, r)
+    # the K_{m,n} rectangle, keyed (j, m+k) as the rectangle's cell (j, k)
+    g, f = generic_seed("generic-join-complete-bipartite")
+    for m, n in itertools.product(range(2, 9), repeat=2):
+        if m == n or m % 2 != n % 2:
+            continue
+        try:
+            res = label_generic_join_complete_bipartite(g, f, m, n)
+        except ParameterError:
+            continue  # a first-part sum lands on a new color
+        table = _reference_bipartite_table(g, m, n)
+        assert _own_tables(res, g, build_family("complete-bipartite", m, n))[1] == table, (m, n)
+
+
+# -- outputs the sweep does not reach, against the edge-keyed dicts
+# they were built from before each part's labels became a sequence
+
+
+def _reference_generic_join(g, f, second, v_table):
+    rect = magic_rectangle(g.n, second.n).entries
+    labels = dict(f.labels)
+    labels.update({(a + g.n, b + g.n): lab for (a, b), lab in v_table.items()})
+    labels.update({(u, g.n + v): g.q + rect[u - 1][v - 1]
+                   for u in range(1, g.n + 1) for v in range(1, second.n + 1)})
+    joined = join(g, second)
+    return joined, EdgeLabeling(joined, labels)
+
+
+def _supplied_first_parts():
+    # Labeled graphs a caller might supply: no generic family's seed, and
+    # one with its edges out of sorted order.
+    for r in range(3, 8):
+        yield antimagic_complete(r)
+    for length in range(5, 12, 2):
+        yield three_color_odd_cycle(length)
+    shuffled = Graph(4, ((3, 4), (1, 2), (2, 3), (1, 4), (1, 3)), ("u1", "u2", "u3", "u4"))
+    yield EdgeLabeling.from_values(shuffled, [5, 1, 4, 2, 3])
+
+
+def test_outputs_off_the_sweep_match_the_dict_built_labelings():
+    for r in range(3, 12):
+        assert antimagic_complete(r).values == EdgeLabeling(
+            build_family("complete", r), _reference_complete_table(r)
+        ).values, r
+    for length in range(3, 30, 2):
+        cycle = build_family("cycle", length)
+        assert three_color_odd_cycle(length).values == EdgeLabeling(
+            cycle, _reference_wrapped_cycle_table(length, 0)
+        ).values, length
+    for r in range(1, 12):
+        res = label_path_join_complete(1, r)
+        g = join(build_family("path", 2), build_family("complete", r))
+        assert res.graph == g
+        assert res.labeling.values == EdgeLabeling(g, _reference_complete_table(r + 2)).values, r
+    built = collections.Counter()
+    for f in _supplied_first_parts():
+        g = f.graph
+        assert verify_local_antimagic(g, f).ok
+        cases = []
+        for n in range(2, 8):
+            cases.append((label_generic_join_null, (n,), build_family("null", n), {}))
+        for m, n in itertools.product(range(2, 7), repeat=2):
+            if m == n or m % 2 != n % 2:
+                continue
+            cases.append((label_generic_join_complete_bipartite, (m, n), build_family("complete-bipartite", m, n),
+                          _reference_bipartite_table(g, m, n)))
+        for m in range(3, 12, 2):
+            cases.append((label_generic_join_cycle, (m,), build_family("cycle", m),
+                          _reference_wrapped_cycle_table(m, g.q + g.n * m)))
+        for scheme, args, second, v_table in cases:
+            try:
+                res = scheme(g, f, *args)
+            except ParameterError:
+                continue  # outside the scheme's domain, or a first-part sum clashes
+            joined, ref = _reference_generic_join(g, f, second, v_table)
+            assert res.graph == joined and res.labeling.values == ref.values, (g, scheme.__name__, args)
+            built[scheme.__name__] += 1
+    assert built == {"label_generic_join_null": 29, "label_generic_join_complete_bipartite": 24,
+                     "label_generic_join_cycle": 34}
 
 
 # -- the join-label grids against the per-cell tables they replaced, keyed

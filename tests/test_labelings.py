@@ -27,7 +27,6 @@ from lajoin.labelings import (
     export_matrix,
     induced_sums,
     verify_local_antimagic,
-    vertex_sums,
 )
 
 
@@ -57,14 +56,6 @@ def test_induced_sums_rejects_bad_domain():
         induced_sums(g, {(1, 2): 1})
     with pytest.raises(LabelingError):
         induced_sums(g, {(1, 2): 1, (2, 3): 1})
-
-
-def test_vertex_sums_covers_every_vertex_and_checks_nothing():
-    # Vertex 4 has no edge; the repeated label is summed as given, since
-    # the bijection checks belong to induced_sums and the verifier.
-    assert vertex_sums({(1, 2): 5, (2, 3): 5}, 4) == {1: 5, 2: 10, 3: 5, 4: 0}
-    res = label_cycle_join_null(3, 3)
-    assert vertex_sums(res.labeling.labels, res.graph.n) == induced_sums(res.graph, res.labeling)
 
 
 def test_verify_reports_labels_off_the_edge_set():
@@ -147,6 +138,16 @@ def test_complement_valid_star():
     assert ok
     comp = complement_labeling(g, f)
     assert verify_local_antimagic(g, comp).color_count == verify_local_antimagic(g, f).color_count
+
+
+def test_complement_check_rejects_a_labeling_of_another_graph():
+    # The star's three labels are a bijection on its own edges, whose sums
+    # never tell on P_4; both complement functions read f through g's edges.
+    g = build_family("path", 4)
+    f = EdgeLabeling.from_values(build_family("complete-bipartite", 1, 3), [1, 2, 3])
+    for check in (check_complement_valid, complement_labeling):
+        with pytest.raises(LabelingError, match="^labels must be defined on exactly the edge set$"):
+            check(g, f)
 
 
 def test_complement_valid_for_half_wheel_labeling():
@@ -702,15 +703,6 @@ def test_sum_kernel_and_bijection_check_match_the_sorting_code(case, lower_bound
         f = EdgeLabeling(g, labels)
         assert repr(verify_local_antimagic(g, f, lower_bound)) == repr(_reference_verify(g, f, lower_bound))
         assert _outcome(induced_sums, g, labels) == _outcome(_reference_induced_sums, g, labels)
-        assert _outcome(vertex_sums, labels, g.n) == _outcome(_reference_vertex_sums, labels, g.n)
-
-
-@pytest.mark.parametrize("bad", [0, -1, 4])
-def test_vertex_sums_rejects_an_endpoint_outside_1_to_n(bad):
-    for labels in ({(1, 2): 1, (bad, 3): 2}, {(1, 2): 1, (3, bad): 2}):
-        with pytest.raises(KeyError) as info:
-            vertex_sums(labels, 3)
-        assert info.value.args == (bad,)
 
 
 # -- labelings held as one label tuple in the graph's edge order, against
