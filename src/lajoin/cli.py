@@ -54,17 +54,13 @@ MAX_OUTPUT_SIZE = 1_000_000
 
 
 def dump_json(obj) -> str:
-    """``obj`` as JSON, byte for byte what ``json.dumps`` writes with sorted
-    keys and an indent of 2, plus a final newline.
+    """``obj`` as ``json.dumps`` writes it with sorted keys and an indent
+    of 2, plus a final newline.
 
     Every JSON document lajoin emits is written here, apart from gen's
-    labeling document (see ``dump_labeling``). Given an indent, ``json``
-    runs its pure-Python encoder, a chain of generators; this writes each
-    dict and list item by item into one list of strings. Dict keys must be
-    strings (``TypeError`` otherwise); a float or other leaf is written by
-    ``json.dumps``.
+    labeling document (see ``dump_labeling``).
     """
-    return _dumps(obj, "\n") + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # One item of each long list of gen's labeling document, indented where
@@ -104,55 +100,17 @@ def dump_labeling(res: ConstructionResult, family: str, params: dict) -> str:
 
 
 def _items(template: str, rows, newline: str) -> str:
-    """A list whose items are ``template % row``, as ``_encode`` writes it
-    on a line indented as ``newline``."""
+    """A list whose items are ``template % row``, as ``json.dumps`` with an
+    indent of 2 writes it on a line indented as ``newline``."""
     inner = newline + "  "
     body = ("," + inner).join(map(template.__mod__, rows))
     return "[" + inner + body + newline + "]" if body else "[]"
 
 
 def _dumps(obj, newline: str) -> str:
-    out: list[str] = []
-    _encode(obj, newline, out)
-    return "".join(out)
-
-
-def _encode(obj, newline: str, out: list[str]) -> None:
-    # ``newline`` is "\n" plus the indent of the line that holds ``obj``.
-    if type(obj) is int:  # not bool, which json writes as true and false
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, str):
-        out.append(_escape(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            out.append(sep + _escape(key) + ": ")  # TypeError on a key that is not a string
-            _encode(obj[key], inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _encode(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    else:
-        out.append(json.dumps(obj))
+    # ``newline`` is "\n" plus the indent of the line that holds ``obj``;
+    # json escapes a newline inside a string, so each "\n" is a line break.
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline)
 
 
 def _read_json(path: str):

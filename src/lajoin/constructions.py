@@ -33,6 +33,7 @@ from .labelings import (
     check_deletion_certificate,
     complement_labeling,
     delete_labeled_edge,
+    induced_sums,
     verify_local_antimagic,
 )
 
@@ -508,14 +509,14 @@ def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
 # generic join schemes (caller supplies the already-labeled first part)
 
 
-def _clash(f: EdgeLabeling, u_shift: int, new_colors: set[int]) -> int | None:
+def _clash(sums: dict[int, int], u_shift: int, new_colors: set[int]) -> int | None:
     """First vertex of the labeled first part whose shifted sum is a new color.
 
     Each generic scheme shifts every first-part sum by ``u_shift`` and adds
     ``new_colors``; it assumes no shifted sum lands on a new color. The
     generators refuse a point where one does, and the sweep skips it.
     """
-    return next((u for u, s in f.sums.items() if s + u_shift in new_colors), None)
+    return next((u for u, s in sums.items() if s + u_shift in new_colors), None)
 
 
 def _null_colors(g: Graph, n: int) -> tuple[int, set[int]]:
@@ -553,8 +554,8 @@ def _generic_join(
     # G shifts by ``u_shift`` and second adds ``new_colors``.
     if not verify_local_antimagic(g, f).ok:
         raise ParameterError("the supplied labeling must be a proper local antimagic labeling")
-    sums = f.sums
-    u = _clash(f, u_shift, new_colors)
+    sums = induced_sums(g, f)  # on g's vertices: f.graph may have fewer
+    u = _clash(sums, u_shift, new_colors)
     if u is not None:
         raise ParameterError(f"vertex {u} carries the forbidden sum {sums[u]}")
     grid = [[x + g.q for x in row] for row in magic_rectangle(g.n, second.n).entries]
@@ -681,14 +682,14 @@ FAMILIES = (
            q=lambda n, m: (2 * n + 1) * (2 * m - 1) + n * (2 * n - 1), axes=(("n", 1, 1), ("m", 2, 1))),
     Family("generic-join-null", ("n",), label_generic_join_null,
            q=lambda n: 4 + 4 * n, axes=(("n", 2, 2),), seed=("cycle", 4),
-           excluded=lambda seed, n: _clash(seed, *_null_colors(seed.graph, n)) is not None),
+           excluded=lambda seed, n: _clash(seed.sums, *_null_colors(seed.graph, n)) is not None),
     Family("generic-join-complete-bipartite", ("m", "n"), label_generic_join_complete_bipartite,
            q=lambda m, n: 3 + 4 * (m + n) + m * n, axes=(("m", 2, 1), ("n", 2, 1)), seed=("path", 4),
            excluded=lambda seed, m, n: not _bipartite_parts_ok(m, n)
-           or _clash(seed, *_bipartite_colors(seed.graph, m, n)) is not None),
+           or _clash(seed.sums, *_bipartite_colors(seed.graph, m, n)) is not None),
     Family("generic-join-cycle", ("m",), label_generic_join_cycle,
            q=lambda m: 3 + 4 * m, axes=(("m", 3, 2),), seed=("complete", 3),
-           excluded=lambda seed, m: _clash(seed, *_cycle_colors(seed.graph, m)) is not None),
+           excluded=lambda seed, m: _clash(seed.sums, *_cycle_colors(seed.graph, m)) is not None),
 )
 
 _BY_NAME = {fam.name: fam for fam in FAMILIES}

@@ -77,12 +77,6 @@ class EdgeLabeling:
     def sums(self) -> dict[int, int]:
         return induced_sums(self.graph, self)
 
-    def edge_with_label(self, value: int) -> Edge:
-        for e, lab in self.labels.items():
-            if lab == value:
-                return e
-        raise LabelingError(f"no edge carries label {value}")
-
     def to_json(self) -> dict:
         return {
             "schema": "v1",
@@ -292,7 +286,7 @@ def check_deletion_certificate(g: Graph, f: EdgeLabeling, e: Edge) -> bool:
     """
     if _label_one_index(g, _values_on(g, f), e) is None:
         return False
-    sums = f.sums
+    sums = induced_sums(g, f)  # on g's vertices: f.graph may have fewer
     classes: dict[int, list[int]] = {}
     for v in g.vertices:
         classes.setdefault(sums[v], []).append(v)

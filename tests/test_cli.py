@@ -860,10 +860,15 @@ def test_dump_json_matches_json_dumps_on_lajoin_documents():
         assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("doc", [{1: 2}, {"a": {None: 0}}, [{"b": 1, 2: 3}]])
-def test_dump_json_rejects_keys_that_are_not_strings(doc):
+def test_dump_json_writes_an_int_key_as_a_string():
+    # as json.dumps does; no lajoin document has a key that is not a string
+    assert dump_json({1: 2}) == '{\n  "1": 2\n}\n'
+
+
+def test_dump_json_rejects_mixed_keys():
+    # sorting an int key beside a str key raises
     with pytest.raises(TypeError):
-        dump_json(doc)
+        dump_json([{"b": 1, 2: 3}])
 
 
 # -- gen's labeling document -------------------------------------------------

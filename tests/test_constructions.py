@@ -401,6 +401,20 @@ def test_generic_join_null_rejects_forbidden_sum(family):
         build_construction(family, params)
 
 
+def test_generic_join_reads_the_sums_on_the_given_graph():
+    # The seed's labeling labels exactly g's edges, but its own graph lacks
+    # g's isolated fifth vertex: that vertex's sum 0 is a color, and at
+    # n = 5 it is the forbidden one.
+    seed, f = generic_seed("generic-join-null")
+    g = Graph(5, seed.edges, seed.roles + ("u5",))
+    for n in (3, 7):
+        res = label_generic_join_null(g, f, n)
+        assert res.claimed_chi_la == 5
+        assert_verified(res)
+    with pytest.raises(ParameterError, match="^vertex 5 carries the forbidden sum 0$"):
+        label_generic_join_null(g, f, 5)
+
+
 def test_generic_join_null_parity():
     g, f = generic_seed("generic-join-null")
     with pytest.raises(ParameterError):

@@ -348,8 +348,17 @@ def test_deletion_certificate_half_wheel_cycle_edge():
     res = label_cycle_join_null(2, 2)
     g, f = res.graph, res.labeling
     assert check_deletion_certificate(g, f, (3, 4)) is True  # label-1 cycle edge
-    two = f.edge_with_label(2)
+    two = g.edges[f.values.index(2)]
     assert check_deletion_certificate(g, f, two) is False
+
+
+def test_deletion_certificate_reads_the_sums_on_g():
+    # f labels exactly g's edges, but its own graph lacks g's isolated last
+    # vertex, whose sum 0 forms a class of its own.
+    res = label_cycle_join_null(2, 2)
+    g = res.graph
+    wider = Graph(g.n + 1, g.edges, g.roles + ("v4",))
+    assert check_deletion_certificate(wider, res.labeling, (3, 4)) is True
 
 
 def test_deletion_certificate_two_cycle_join():
@@ -373,7 +382,7 @@ def test_delete_labeled_edge_shifts_by_degree():
     cert = verify_local_antimagic(h, f2)
     assert cert.ok and cert.color_count == 3
     with pytest.raises(ParameterError):
-        delete_labeled_edge(g, f, f.edge_with_label(5))
+        delete_labeled_edge(g, f, g.edges[f.values.index(5)])
 
 
 def test_matrix_margins_internal_consistency():
