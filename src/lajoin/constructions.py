@@ -29,9 +29,10 @@ from .arrays import drop_column_and_rotate, magic_rectangle, nearly_magic_rectan
 from .graphs import Edge, Graph, ParameterError, build_family, edge, join
 from .labelings import (
     EdgeLabeling,
-    check_complement_valid,
-    check_deletion_certificate,
+    check_complement_sums,
+    check_deletion_sums,
     complement_labeling,
+    complement_sums,
     delete_labeled_edge,
     induced_sums,
     verify_local_antimagic,
@@ -136,23 +137,23 @@ def _even_null_join(m: int, n: int) -> list[list[int]]:
     return J
 
 
-def _odd_null_join(m: int, n: int) -> list[list[int]]:
-    # Join labels of P_2m v O_{2n-1} for m, n >= 2, laid out as in _even_null_join.
+def _odd_null_join(m: int, n: int, s: int = 0) -> list[list[int]]:
+    # Join labels of P_2m v O_{2n-1} for m, n >= 2, plus s, laid out as in _even_null_join.
     J = []
     for i in range(1, m + 1):
         J.append([  # u_{2i-1}
-            4 * m - i, 3 * m - i,
-            *[x for j in range(2, n) for x in ((4 * n + 2 - 2 * j) * m - i, (2 * j + 1) * m + i - 1)],
-            2 * m * n + 2 * (i - 1),
+            4 * m - i + s, 3 * m - i + s,
+            *[x for j in range(2, n) for x in ((4 * n + 2 - 2 * j) * m - i + s, (2 * j + 1) * m + i - 1 + s)],
+            2 * m * n + 2 * (i - 1) + s,
         ])
         J.append([  # u_{2i}
-            4 * m * n - 2 * m + i - 1, 4 * m * n - m - 2 + i,
-            *[x for j in range(2, n) for x in (2 * j * m + i - 1, (4 * n + 1 - 2 * j) * m - i)],
-            2 * m * n + 2 * m + 1 - 2 * i,
+            4 * m * n - 2 * m + i - 1 + s, 4 * m * n - m - 2 + i + s,
+            *[x for j in range(2, n) for x in (2 * j * m + i - 1 + s, (4 * n + 1 - 2 * j) * m - i + s)],
+            2 * m * n + 2 * m + 1 - 2 * i + s,
         ])
     # u_{2m-1} and u_2m break the pattern at v_1 and v_2.
-    J[-2][0], J[-2][1] = 2 * m, 3 * m
-    J[-1][0] = 4 * m * n - 1
+    J[-2][0], J[-2][1] = 2 * m + s, 3 * m + s
+    J[-1][0] = 4 * m * n - 1 + s
     return J
 
 
@@ -314,7 +315,7 @@ def _cycle_join(m: int, n: int, second: Graph, v_labels: Sequence[int] = ()) -> 
     # C_2m v second for m, n >= 2, second having 2n - 1 vertices: the
     # P_2m v O_{2n-1} join labels shifted by one, the cycle labels that put
     # 1 on (u_{2m-1}, u_{2m}), and ``v_labels`` on second's own edges.
-    grid = [[lab + 1 for lab in row] for row in _odd_null_join(m, n)]
+    grid = _odd_null_join(m, n, 1)
     return _assemble(build_family("cycle", 2 * m), second, _even_cycle_labels(m), grid, v_labels)
 
 
@@ -326,15 +327,15 @@ def _cycle_null_colors(m: int, n: int) -> tuple[set[int], int]:
 
 
 def _minus_label_one(
-    g: Graph, f: EdgeLabeling, e: Edge, classes: list[tuple[set[int], int]], count: int
+    g: Graph, f: EdgeLabeling, sums: dict, e: Edge, classes: list[tuple[set[int], int]], count: int
 ) -> ConstructionResult:
-    # Deletes e, which carries label 1. ``classes`` pairs each set of claimed
-    # colors with the degree in g of the vertices that carry them: with e
-    # gone and every other label lowered by one, each such sum drops by
-    # that degree.
-    if not check_deletion_certificate(g, f, e):
+    # Deletes e, which carries label 1 under f, whose sums on g are ``sums``.
+    # ``classes`` pairs each set of claimed colors with the degree in g of
+    # the vertices that carry them: with e gone and every other label
+    # lowered by one, each such sum drops by that degree.
+    if not check_deletion_sums(g, sums):
         raise RuntimeError(f"deletion certificate failed for {e}")
-    h, f2 = delete_labeled_edge(g, f, e)
+    h, f2 = delete_labeled_edge(g, f, e)  # refuses an e without label 1
     return _result(h, f2, {c - d for colors, d in classes for c in colors}, count)
 
 
@@ -389,6 +390,7 @@ def label_cycle_join_null_minus_edge(m: int, n: int, which: str = "cycle-edge") 
     if which not in ("cycle-edge", "join-edge"):
         raise ParameterError(f"which must be cycle-edge or join-edge, got {which!r}")
     g, f = _cycle_join(m, n, build_family("null", 2 * n - 1))
+    sums = induced_sums(g, f)
     u_colors, v_sum = _cycle_null_colors(m, n)
     classes = [(u_colors, 2 * n + 1), ({v_sum}, 2 * m)]
     e = edge(2 * m - 1, 2 * m)
@@ -401,13 +403,14 @@ def label_cycle_join_null_minus_edge(m: int, n: int, which: str = "cycle-edge") 
                 f"join-edge deletion at m={m}, n={n} merges two color classes; "
                 "no certificate is available for this point"
             )
-        ok, witness = check_complement_valid(g, f)
+        comp = complement_sums(g, sums)
+        ok, witness = check_complement_sums(sums, comp)
         if not ok:
             raise RuntimeError(f"complement conditions failed at {witness}")
-        f = complement_labeling(g, f)
+        f, sums = complement_labeling(g, f), comp
         classes = [({d * (g.q + 1) - c for c in colors}, d) for colors, d in classes]
         e = edge(2 * m, 2 * m + 1)
-    return _minus_label_one(g, f, e, classes, 3)
+    return _minus_label_one(g, f, sums, e, classes, 3)
 
 
 def label_cycle_join_cycle(m: int, n: int) -> ConstructionResult:
@@ -446,7 +449,8 @@ def label_cycle_join_cycle_minus_edge(m: int, n: int, which: str = "cycle-edge")
     # The five claimed colors are distinct, so the odd-cycle side holds the
     # three that are not the even cycle's.
     classes = [(u_colors, 2 * n + 1), (base.claimed_colors - u_colors, 2 * m + 2)]
-    return _minus_label_one(base.graph, base.labeling, edge(2 * m - 1, 2 * m), classes, 5)
+    g, f = base.graph, base.labeling
+    return _minus_label_one(g, f, f.sums, edge(2 * m - 1, 2 * m), classes, 5)
 
 
 def label_cycle_join_complete(m: int, r: int) -> ConstructionResult:
@@ -552,16 +556,18 @@ def _generic_join(
     # G v second: join edges take a magic (|V(G)|, |V(second)|)-rectangle
     # shifted by |E(G)|, second's own edges take ``v_labels``. Every sum of
     # G shifts by ``u_shift`` and second adds ``new_colors``.
-    if not verify_local_antimagic(g, f).ok:
+    cert = verify_local_antimagic(g, f)
+    if not cert.ok:
         raise ParameterError("the supplied labeling must be a proper local antimagic labeling")
-    sums = induced_sums(g, f)  # on g's vertices: f.graph may have fewer
+    # the classes cover g's vertices: f.graph may have fewer
+    sums = {v: s for s, vs in cert.color_classes.items() for v in vs}
     u = _clash(sums, u_shift, new_colors)
     if u is not None:
         raise ParameterError(f"vertex {u} carries the forbidden sum {sums[u]}")
     grid = [[x + g.q for x in row] for row in magic_rectangle(g.n, second.n).entries]
     joined, lab = _assemble(g, second, f.values, grid, v_labels)
-    colors = {s + u_shift for s in sums.values()} | new_colors
-    return _result(joined, lab, colors, len(set(sums.values())) + len(new_colors))
+    colors = {s + u_shift for s in cert.color_classes} | new_colors
+    return _result(joined, lab, colors, cert.color_count + len(new_colors))
 
 
 def label_generic_join_null(g: Graph, f: EdgeLabeling, n: int) -> ConstructionResult:

@@ -123,11 +123,12 @@ class Graph:
 
     @cached_property
     def _degrees(self) -> dict[int, int]:
-        degs = dict.fromkeys(self.vertices, 0)
+        # a list counts faster; the dict makes ``degree`` refuse ids outside 1..n
+        degs = [0] * (self.n + 1)
         for a, b in self.edges:
             degs[a] += 1
             degs[b] += 1
-        return degs
+        return dict(enumerate(degs[1:], 1))
 
     def degree(self, v: int) -> int:
         return self._degrees[v]
@@ -321,8 +322,13 @@ def delete_edge(g: Graph, e: Edge) -> Graph:
         i = g.edges.index(e)
     except ValueError:
         raise ParameterError(f"edge {e} not present") from None
+    return _delete_edge_at(g, i)
+
+
+def _delete_edge_at(g: Graph, i: int) -> Graph:
+    """``g`` without ``g.edges[i]``, for a caller that has found the index."""
     edges = g.edges[:i] + g.edges[i + 1:]
-    return Graph._unchecked(g.n, edges, g.roles, ("minus-edge", g.family, e))
+    return Graph._unchecked(g.n, edges, g.roles, ("minus-edge", g.family, g.edges[i]))
 
 
 # The largest graph chromatic_number_exact accepts.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .graphs import Edge, Graph, ParameterError, delete_edge, edge, is_int_pair
+from .graphs import Edge, Graph, ParameterError, _delete_edge_at, edge, is_int_pair
 
 
 class LabelingError(ValueError):
@@ -250,26 +250,35 @@ def complement_labeling(g: Graph, f: EdgeLabeling) -> EdgeLabeling:
     return EdgeLabeling.from_values(g, [q + 1 - lab for lab in _aligned(g, f)])
 
 
+def complement_sums(g: Graph, sums: Mapping[int, int]) -> dict[int, int]:
+    """The sums of ``complement_labeling(g, f)`` from f's sums on g: deg(v)(q+1) - f+(v)."""
+    q1, degree = g.q + 1, g.degree
+    return {v: degree(v) * q1 - sums[v] for v in g.vertices}
+
+
 def check_complement_valid(g: Graph, f: EdgeLabeling) -> tuple[bool, tuple[int, int] | None]:
     """Test the two vertex-pair conditions under which the complement stays proper.
 
     For every pair x, y: equal sums must force equal degrees, and unequal
     sums must avoid (q+1)(deg x - deg y) = f+(x) - f+(y). With the
     complement sum c(v) = deg(v)(q+1) - f+(v), both hold exactly when
-    f+(x) = f+(y) <=> c(x) = c(y), so one pass compares each vertex with
-    the first vertex of its sum class and of its complement class.
-    Returns the flag plus a violating pair when one exists. On regular
-    graphs this always holds for proper labelings. Raises LabelingError
-    unless f labels exactly g's edges with 1..q.
+    f+(x) = f+(y) <=> c(x) = c(y), so ``check_complement_sums`` compares
+    each vertex with the first vertex of its sum class and of its
+    complement class. Returns the flag plus a violating pair when one
+    exists. On regular graphs this always holds for proper labelings.
+    Raises LabelingError unless f labels exactly g's edges with 1..q.
     """
     sums = induced_sums(g, f)
-    q = g.q
+    return check_complement_sums(sums, complement_sums(g, sums))
+
+
+def check_complement_sums(sums: Mapping, comp: Mapping) -> tuple[bool, tuple[int, int] | None]:
+    """``check_complement_valid`` on f's sums on g, in vertex order, and their ``complement_sums``."""
     first_with_sum: dict[int, int] = {}
     first_with_comp: dict[int, int] = {}
-    for v in g.vertices:
-        s, c = sums[v], g.degree(v) * (q + 1) - sums[v]
+    for v, s in sums.items():
         x = first_with_sum.setdefault(s, v)
-        y = first_with_comp.setdefault(c, v)
+        y = first_with_comp.setdefault(comp[v], v)
         if x != y:
             # v shares one class with an earlier vertex but not the other
             return False, (min(x, y), v)
@@ -279,26 +288,30 @@ def check_complement_valid(g: Graph, f: EdgeLabeling) -> tuple[bool, tuple[int, 
 def check_deletion_certificate(g: Graph, f: EdgeLabeling, e: Edge) -> bool:
     """Certify that deleting ``e`` keeps the coloring size of ``f``.
 
-    Requires f(e) = 1, color classes whose members share a degree, and the
-    shifted class values c_k - d_k and c_k + d_k to each stay pairwise
-    distinct. Under these conditions the relabeling f-1 of the deleted
-    graph is proper with the same number of colors.
+    Requires f(e) = 1, f proper, color classes whose members share a degree,
+    and the shifted class values c_k - d_k and c_k + d_k to each stay
+    pairwise distinct. Under these conditions the relabeling f-1 of the
+    deleted graph, which lowers each sum by its degree in g, is proper with
+    the same number of colors.
     """
     if _label_one_index(g, _values_on(g, f), e) is None:
         return False
-    sums = induced_sums(g, f)  # on g's vertices: f.graph may have fewer
-    classes: dict[int, list[int]] = {}
-    for v in g.vertices:
-        classes.setdefault(sums[v], []).append(v)
-    degs = {}
-    for s, vs in classes.items():
-        class_degs = {g.degree(v) for v in vs}
-        if len(class_degs) != 1:
+    return check_deletion_sums(g, induced_sums(g, f))  # on g's vertices: f.graph may have fewer
+
+
+def check_deletion_sums(g: Graph, sums: Mapping[int, int]) -> bool:
+    """``check_deletion_certificate`` after its f(e) = 1 test, on f's sums on g."""
+    for a, b in g.edges:
+        if sums[a] == sums[b]:
             return False
-        degs[s] = class_degs.pop()
-    minus = {s - degs[s] for s in classes}
-    plus = {s + degs[s] for s in classes}
-    return len(minus) == len(classes) and len(plus) == len(classes)
+    class_degree: dict[int, int] = {}
+    for v in g.vertices:
+        d = g.degree(v)
+        if class_degree.setdefault(sums[v], d) != d:
+            return False
+    minus = {s - d for s, d in class_degree.items()}
+    plus = {s + d for s, d in class_degree.items()}
+    return len(minus) == len(plus) == len(class_degree)
 
 
 def delete_labeled_edge(g: Graph, f: EdgeLabeling, e: Edge) -> tuple[Graph, EdgeLabeling]:
@@ -312,13 +325,15 @@ def delete_labeled_edge(g: Graph, f: EdgeLabeling, e: Edge) -> tuple[Graph, Edge
     i = _label_one_index(g, values, e)
     if i is None:
         raise ParameterError("only the edge carrying label 1 can be deleted with a relabel")
-    h = delete_edge(g, e)  # g.edges without index i
+    h = _delete_edge_at(g, i)
     return h, EdgeLabeling.from_values(h, [lab - 1 for lab in values[:i] + values[i + 1:]])
 
 
 def _label_one_index(g: Graph, values: tuple | None, e: Edge) -> int | None:
     """Where edge ``e`` sits in ``g.edges`` when ``values`` gives it label 1, else None."""
     e = edge(*e)
+    if type(e[0]) is not int or type(e[1]) is not int:
+        return None  # 1.0 would find the edge at 1, and True too
     try:
         i = g.edges.index(e)
     except ValueError:

@@ -37,7 +37,14 @@ from lajoin.constructions import (
 )
 from lajoin.arrays import magic_rectangle
 from lajoin.graphs import Graph, ParameterError, build_family, edge, join
-from lajoin.labelings import EdgeLabeling, verify_local_antimagic
+from lajoin import labelings
+from lajoin.labelings import (
+    EdgeLabeling,
+    complement_labeling,
+    complement_sums,
+    induced_sums,
+    verify_local_antimagic,
+)
 
 
 def assert_verified(res):
@@ -202,6 +209,45 @@ def test_cycle_join_null_minus_edge_exceptional_point():
     with pytest.raises(ParameterError, match="m=4, n=3"):
         label_cycle_join_null_minus_edge(4, 3, "join-edge")
     assert_verified(label_cycle_join_null_minus_edge(4, 3, "cycle-edge"))
+
+
+def test_join_edge_sums_are_the_reflected_labelings_sums():
+    # The join-edge scheme derives the reflected labeling's sums from the
+    # base sums instead of summing again; on every swept point they must be
+    # what summing the reflected labeling gives, and each must drop by its
+    # degree when the label-1 join edge is deleted.
+    points = [p for p in sweep_points("cycle-join-null-minus-edge") if p["which"] == "join-edge"]
+    assert len(points) == 282
+    for p in points:
+        base = label_cycle_join_null(p["m"], p["n"])
+        g, f = base.graph, base.labeling
+        derived = complement_sums(g, induced_sums(g, f))
+        assert derived == induced_sums(g, complement_labeling(g, f)), p
+        res = build_construction("cycle-join-null-minus-edge", p)
+        assert res.labeling.sums == {v: derived[v] - g.degree(v) for v in g.vertices}, p
+
+
+@pytest.mark.parametrize("family, params", [
+    ("cycle-join-null-minus-edge", {"m": 3, "n": 4, "which": "cycle-edge"}),
+    ("cycle-join-null-minus-edge", {"m": 3, "n": 4, "which": "join-edge"}),
+    ("cycle-join-cycle-minus-edge", {"m": 3, "n": 4}),
+    ("generic-join-null", {"n": 4}),
+    ("generic-join-complete-bipartite", {"m": 2, "n": 4}),
+    ("generic-join-cycle", {"m": 5}),
+])
+def test_builds_run_the_sum_kernel_once(monkeypatch, family, params):
+    # The minus-edge schemes read every certificate from one set of sums,
+    # and a generic join reads its seed's sums from the verifier.
+    calls = []
+
+    def counted(pairs, n):
+        calls.append(n)
+        return sum_list(pairs, n)
+
+    sum_list = labelings._sum_list
+    monkeypatch.setattr(labelings, "_sum_list", counted)
+    build_construction(family, params)
+    assert len(calls) == 1
 
 
 def test_cycle_join_cycle_golden():

@@ -350,6 +350,8 @@ def test_deletion_certificate_half_wheel_cycle_edge():
     assert check_deletion_certificate(g, f, (3, 4)) is True  # label-1 cycle edge
     two = g.edges[f.values.index(2)]
     assert check_deletion_certificate(g, f, two) is False
+    # 3.0 == 3 would find the edge, but an endpoint must be an int
+    assert check_deletion_certificate(g, f, (3.0, 4)) is False
 
 
 def test_deletion_certificate_reads_the_sums_on_g():
@@ -364,6 +366,33 @@ def test_deletion_certificate_reads_the_sums_on_g():
 def test_deletion_certificate_two_cycle_join():
     res = label_cycle_join_cycle(3, 3)
     assert check_deletion_certificate(res.graph, res.labeling, (5, 6)) is True
+
+
+def test_deletion_certificate_needs_a_proper_labeling():
+    # f is improper (u1 and u2 both sum to 9), and so is f - 1 on the
+    # deleted graph; the degree and shift conditions alone would pass.
+    g = join(build_family("path", 2), build_family("null", 2))
+    f = EdgeLabeling.from_values(g, (3, 1, 5, 4, 2))
+    assert not verify_local_antimagic(g, f).ok
+    assert check_deletion_certificate(g, f, (1, 3)) is False
+
+
+def test_deletion_certificate_holds_only_where_deletion_keeps_the_colors():
+    # Every labeling of P_2 v O_2 with its label-1 edge: where the
+    # certificate holds, f and f - 1 on the deleted graph are proper with
+    # the same color count.
+    g = join(build_family("path", 2), build_family("null", 2))
+    certified = 0
+    for values in itertools.permutations(range(1, g.q + 1)):
+        f = EdgeLabeling.from_values(g, values)
+        e = g.edges[values.index(1)]
+        if check_deletion_certificate(g, f, e):
+            certified += 1
+            cert = verify_local_antimagic(g, f)
+            h, f2 = delete_labeled_edge(g, f, e)
+            after = verify_local_antimagic(h, f2)
+            assert cert.ok and after.ok and after.color_count == cert.color_count, values
+    assert certified == 28
 
 
 def test_deletion_certificate_needs_uniform_degrees():
@@ -381,8 +410,9 @@ def test_delete_labeled_edge_shifts_by_degree():
         assert f2.sums[v] == f.sums[v] - g.degree(v)
     cert = verify_local_antimagic(h, f2)
     assert cert.ok and cert.color_count == 3
-    with pytest.raises(ParameterError):
-        delete_labeled_edge(g, f, g.edges[f.values.index(5)])
+    for e in (g.edges[f.values.index(5)], (3.0, 4), (4, 3.0)):
+        with pytest.raises(ParameterError):
+            delete_labeled_edge(g, f, e)
 
 
 def test_matrix_margins_internal_consistency():
