@@ -164,36 +164,33 @@ class Graph:
         """Parse a v1 graph; raises ParameterError on a malformed one.
 
         The document must be an object with a ``vertices`` list of
-        ``{"id", "role"}`` objects and an ``edges`` list of integer pairs.
-        Roles must be unique and match ``u<i>`` or ``v<j>`` with
-        1 <= i, j < 10**9, the form of every role the library builds;
-        matrix export sorts by their index. The role check is made here and
-        not in ``__post_init__``, which also runs for graphs built in code
-        with ``Graph(...)``, where roles are valid by construction.
+        ``{"id", "role"}`` objects, checked one vertex at a time, and an
+        ``edges`` list of integer pairs. Roles must be unique and match
+        ``u<i>`` or ``v<j>`` with 1 <= i, j < 10**9, the form of every role
+        the library builds; matrix export sorts by their index. The role
+        check is made here and not in ``__post_init__``, which also runs for
+        graphs built in code with ``Graph(...)``, where roles are valid by
+        construction.
         ``family``, when present, is null or a list nested at most 32 deep.
         """
         if not isinstance(data, dict):
             raise ParameterError("a graph must be a JSON object")
         verts, pairs = data.get("vertices"), data.get("edges")
-        # The vertices are checked over their id and role columns, each
-        # taken with ``dict.get`` (None where a key is missing).
-        if not isinstance(verts, list) or not _all_subclasses({*map(type, verts)}, dict):
-            ids = roles = None
-        else:
-            ids = list(map(dict.get, verts, itertools.repeat("id")))
-            roles = list(map(dict.get, verts, itertools.repeat("role")))
-        if ids is None or {*map(type, ids)} - {int} or not _all_subclasses({*map(type, roles)}, str):
+        if not isinstance(verts, list) or not all(
+            isinstance(v, dict) and type(v.get("id")) is int and isinstance(v.get("role"), str) for v in verts
+        ):
             raise ParameterError('graph "vertices" must be a list of {"id": int, "role": str} objects')
         if not isinstance(pairs, list) or not all(map(is_int_pair, pairs)):
             raise ParameterError('graph "edges" must be a list of integer pairs')
-        in_order = list(range(1, len(ids) + 1))
-        if ids != in_order and sorted(ids) != in_order:
+        ids = [v["id"] for v in verts]
+        if sorted(ids) != list(range(1, len(ids) + 1)):
             raise ParameterError("vertex ids must be exactly 1..n")
-        bad = next(itertools.filterfalse(_ROLE.fullmatch, roles), None)
-        if bad is not None:
-            raise ParameterError(f"vertex role {bad!r} is not u<i> or v<j> with i, j >= 1")
-        if ids != in_order:
-            roles = [role for _, role in sorted(zip(ids, roles))]  # ids are unique
+        roles = [""] * len(ids)
+        for v in verts:
+            role = v["role"]
+            if not _ROLE.fullmatch(role):
+                raise ParameterError(f"vertex role {role!r} is not u<i> or v<j> with i, j >= 1")
+            roles[v["id"] - 1] = role
         if len(set(roles)) != len(roles):
             raise ParameterError("vertex roles must be unique")
         edges = tuple(edge(a, b) for a, b in pairs)
@@ -201,11 +198,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, q={self.q}, family={self.family!r})"
-
-
-def _all_subclasses(kinds: set, base: type) -> bool:
-    """Whether every type in ``kinds`` is ``base`` or a subclass, as ``isinstance`` asks."""
-    return all(issubclass(kind, base) for kind in kinds)
 
 
 def _family_to_json(family):

@@ -26,26 +26,25 @@ class LabelingError(ValueError):
 class EdgeLabeling:
     """A labeling of the edges of ``graph``, treated as immutable.
 
-    ``values[i]`` is the label of ``graph.edges[i]``; the verifier checks
-    that the labels are a bijection onto [1..q]. ``EdgeLabeling(graph,
-    labels)`` aligns a mapping from edges to labels with one lookup per
-    edge, and ``from_values`` takes the labels in edge order. A mapping
-    whose keys are not exactly the graph's edges has ``values`` None and is
-    kept as ``labels``, so the verifier can report it as a failed certificate.
+    ``values[i]`` is the label of ``graph.edges[i]``, so ``values`` is always
+    a tuple of q labels; the verifier checks that they are a bijection onto
+    [1..q]. ``EdgeLabeling(graph, labels)`` aligns a mapping from edges to
+    labels with one lookup per edge and raises LabelingError unless its
+    keys are exactly the graph's edges, as ``from_values``, which takes the
+    labels in edge order, does for a count other than q.
     """
 
     graph: Graph
-    values: tuple[int, ...] | None
-    _off_edges: Mapping[Edge, int] | None
+    values: tuple[int, ...]
 
     def __init__(self, graph: Graph, labels: Mapping[Edge, int]):
-        values = None
-        if len(labels) == graph.q:
-            try:
-                values = tuple(map(labels.__getitem__, graph.edges))
-            except KeyError:
-                pass
-        self._set(graph, values, None if values is not None else labels)
+        if len(labels) != graph.q:
+            raise LabelingError(_OFF_EDGES)
+        try:
+            values = tuple(map(labels.__getitem__, graph.edges))
+        except KeyError:
+            raise LabelingError(_OFF_EDGES) from None
+        self._set(graph, values)
 
     @classmethod
     def from_values(cls, graph: Graph, values) -> "EdgeLabeling":
@@ -54,19 +53,16 @@ class EdgeLabeling:
         if len(values) != graph.q:
             raise LabelingError(f"{len(values)} labels for the {graph.q} edges")
         f = object.__new__(cls)
-        f._set(graph, values, None)
+        f._set(graph, values)
         return f
 
-    def _set(self, graph: Graph, values, off_edges) -> None:
+    def _set(self, graph: Graph, values: tuple) -> None:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_off_edges", off_edges)
 
     @cached_property
-    def labels(self) -> Mapping[Edge, int]:
-        """Edge -> label, in the graph's edge order (a mapping off the edges as given)."""
-        if self.values is None:
-            return self._off_edges
+    def labels(self) -> dict[Edge, int]:
+        """Edge -> label, in the graph's edge order."""
         return dict(zip(self.graph.edges, self.values))
 
     @property
@@ -115,10 +111,7 @@ class EdgeLabeling:
             raise LabelingError(f"malformed labeling JSON: {exc!r}") from None
         except ParameterError as exc:
             raise LabelingError(f"malformed labeling: {exc}") from None
-        f = EdgeLabeling(g, labels)
-        if f.values is None:
-            raise LabelingError(_OFF_EDGES)
-        return f
+        return EdgeLabeling(g, labels)
 
     def __repr__(self):
         return f"EdgeLabeling(q={self.q}, graph={self.graph!r})"
@@ -180,7 +173,7 @@ _OFF_EDGES = "labels must be defined on exactly the edge set"
 
 def _values_on(g: Graph, f: EdgeLabeling) -> tuple | None:
     """f's labels in g's edge order; None unless f's graph has g's edge tuple
-    (the same object, or an equal tuple) and f labels exactly those edges."""
+    (the same object, or an equal tuple)."""
     edges = f.graph.edges
     return f.values if edges is g.edges or edges == g.edges else None
 
@@ -349,8 +342,9 @@ class LabelingMatrix:
     v_j. Cells hold the join-edge labels (None where a join edge was
     deleted), ``u_side`` holds each row's sum of own-side edge labels
     (path/cycle/clique edges within the first part), and the margins are
-    the induced sums. When the second side has own edges their per-column
-    contributions appear in ``v_side`` as a footer.
+    the induced sums: a row's cells plus its ``u_side`` total its margin.
+    When the second side has own edges their per-column contributions
+    appear in ``v_side`` as a footer, and each column adds up the same way.
     """
 
     u_names: tuple[str, ...]
@@ -360,18 +354,6 @@ class LabelingMatrix:
     u_margins: tuple[int, ...]
     v_side: tuple[int, ...] | None
     v_margins: tuple[int, ...]
-
-    def validate(self) -> None:
-        for i in range(len(self.u_names)):
-            row_total = sum(x for x in self.grid[i] if x is not None) + self.u_side[i]
-            if row_total != self.u_margins[i]:
-                raise LabelingError(f"row {self.u_names[i]} margin mismatch")
-        for j in range(len(self.v_names)):
-            col_total = sum(row[j] for row in self.grid if row[j] is not None)
-            if self.v_side is not None:
-                col_total += self.v_side[j]
-            if col_total != self.v_margins[j]:
-                raise LabelingError(f"column {self.v_names[j]} margin mismatch")
 
     def _rows(self, own: str, total: str, blank: str) -> list[list[str]]:
         """Header, one row per u_i, then the footer(s), as text cells.
@@ -399,10 +381,15 @@ class LabelingMatrix:
 
 
 def export_matrix(g: Graph, f: EdgeLabeling) -> LabelingMatrix:
-    """Build the join-labeling matrix; margins reproduce the induced sums."""
+    """Build the join-labeling matrix; margins reproduce the induced sums.
+
+    Every vertex needs a ``u`` or ``v`` role (ParameterError otherwise), so
+    that each edge lands in a cell or an own-side sum of the margins."""
     us, vs = g.u_vertices, g.v_vertices
     if not us or not vs:
         raise ParameterError("matrix export needs a two-sided join graph")
+    if len(us) + len(vs) != g.n:
+        raise ParameterError("matrix export needs a u or v role on every vertex")
     values = _bijective_values(g, f)
     sums = _sum_list(zip(g.edges, values), g.n)
     row = {u: i for i, u in enumerate(us)}
@@ -410,30 +397,25 @@ def export_matrix(g: Graph, f: EdgeLabeling) -> LabelingMatrix:
     grid = [[None] * len(vs) for _ in us]
     u_own = dict.fromkeys(us, 0)
     v_own = dict.fromkeys(vs, 0)
-    has_v_edges = False
     for (a, b), lab in zip(g.edges, values):
         # a join edge is (v, u) when the second side has the smaller ids
         if a in row:
             if b in col:
                 grid[row[a]][col[b]] = lab
-            elif b in row:
+            else:
                 u_own[a] += lab
                 u_own[b] += lab
-        elif a in col:
-            if b in row:
-                grid[row[b]][col[a]] = lab
-            elif b in col:
-                has_v_edges = True
-                v_own[a] += lab
-                v_own[b] += lab
-    matrix = LabelingMatrix(
+        elif b in row:
+            grid[row[b]][col[a]] = lab
+        else:
+            v_own[a] += lab
+            v_own[b] += lab
+    return LabelingMatrix(
         u_names=tuple(g.role_of(u) for u in us),
         v_names=tuple(g.role_of(v) for v in vs),
         grid=tuple(map(tuple, grid)),
         u_side=tuple(u_own[u] for u in us),
         u_margins=tuple(sums[u] for u in us),
-        v_side=tuple(v_own[v] for v in vs) if has_v_edges else None,
+        v_side=tuple(v_own[v] for v in vs) if any(v_own.values()) else None,  # labels are >= 1
         v_margins=tuple(sums[v] for v in vs),
     )
-    matrix.validate()
-    return matrix

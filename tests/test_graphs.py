@@ -379,8 +379,8 @@ def test_graph_from_json_rejects_malformed(mutate):
 
 
 def _per_vertex_roles(verts):
-    """The roles in id order, checked one vertex at a time as Graph.from_json
-    did before it checked columns; raises its messages in its order."""
+    """The roles in id order, checked one vertex at a time: the reference
+    for Graph.from_json, which raises these messages in this order."""
     if not isinstance(verts, list) or not all(
         isinstance(v, dict) and type(v.get("id")) is int and isinstance(v.get("role"), str)
         for v in verts

@@ -58,9 +58,16 @@ def test_induced_sums_rejects_bad_domain():
         induced_sums(g, {(1, 2): 1, (2, 3): 1})
 
 
+OFF_EDGES = "labels must be defined on exactly the edge set"
+
+
 def test_verify_reports_labels_off_the_edge_set():
     g = build_family("path", 3)
-    cert = verify_local_antimagic(g, EdgeLabeling(g, {(1, 2): 1, (1, 3): 2}))
+    with pytest.raises(LabelingError) as exc:
+        EdgeLabeling(g, {(1, 2): 1, (1, 3): 2})
+    assert str(exc.value) == OFF_EDGES
+    # a labeling of another graph is off g's edge set: a failed certificate
+    cert = verify_local_antimagic(g, EdgeLabeling(build_family("cycle", 3), {(1, 2): 1, (1, 3): 2, (2, 3): 3}))
     assert (cert.bijection_ok, cert.proper, cert.color_count, cert.color_classes) == (False, False, 0, {})
     cert = verify_local_antimagic(g, EdgeLabeling(g, {(1, 2): 2, (2, 3): 2}))
     assert not cert.bijection_ok and cert.proper and cert.color_count == 2
@@ -415,15 +422,24 @@ def test_delete_labeled_edge_shifts_by_degree():
             delete_labeled_edge(g, f, e)
 
 
-def test_matrix_margins_internal_consistency():
-    res = label_cycle_join_cycle(2, 2)
-    mat = export_matrix(res.graph, res.labeling)
-    mat.validate()
+def assert_margins_add_up(mat):
+    """Each row's cells plus its u_side total its u_margin, and each column's
+    cells plus its v_side (none without own second-side edges) its v_margin."""
     for i, name in enumerate(mat.u_names):
-        assert sum(x for x in mat.grid[i] if x is not None) + mat.u_side[i] == mat.u_margins[i]
-    for j in range(len(mat.v_names)):
+        assert sum(x for x in mat.grid[i] if x is not None) + mat.u_side[i] == mat.u_margins[i], name
+    for j, name in enumerate(mat.v_names):
         col = sum(row[j] for row in mat.grid if row[j] is not None)
-        assert col + mat.v_side[j] == mat.v_margins[j]
+        assert col + (0 if mat.v_side is None else mat.v_side[j]) == mat.v_margins[j], name
+
+
+def test_matrix_margins_internal_consistency():
+    checked = 0
+    for family in ALL_FAMILIES:
+        for params in sweep_points(family, 40):
+            res = build_construction(family, params)
+            assert_margins_add_up(export_matrix(res.graph, res.labeling))
+            checked += 1
+    assert (len(ALL_FAMILIES), checked) == (14, 98)
 
 
 def test_matrix_own_side_sums_match_definition():
@@ -461,12 +477,13 @@ def test_matrix_refuses_labels_that_are_not_a_bijection_on_the_edges():
     res = build_construction("cycle-join-null", {"m": 2, "n": 2})
     g, f = res.graph, res.labeling
     twice = EdgeLabeling.from_values(g, f.values[1:2] + f.values[1:])
-    off = EdgeLabeling(g, dict(list(f.labels.items())[1:]))
+    with pytest.raises(LabelingError) as exc:
+        EdgeLabeling(g, dict(list(f.labels.items())[1:]))  # one edge unlabeled
+    assert str(exc.value) == OFF_EDGES
     wider = build_construction("cycle-join-null", {"m": 2, "n": 3}).graph
     for graph, labeling, message in [
         (g, twice, "labels must be a bijection onto 1..q"),
-        (g, off, "labels must be defined on exactly the edge set"),
-        (wider, f, "labels must be defined on exactly the edge set"),  # f labels another graph
+        (wider, f, OFF_EDGES),  # f labels another graph
     ]:
         with pytest.raises(LabelingError) as exc:
             export_matrix(graph, labeling)
@@ -482,7 +499,18 @@ def test_matrix_with_deleted_join_edge_has_hole():
     g2, f2 = delete_labeled_edge(g, h, (4, 5))
     mat = export_matrix(g2, f2)
     assert mat.grid[3][0] is None
-    mat.validate()
+    assert_margins_add_up(mat)
+
+
+@pytest.mark.parametrize("n,edges,roles", [
+    (4, ((1, 2), (3, 4)), ("u1", "v1", "x1", "x2")),  # edge (3, 4) is in no cell and no margin
+    (3, ((1, 2), (1, 3)), ("u1", "v1", "x1")),  # edge (1, 3) is in u1's margin only
+])
+def test_matrix_refuses_a_vertex_on_neither_side(n, edges, roles):
+    g = Graph(n, edges, roles)
+    with pytest.raises(ParameterError) as exc:
+        export_matrix(g, EdgeLabeling.from_values(g, range(1, g.q + 1)))
+    assert str(exc.value) == "matrix export needs a u or v role on every vertex"
 
 
 def test_labeling_json_round_trip():
@@ -720,9 +748,7 @@ def _outcome(fn, *args):
 
 def _key_orders(g, labels):
     """The labels as drawn (in edge order), in sorted key order as
-    ``from_json`` gives them, and with the last key moved off the graph.
-    The last two take the set comparison after the ordered edge check,
-    unless the edges happen to be sorted."""
+    ``from_json`` gives them, and with the last key moved off the graph."""
     yield labels
     yield dict(sorted(labels.items()))
     if labels:
@@ -739,9 +765,14 @@ def _key_orders(g, labels):
 def test_sum_kernel_and_bijection_check_match_the_sorting_code(case, lower_bound):
     g, drawn = case
     for labels in _key_orders(g, drawn):
+        assert _outcome(induced_sums, g, labels) == _outcome(_reference_induced_sums, g, labels)
+        if labels.keys() != set(g.edges):  # the last order, or a drawn key deleted
+            with pytest.raises(LabelingError) as exc:
+                EdgeLabeling(g, labels)
+            assert str(exc.value) == OFF_EDGES
+            continue
         f = EdgeLabeling(g, labels)
         assert repr(verify_local_antimagic(g, f, lower_bound)) == repr(_reference_verify(g, f, lower_bound))
-        assert _outcome(induced_sums, g, labels) == _outcome(_reference_induced_sums, g, labels)
 
 
 # -- labelings held as one label tuple in the graph's edge order, against
