@@ -13,6 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Collection, Mapping
 
 Edge = tuple[int, int]
 
@@ -328,76 +329,50 @@ CHROMATIC_MAX_VERTICES = 16
 
 
 def chromatic_number_exact(g: Graph) -> int:
-    """Exact chromatic number by branch-and-bound, for small graphs only.
+    """Exact chromatic number, for graphs of at most ``CHROMATIC_MAX_VERTICES``.
 
-    A greedy clique provides the lower bound; vertices are colored in
-    DSATUR order. Graphs beyond ``CHROMATIC_MAX_VERTICES`` are rejected;
-    ``chromatic_lower_bound`` splits a join into its parts instead.
+    The count is ``_fewest_colors`` over all of ``g``. Larger graphs are
+    rejected; ``chromatic_lower_bound`` splits a join into its parts instead.
     """
     if g.n > CHROMATIC_MAX_VERTICES:
         raise ParameterError(
             f"graph has {g.n} > {CHROMATIC_MAX_VERTICES} vertices; for join graphs use "
             "chi(A v B) = chi(A) + chi(B) via chromatic_lower_bound instead"
         )
-    if g.q == 0:
-        return 1
+    return _fewest_colors(list(g.vertices), g.adjacency)
 
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
 
-    # Greedy clique for the lower bound: grow from each vertex by degree.
-    order = sorted(g.vertices, key=lambda v: -len(adj[v]))
-    best_clique = 1
-    for start in order:
-        clique = [start]
-        for v in order:
-            if v != start and all(v in adj[c] for c in clique):
-                clique.append(v)
-        best_clique = max(best_clique, len(clique))
+def _fewest_colors(part: list[int], adj: Mapping[int, Collection[int]]) -> int:
+    """The fewest colors that properly color the graph ``adj`` induces on ``part``.
 
-    # Greedy upper bound, largest-degree-first.
-    colors: dict[int, int] = {}
-    for v in order:
-        used = {colors[u] for u in adj[v] if u in colors}
-        c = 1
-        while c in used:
-            c += 1
-        colors[v] = c
-    best = max(colors.values())
-    if best == best_clique:
-        return best
+    A backtracking search tries k = 1, 2, ... and returns the first k that
+    colors ``part``, taking its vertices by decreasing degree in ``adj``.
+    A vertex may take only a color none of its colored neighbours holds,
+    and opens a new color only as the next unused one, so each coloring is
+    tried once up to renaming. Only vertices of ``part`` are colored, so a
+    neighbour outside it never blocks a color. A co-component's vertices
+    all see every vertex outside it, so ``adj`` orders it by its own degrees.
+    """
+    order = sorted(part, key=lambda v: -len(adj[v]))
+    color: dict[int, int] = {}
 
-    assignment: dict[int, int] = {}
+    def extend(i: int, opened: int, k: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        taken = {color[u] for u in adj[v] if u in color}
+        for c in range(min(opened + 1, k)):
+            if c not in taken:
+                color[v] = c
+                if extend(i + 1, max(opened, c + 1), k):
+                    return True
+                del color[v]
+        return False
 
-    def pick() -> int | None:
-        cand, key = None, (-1, -1)
-        for v in g.vertices:
-            if v in assignment:
-                continue
-            sat = len({assignment[u] for u in adj[v] if u in assignment})
-            if (sat, len(adj[v])) > key:
-                cand, key = v, (sat, len(adj[v]))
-        return cand
-
-    def backtrack(used: int):
-        nonlocal best
-        if used >= best:
-            return
-        v = pick()
-        if v is None:
-            best = used
-            return
-        forbidden = {assignment[u] for u in adj[v] if u in assignment}
-        for c in range(1, min(used + 1, best - 1) + 1):
-            if c in forbidden:
-                continue
-            assignment[v] = c
-            backtrack(max(used, c))
-            del assignment[v]
-            if best == best_clique:
-                return
-
-    backtrack(0)
-    return best
+    k = 1
+    while not extend(0, 0, k):
+        k += 1
+    return k
 
 
 def chromatic_lower_bound(g: Graph) -> int:
@@ -406,10 +381,11 @@ def chromatic_lower_bound(g: Graph) -> int:
     Every graph is the join of its co-components, the connected components
     of its complement, so chi(g) is the sum of their chromatic numbers
     (chi(A v B) = chi(A) + chi(B)). A co-component adds 1 if it is
-    edgeless, 2 if bipartite, its exact chromatic number if it has at most
-    ``CHROMATIC_MAX_VERTICES`` vertices, and otherwise 3, since it has an
-    odd cycle. The bound is chi(g) itself unless some co-component is both
-    large and not bipartite.
+    edgeless, 2 if bipartite, and otherwise, having an odd cycle, 3 if it
+    has more than ``CHROMATIC_MAX_VERTICES`` vertices; a smaller odd one
+    adds its exact chromatic number, counted by ``_fewest_colors`` on
+    ``g``'s own adjacency. The bound is chi(g) itself unless some
+    co-component is both large and not bipartite.
     """
     adj = {v: set(nbrs) for v, nbrs in g.adjacency.items()}
     unvisited = set(g.vertices)
@@ -448,6 +424,4 @@ def _co_component_chromatic(adj: dict[int, set[int]], part: list[int]) -> int:
         return 2 if has_edge else 1
     if len(part) > CHROMATIC_MAX_VERTICES:
         return 3
-    index = {v: i for i, v in enumerate(part, 1)}
-    edges = tuple((index[a], index[b]) for a in part for b in adj[a] & inside if a < b)
-    return chromatic_number_exact(Graph(len(part), edges, _role_names("u", len(part))))
+    return _fewest_colors(part, adj)

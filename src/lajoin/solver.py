@@ -320,9 +320,10 @@ def confirm_theorem(family: str, params: dict, cfg: SearchConfig = SearchConfig(
     The evidence is gathered once: the claim (a construction re-verified
     from scratch, or the value a cited point carries), the exact search
     when the graph has at most cfg.max_edges edges, and the chromatic
-    lower bound. The verdict is then read off that evidence. A point the
-    family does not cover is ``out-of-range``, with the generator's reason;
-    a bad flag (see ``check_params``) raises ParameterError instead.
+    lower bound for a construction that search does not settle. The verdict
+    is then read off that evidence. A point the family does not cover is
+    ``out-of-range``, with the generator's reason; a bad flag (see
+    ``check_params``) raises ParameterError instead.
     """
     check_params(family, params)
     claim = None
@@ -345,16 +346,15 @@ def confirm_theorem(family: str, params: dict, cfg: SearchConfig = SearchConfig(
             detail = "construction failed verification against its claim"
             return verdict("mismatch", measured, None, None, detail)
     report = exact_chi_la(g, cfg) if g.q <= cfg.max_edges else None
-    lower = chromatic_lower_bound(g)
 
     if report is not None and report.exact:
         if report.chi_la == claim:
             detail = ("cited value confirmed by exact search" if cited
                       else "optimality confirmed by exact search")
             return verdict("matched", claim, None, claim, detail)
-        if not cited and family in GENERIC_FAMILIES:
-            # Generic schemes only claim the color count they achieve, so a
-            # smaller optimum is not a contradiction for them.
+        if not cited and family in GENERIC_FAMILIES and report.chi_la < claim:
+            # A generic scheme claims only the count it achieves, so a smaller
+            # optimum is no contradiction; its verified labeling bars a larger one.
             detail = "construction verified but not optimal at this point"
             return verdict("upper-bound-only", measured, None, report.chi_la, detail)
         detail = ("exact search disagrees with the cited value" if cited
@@ -367,6 +367,7 @@ def confirm_theorem(family: str, params: dict, cfg: SearchConfig = SearchConfig(
         # A best-so-far count is only an upper bound, not a solver value.
         detail = "exact search ran out of time before settling the cited value"
         return verdict("inconclusive", None, None, None, detail)
+    lower = chromatic_lower_bound(g)
     if lower == claim:
         return verdict("matched", measured, lower, None, "claim meets the chromatic lower bound")
     detail = "verified labeling gives an upper bound; no matching lower bound at this size"

@@ -334,6 +334,51 @@ def test_chromatic_lower_bound_ignores_the_descriptor():
         assert chromatic_lower_bound(replace(minus, family=family)) == 3
 
 
+def _brute_force_chromatic(g: Graph) -> int:
+    """The smallest k for which some k-coloring with vertex 1 fixed at color 0
+    is proper: an oracle that shares nothing with the search it checks."""
+    for k in range(1, g.n + 1):
+        for rest in itertools.product(range(k), repeat=g.n - 1):
+            color = (0, *rest)
+            if all(color[a - 1] != color[b - 1] for a, b in g.edges):
+                return k
+
+
+def test_chromatic_number_matches_a_brute_force_oracle():
+    # Every labeled graph on at most 5 vertices, then seeded random ones on 6 and 7.
+    graphs = []
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            edges = tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
+            graphs.append(Graph(n, edges, tuple(f"u{i}" for i in range(1, n + 1))))
+    assert len(graphs) == 1099
+    rng = random.Random(1979)
+    graphs.extend(_dense_random_graph(rng, rng.randint(6, 7)) for _ in range(200))
+    for g in graphs:
+        assert chromatic_number_exact(g) == chromatic_lower_bound(g) == _brute_force_chromatic(g), g.edges
+
+
+def _graph(n: int, pairs) -> Graph:
+    return Graph(n, tuple(sorted(edge(a, b) for a, b in pairs)), tuple(f"u{i}" for i in range(1, n + 1)))
+
+
+@pytest.mark.parametrize("g,chi", [
+    # Grötzsch: C_5, a twin 5+i of each cycle vertex i joined to i's
+    # neighbours, and a hub 11 joined to the twins. Triangle-free.
+    (_graph(11, [(i, i % 5 + 1) for i in range(1, 6)]
+            + [(i + 5, j) for i in range(1, 6) for j in (i % 5 + 1, (i - 2) % 5 + 1)]
+            + [(i, 11) for i in range(6, 11)]), 4),
+    # The complement of C_7: largest clique 3.
+    (_graph(7, [(a, b) for a, b in itertools.combinations(range(1, 8), 2) if b - a not in (1, 6)]), 4),
+    # Petersen: outer C_5, spokes, inner pentagram. Triangle-free.
+    (_graph(10, [(i, i % 5 + 1) for i in range(1, 6)] + [(i, i + 5) for i in range(1, 6)]
+            + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]), 3),
+], ids=["grotzsch", "complement-of-c7", "petersen"])
+def test_chromatic_number_where_the_clique_bound_is_not_tight(g, chi):
+    assert chromatic_number_exact(g) == chromatic_lower_bound(g) == _brute_force_chromatic(g) == chi
+
+
 def test_json_round_trip():
     g = join(build_family("path", 4), build_family("null", 3))
     g2 = Graph.from_json(g.to_json())

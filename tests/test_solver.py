@@ -354,6 +354,17 @@ def test_confirm_upper_bound_only():
     assert verdict.measured_colors == 4 and verdict.solver_chi_la == 3
 
 
+def test_confirm_generic_optimum_above_the_claim_is_a_mismatch(monkeypatch):
+    # A verified labeling with the claimed 4 colors exists, so an exact
+    # optimum of 5 is a solver fault, not an upper bound.
+    report = lajoin.solver.SolveReport(5, True, None, 0, 0.0)
+    monkeypatch.setattr(lajoin.solver, "exact_chi_la", lambda g, cfg: report)
+    verdict = confirm_theorem("generic-join-null", {"n": 2})
+    assert verdict.verdict == "mismatch"
+    assert verdict.detail == "exact search found a different optimum"
+    assert (verdict.claimed_chi_la, verdict.measured_colors, verdict.solver_chi_la) == (4, 4, 5)
+
+
 def test_report_json_shape():
     report = exact_chi_la(build_family("cycle", 3))
     data = report.to_json()
