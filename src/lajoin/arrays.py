@@ -15,8 +15,8 @@ number of pools, three permutations whose pointwise sums alternate
 between two adjacent values (this is what makes the nearly magic row sums
 come out as the two adjacent targets).
 
-Tall shapes (more rows than columns) are built in transposed orientation,
-where the dealing has more freedom, and flipped at the end.
+Tall shapes (more rows than columns), magic or nearly magic, are carved
+as their wide transpose, where the dealing has more freedom, and flipped.
 
 Each array is built once per shape per process: ``siamese_magic_square``,
 ``magic_rectangle`` and ``nearly_magic_rectangle`` are cached on their
@@ -226,8 +226,13 @@ def _carve_table(pools: list[list[int]], targets: list[int]) -> tuple[tuple[int,
     raise ArrayError(f"no arrangement found for targets {targets}")
 
 
-def _transposed(entries) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row[c] for row in entries) for c in range(len(entries[0])))
+def _carved(rows: int, cols: int, row_targets: list[int], col_target: int) -> tuple[tuple[int, ...], ...]:
+    # Rows summing to row_targets, columns to col_target. A tall table's pools
+    # are its rows (for nearly magic ones alternating low/low+1 by the trio
+    # dealing), and the rows carved from them its columns.
+    if rows <= cols:
+        return _carve_table(_pools(rows, cols), row_targets)
+    return tuple(zip(*_carve_table(_pools(cols, rows), [col_target] * cols)))
 
 
 def _cached_per_shape(build):
@@ -287,11 +292,8 @@ def magic_rectangle(rows: int, cols: int) -> MagicArray:
     col_c = rows * (rows * cols + 1) // 2
     if rows == cols and rows % 2 == 1:
         entries = siamese_magic_square(rows).entries
-    elif rows > cols:
-        wide = magic_rectangle(cols, rows)
-        entries = _transposed(wide.entries)
     else:
-        entries = _carve_table(_pools(rows, cols), [row_c] * rows)
+        entries = _carved(rows, cols, [row_c] * rows, col_c)
     kind = "square" if rows == cols else "rectangle"
     m = MagicArray(rows, cols, entries, kind, (row_c,) * rows, col_c)
     verify_magic_array(m)
@@ -314,13 +316,7 @@ def nearly_magic_rectangle(rows: int, cols: int) -> MagicArray:
     low = (cols * (total + 1) - 1) // 2
     col_c = rows * (total + 1) // 2
     targets = [low if r % 2 == 0 else low + 1 for r in range(rows)]
-    if rows <= cols:
-        entries = _carve_table(_pools(rows, cols), targets)
-    else:
-        # Transposed build: pools are the rows (alternating sums low/low+1
-        # by the trio dealing), and the carved rows are the columns.
-        entries = _transposed(_carve_table(_pools(cols, rows), [col_c] * cols))
-    m = MagicArray(rows, cols, entries, "nearly-rectangle", tuple(targets), col_c)
+    m = MagicArray(rows, cols, _carved(rows, cols, targets, col_c), "nearly-rectangle", tuple(targets), col_c)
     verify_magic_array(m)
     return m
 

@@ -282,9 +282,9 @@ def _sweep(args) -> int:
         for key in PARAM_KEYS
         if key != "which" and getattr(args, key) is not None
     }
-    if args.which:
-        values["which"] = [args.which]
     if values:
+        if args.which:
+            values["which"] = [args.which]
         # Every value is at least 1, where each family's q grows along each
         # axis, so the last point of the ranges has the most edges; checking
         # it first keeps a huge range from being built.
@@ -299,6 +299,9 @@ def _sweep(args) -> int:
         points = [dict(zip(values, combo)) for combo in itertools.product(*values.values())]
     else:
         points = sweep_points(args.family, args.max_total_edges)
+        which = args.which  # alone, --which keeps its own points; check_params refuses it where not taken
+        if which:
+            points = [{**p, "which": which} for p in points if p.get("which", which) == which]
         if not points:
             raise ParameterError(
                 f"family {args.family} has no sweep point within "

@@ -286,10 +286,11 @@ def label_path_join_complete(m: int, r: int) -> ConstructionResult:
     if m < 1 or r < 1:
         raise ParameterError("need m >= 1 and r >= 1")
     if m == 1:
-        # P_2 v K_r is the complete graph on r + 2 vertices. It takes K_{r+2}'s
-        # labels keyed by edge, since join numbers the vertices differently.
-        g = join(build_family("path", 2), build_family("complete", r))
-        f = EdgeLabeling(g, _in_edge_order(build_family("complete", g.n)).labels)
+        # P_2 v K_r is K_{r+2}, labeled 1..q in lexicographic order: 1 on the
+        # path edge, the next 2r on u_1's and u_2's join rows, the rest on K_r.
+        first, second = build_family("path", 2), build_family("complete", r)
+        grid = [range(2, r + 2), range(r + 2, 2 * r + 2)]
+        g, f = _assemble(first, second, [1], grid, range(2 * r + 2, 2 * r + 2 + second.q))
         return _result(g, f, f.sums.values(), r + 2)
     if r == 1:
         # K_1 is O_1, which makes P_2m v K_1 a fan.
@@ -301,12 +302,13 @@ def label_path_join_complete(m: int, r: int) -> ConstructionResult:
     first, second = build_family("path", 2 * m), build_family("complete", r)
     grid, u_colors, v_sum = _path_null_join(m, r)
     q0 = 2 * m - 1 + 2 * m * r
-    v_colors = {s + v_sum + (r - 1) * q0 for s in _in_edge_order(second).sums.values()}
     if r == 2:
         # Both K_2 ends would get one sum; swapping u_2m's two join labels
         # moves them 2m apart.
         grid[-1].reverse()
         v_colors = {v_sum + q0 + 1 - 2 * m, v_sum + q0 + 1 + 2 * m}
+    else:
+        v_colors = {s + v_sum + (r - 1) * q0 for s in _in_edge_order(second).sums.values()}
     g, f = _assemble(first, second, _path_labels(m), grid, range(q0 + 1, q0 + second.q + 1))
     return _result(g, f, u_colors | v_colors, r + 2)
 
@@ -485,20 +487,16 @@ def label_complete_join_odd_cycle(n: int, m: int) -> ConstructionResult:
     count = 2 * m - 1
     first, second = build_family("complete", 2 * n), build_family("cycle", count)
     grid = [[x + count for x in row] for row in nearly_magic_rectangle(2 * n, count).entries]
-    lex = _in_edge_order(first)
-    k_sums = lex.sums
-    # Rename so odd positions carry the n smallest sums in order.
-    ranked = sorted(range(1, 2 * n + 1), key=lambda v: (k_sums[v], v))
-    positions = list(range(1, 2 * n + 1, 2)) + list(range(2, 2 * n + 1, 2))
-    renamed = {old: positions[k] for k, old in enumerate(ranked)}
+    # Lexicographic K_2n sums increase with the vertex, so renaming v to
+    # 2v - 1 (v <= n) or 2(v - n) (v > n) puts the n smallest sums on the
+    # odd positions in order. The renamed edges, sorted, are K_2n's edge order.
+    renamed = [0, *range(1, 2 * n + 1, 2), *range(2, 2 * n + 1, 2)]
     shift = (2 * n + 1) * count
-    u_labels = {edge(renamed[a], renamed[b]): lab + shift for (a, b), lab in lex.labels.items()}
-    # K_2n's labels sit on renamed vertices, so they are keyed by edge and
-    # read back in K_2n's edge order.
-    g, f = _assemble(
-        first, second, EdgeLabeling(first, u_labels).values, grid, _wrapped_cycle_labels(count, 0)
-    )
-    sorted_sums = sorted(k_sums.values())
+    u_labels = [lab for _, lab in sorted(
+        (edge(renamed[a], renamed[b]), lab) for lab, (a, b) in enumerate(first.edges, shift + 1)
+    )]
+    g, f = _assemble(first, second, u_labels, grid, _wrapped_cycle_labels(count, 0))
+    sorted_sums = list(_in_edge_order(first).sums.values())  # in vertex order
     join_part = count * count + n * count * count
     k_shift_part = (2 * n - 1) * shift
     u_colors = set()
@@ -534,19 +532,17 @@ def _bipartite_parts_ok(m: int, n: int) -> bool:
 
 
 def _bipartite_colors(g: Graph, m: int, n: int) -> tuple[int, set[int]]:
-    # G v K_{m,n}: the first-part shift and the colors of the m- and n-sides.
-    p, e = g.n, g.q
-    t_rect = p * (m + n) + 1
-    x_color = p * e + p * t_rect // 2 + n * e + n * p * (m + n) + n * (m * n + 1) // 2
-    y_color = p * e + p * t_rect // 2 + m * e + m * p * (m + n) + m * (m * n + 1) // 2
-    return (m + n) * e + (m + n) * t_rect // 2, {x_color, y_color}
+    # G v K_{m,n}: G v O_{m+n}'s shift and the colors of the m- and n-sides,
+    # which add a row or a column of K_{m,n}'s magic rectangle above ``top``.
+    shift, (join_sum,) = _null_colors(g, m + n)
+    top = g.q + g.n * (m + n)
+    return shift, {join_sum + n * top + n * (m * n + 1) // 2, join_sum + m * top + m * (m * n + 1) // 2}
 
 
 def _cycle_colors(g: Graph, m: int) -> tuple[int, set[int]]:
-    # G v C_m: the first-part shift and the colors of the wrapped cycle.
-    p, e = g.n, g.q
-    join_sum = p * e + p * (p * m + 1) // 2
-    return m * e + m * (p * m + 1) // 2, _wrapped_cycle_colors(join_sum, e + p * m, m)
+    # G v C_m: G v O_m's shift and the colors of the wrapped cycle.
+    shift, (join_sum,) = _null_colors(g, m)
+    return shift, _wrapped_cycle_colors(join_sum, g.q + g.n * m, m)
 
 
 def _generic_join(

@@ -247,18 +247,15 @@ def build_family(kind: str, *params: int) -> Graph:
         raise ParameterError(f"unknown family kind {kind!r}")
     if len(params) != arity:
         raise ParameterError(f"{kind} takes {arity} parameter{'' if arity == 1 else 's'}, got {params}")
-    if kind == "path":
+    if kind in ("path", "cycle"):
         (m,) = params
-        if m < 2:
-            raise ParameterError(f"path needs order >= 2, got {m}")
+        least = 2 if kind == "path" else 3
+        if m < least:
+            raise ParameterError(f"{kind} needs order >= {least}, got {m}")
         edges = tuple((i, i + 1) for i in range(1, m))
-        return Graph._unchecked(m, edges, _role_names("u", m), ("path", m))
-    if kind == "cycle":
-        (m,) = params
-        if m < 3:
-            raise ParameterError(f"cycle needs order >= 3, got {m}")
-        edges = tuple((i, i + 1) for i in range(1, m)) + ((1, m),)
-        return Graph._unchecked(m, edges, _role_names("u", m), ("cycle", m))
+        if kind == "cycle":
+            edges += ((1, m),)
+        return Graph._unchecked(m, edges, _role_names("u", m), (kind, m))
     if kind == "null":
         (n,) = params
         if n < 1:

@@ -77,7 +77,9 @@ class EdgeLabeling:
         return {
             "schema": "v1",
             "graph": self.graph.to_json(),
-            "labels": [{"edge": list(e), "label": lab} for e, lab in sorted(self.labels.items())],
+            "labels": [
+                {"edge": list(e), "label": lab} for e, lab in sorted(zip(self.graph.edges, self.values))
+            ],
         }
 
     @staticmethod

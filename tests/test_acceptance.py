@@ -284,7 +284,9 @@ def test_criterion_4c_two_color_vs_brute_force():
         ("path", (6,), (3, 3)),
         ("path", (7,), (4, 3)),
         ("complete-bipartite", (1, 3), (3, 1)),
+        ("complete-bipartite", (1, 4), (4, 1)),
         ("complete-bipartite", (1, 5), (5, 1)),
+        ("complete-bipartite", (1, 6), (6, 1)),
         ("complete-bipartite", (1, 8), (8, 1)),
         ("complete-bipartite", (2, 2), (2, 2)),
         ("complete-bipartite", (2, 3), (3, 2)),

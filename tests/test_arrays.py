@@ -262,8 +262,9 @@ def test_non_int_sides_raise_whether_or_not_the_shape_is_cached(build, sides):
 
 
 def test_cached_arrays_equal_fresh_builds_over_the_sweep(monkeypatch):
-    # Record every array shape the budget-400 sweep asks for, the transposed
-    # builds of tall magic rectangles included, then rebuild each uncached.
+    # Record every array shape the budget-400 sweep asks for, then rebuild
+    # each uncached. A tall shape is carved from its own transpose's pools,
+    # not built through its wide twin, so only shapes the sweep asks for count.
     from lajoin import arrays, constructions
 
     asked = set()

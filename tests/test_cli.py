@@ -439,6 +439,19 @@ def test_sweep_points_vary_the_first_flag_slowest(tmp_path):
     ]
 
 
+def test_sweep_which_alone_narrows_the_family_sweep(capsys):
+    # --which with no range flag keeps the plain sweep's rows for that edge,
+    # in the same order.
+    flags = ("sweep", "--family", "cycle-join-null-minus-edge", "--max-total-edges", "60")
+    assert run_cli(*flags) == 0
+    plain = [line for line in capsys.readouterr().out.splitlines() if "which=join-edge" in line]
+    assert run_cli(*flags, "--which", "join-edge") == 0
+    assert capsys.readouterr().out.splitlines() == plain
+    assert len(plain) == 15
+    assert run_cli("sweep", "--family", "cycle-join-null", "--which", "join-edge") == 2
+    assert capsys.readouterr().err == "error: cycle-join-null does not take parameter which\n"
+
+
 def test_sweep_json_is_pinned(capsys):
     # sha256 per family of the whole sweep document, taken before the
     # verdict table was folded into one path in confirm_theorem. Every

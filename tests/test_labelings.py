@@ -310,47 +310,6 @@ def test_matrix_views_are_pinned(family, params, csv, pretty):
     assert matrix.to_pretty() == pretty
 
 
-def _exhaustive_two_colorable(g, parts) -> bool:
-    # Brute force: does any proper labeling induce exactly two colors?
-    for perm in itertools.permutations(range(1, g.q + 1)):
-        labels = dict(zip(g.edges, perm))
-        sums = {v: 0 for v in g.vertices}
-        for (a, b), lab in labels.items():
-            sums[a] += lab
-            sums[b] += lab
-        if any(sums[a] == sums[b] for a, b in g.edges):
-            continue
-        if len(set(sums.values())) == 2:
-            return True
-    return False
-
-
-@pytest.mark.parametrize(
-    "kind,params,parts",
-    [
-        ("path", (3,), (2, 1)),
-        ("path", (4,), (2, 2)),
-        ("path", (5,), (3, 2)),
-        ("complete-bipartite", (1, 3), (3, 1)),
-        ("complete-bipartite", (1, 4), (4, 1)),
-        ("complete-bipartite", (1, 6), (6, 1)),
-        ("complete-bipartite", (2, 2), (2, 2)),
-        ("complete-bipartite", (2, 3), (3, 2)),
-        ("complete-bipartite", (2, 4), (4, 2)),
-        ("path", (7,), (4, 3)),
-    ],
-)
-def test_two_color_infeasible_matches_exhaustive(kind, params, parts):
-    # Two colours on a bipartite graph with parts X > Y need colours x < y
-    # with xX = yY = q(q+1)/2, the label total; equal parts allow none.
-    g = build_family(kind, *params)
-    x_count, y_count = parts
-    half = g.q * (g.q + 1) // 2
-    feasible = x_count != y_count and half % x_count == 0 and half % y_count == 0
-    exists = _exhaustive_two_colorable(g, parts)
-    assert feasible or not exists
-
-
 def test_deletion_certificate_half_wheel_cycle_edge():
     res = label_cycle_join_null(2, 2)
     g, f = res.graph, res.labeling
