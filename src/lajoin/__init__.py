@@ -23,6 +23,7 @@ from .constructions import (
     ConstructionResult,
     antimagic_complete,
     build_construction,
+    family_graph,
     label_complete_join_odd_cycle,
     label_cycle_join_complete,
     label_cycle_join_cycle,

@@ -33,6 +33,7 @@ from .constructions import (
     ConstructionResult,
     build_construction,
     edge_count,
+    family_graph,
     sweep_points,
 )
 from .graphs import Graph, ParameterError
@@ -240,10 +241,7 @@ def _solve(args) -> int:
         q = edge_count(args.family, params)
         if q > cfg.max_edges:  # exact_chi_la's own refusal, made before the graph is built
             raise ParameterError(f"graph has {q} > {cfg.max_edges} edges; raise max_edges to force the search")
-        try:
-            g = build_construction(args.family, params).graph
-        except CitedCaseError as exc:
-            g = exc.graph
+        g = family_graph(args.family, params)
     report = exact_chi_la(g, cfg)
     _write(args.out, dump_json(report.to_json()))
     return 0

@@ -9,24 +9,24 @@ as a grid, as the paper's tables do; ``_assemble`` chains them in
 the caller (``verify_local_antimagic`` or the solver harness) so claimed
 and recomputed data stay independent.
 
-Families whose small parameter points are only settled by citation in the
-literature (half-wheels, fans, wheels, the K_{1,1,n} joins) raise
-CitedCaseError carrying the graph and the cited value; callers may route
-those to the exact solver.
-
 ``FAMILIES`` is the registry: one record per family states its parameters,
-generator, closed-form edge count, sweep domain and excluded points, and
-``build_construction``, ``sweep_points`` and the CLI flags are read from it.
+generator, closed-form edge count, the parts of each point's graph, sweep
+domain, excluded points and the points left to cited work, and
+``build_construction``, ``family_graph``, ``sweep_points`` and the CLI
+flags are read from it. The cited points (fans, wheels, double-apex
+joins) are refused by their generators; ``build_construction`` raises
+CitedCaseError there, carrying the graph and the cited value, and callers
+may route those to the exact solver.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .arrays import drop_column_and_rotate, magic_rectangle, nearly_magic_rectangle, siamese_magic_square
-from .graphs import Edge, Graph, ParameterError, build_family, edge, join
+from .graphs import Edge, Graph, ParameterError, build_family, delete_edge, edge, join
 from .labelings import (
     EdgeLabeling,
     check_complement_sums,
@@ -50,11 +50,6 @@ class CitedCaseError(ParameterError):
         super().__init__(message)
         self.graph = graph
         self.cited_chi_la = cited_chi_la
-
-
-def _cited(what: str, graph: Graph, cited_chi_la: int) -> NoReturn:
-    # Every cited point leaves its generator through here, in one message form.
-    raise CitedCaseError(f"{what} are covered by cited work; use the exact solver", graph, cited_chi_la)
 
 
 @dataclass(frozen=True)
@@ -229,19 +224,15 @@ def three_color_odd_cycle(length: int) -> EdgeLabeling:
 def label_path_join_null(m: int, null_order: int) -> ConstructionResult:
     """Even path joined with a null graph: P_2m v O_N, three colors.
 
-    Covered directly for m >= 2 and N >= 2 (with N = 1 the join is a fan
-    and m = 1 gives a double-apex null join; both are cited results routed
-    to the solver). The sole exception is N = 1, m = 2 with four colors.
+    Covered for m >= 2 and N >= 2. With N = 1 the join is a fan and m = 1
+    gives a double-apex null join; both are cited results (see ``FAMILIES``).
     """
     if m < 1 or null_order < 1:
         raise ParameterError("need m >= 1 and a null part of order >= 1")
-    first, second = build_family("path", 2 * m), build_family("null", null_order)
-    if m == 1:
-        _cited("P_2 v O_N joins", join(first, second), 3)
-    if null_order == 1:
-        _cited("fan joins P_2m v O_1", join(first, second), 4 if m == 2 else 3)
+    if m == 1 or null_order == 1:
+        raise ParameterError("this scheme needs m >= 2 and a null part of order >= 2")
     grid, u_colors, v_sum = _path_null_join(m, null_order)
-    g, f = _assemble(first, second, _path_labels(m), grid)
+    g, f = _assemble(build_family("path", 2 * m), build_family("null", null_order), _path_labels(m), grid)
     return _result(g, f, u_colors | {v_sum}, 3)
 
 
@@ -293,8 +284,7 @@ def label_path_join_complete(m: int, r: int) -> ConstructionResult:
         g, f = _assemble(first, second, [1], grid, range(2 * r + 2, 2 * r + 2 + second.q))
         return _result(g, f, f.sums.values(), r + 2)
     if r == 1:
-        # K_1 is O_1, which makes P_2m v K_1 a fan.
-        return label_path_join_null(m, 1)
+        raise ParameterError("this scheme needs r >= 2 when m >= 2")
     if r == 3:
         # K_3 is the 3-cycle; reuse the path-cycle scheme.
         return label_path_join_cycle(m, 2)
@@ -328,6 +318,22 @@ def _cycle_null_colors(m: int, n: int) -> tuple[set[int], int]:
     return u_colors, m * (4 * m * n + 2 * m + 1)
 
 
+def _deleted_edge(m: int, which: str, join_edge: bool = True) -> Edge:
+    # The edge ``which`` deletes from C_2m v H: "cycle-edge" is the cycle
+    # edge (u_{2m-1}, u_2m), "join-edge", where ``join_edge``, the join edge
+    # (u_2m, v_1).
+    if which == "cycle-edge":
+        return (2 * m - 1, 2 * m)
+    if not join_edge:
+        raise ParameterError(
+            f"only even-cycle edges can be deleted here; {which!r} deletion is an "
+            "open problem with no claimed color count"
+        )
+    if which != "join-edge":
+        raise ParameterError(f"which must be cycle-edge or join-edge, got {which!r}")
+    return (2 * m, 2 * m + 1)
+
+
 def _minus_label_one(
     g: Graph, f: EdgeLabeling, sums: dict, e: Edge, classes: list[tuple[set[int], int]], count: int
 ) -> ConstructionResult:
@@ -348,7 +354,7 @@ def label_cycle_join_null(m: int, n: int) -> ConstructionResult:
     if n < 1:
         raise ParameterError("need n >= 1")
     if n == 1:
-        _cited("wheels C_2m v O_1", join(build_family("cycle", 2 * m), build_family("null", 1)), 3)
+        raise ParameterError("this scheme needs n >= 2")
     g, f = _cycle_join(m, n, build_family("null", 2 * n - 1))
     u_colors, v_sum = _cycle_null_colors(m, n)
     return _result(g, f, u_colors | {v_sum}, 3)
@@ -389,13 +395,11 @@ def label_cycle_join_null_minus_edge(m: int, n: int, which: str = "cycle-edge") 
     """
     if m < 2 or n < 2:
         raise ParameterError("need m, n >= 2")
-    if which not in ("cycle-edge", "join-edge"):
-        raise ParameterError(f"which must be cycle-edge or join-edge, got {which!r}")
+    e = _deleted_edge(m, which)
     g, f = _cycle_join(m, n, build_family("null", 2 * n - 1))
     sums = induced_sums(g, f)
     u_colors, v_sum = _cycle_null_colors(m, n)
     classes = [(u_colors, 2 * n + 1), ({v_sum}, 2 * m)]
-    e = edge(2 * m - 1, 2 * m)
     if which == "join-edge":
         if (m, n) == JOIN_EDGE_COLLISION:
             # After reflecting and deleting, the even-cycle class and the
@@ -411,7 +415,6 @@ def label_cycle_join_null_minus_edge(m: int, n: int, which: str = "cycle-edge") 
             raise RuntimeError(f"complement conditions failed at {witness}")
         f, sums = complement_labeling(g, f), comp
         classes = [({d * (g.q + 1) - c for c in colors}, d) for colors, d in classes]
-        e = edge(2 * m, 2 * m + 1)
     return _minus_label_one(g, f, sums, e, classes, 3)
 
 
@@ -441,18 +444,14 @@ def label_cycle_join_cycle_minus_edge(m: int, n: int, which: str = "cycle-edge")
     """
     if m < 2 or n < 2:
         raise ParameterError("need m, n >= 2")
-    if which != "cycle-edge":
-        raise ParameterError(
-            f"only even-cycle edges can be deleted here; {which!r} deletion is an "
-            "open problem with no claimed color count"
-        )
+    e = _deleted_edge(m, which, join_edge=False)
     base = label_cycle_join_cycle(m, n)
     u_colors, _ = _cycle_null_colors(m, n)
     # The five claimed colors are distinct, so the odd-cycle side holds the
     # three that are not the even cycle's.
     classes = [(u_colors, 2 * n + 1), (base.claimed_colors - u_colors, 2 * m + 2)]
     g, f = base.graph, base.labeling
-    return _minus_label_one(g, f, f.sums, edge(2 * m - 1, 2 * m), classes, 5)
+    return _minus_label_one(g, f, f.sums, e, classes, 5)
 
 
 def label_cycle_join_complete(m: int, r: int) -> ConstructionResult:
@@ -462,9 +461,9 @@ def label_cycle_join_complete(m: int, r: int) -> ConstructionResult:
     if r % 2 == 0:
         raise ParameterError("only odd complete parts are supported here")
     if r == 1:
-        # K_1 is O_1, which makes C_2m v K_1 a wheel.
-        return label_cycle_join_null(m, 1)
+        raise ParameterError("this scheme needs r >= 3")
     if r == 3:
+        # K_3 is the 3-cycle; reuse the two-cycle scheme.
         return label_cycle_join_cycle(m, 2)
     n = (r + 1) // 2
     second, shift = build_family("complete", r), 4 * m * n
@@ -627,6 +626,22 @@ def _cycle_cycle_collision(seed, m: int, n: int) -> bool:
     return (m, n) == CYCLE_CYCLE_COLLISION
 
 
+def _complete_part(r: int) -> tuple[str, int]:
+    # K_r as the schemes with a longer first part take it: K_1 is the O_1 of
+    # a fan or wheel, and K_3 is labeled as the 3-cycle.
+    return ("null", 1) if r == 1 else ("cycle", 3) if r == 3 else ("complete", r)
+
+
+def _fan(m: int, N: int) -> tuple[str, int] | None:
+    # P_2m v O_1, also path-join-complete's P_2m v K_1
+    return ("fan joins P_2m v O_1", 4 if m == 2 else 3) if m >= 2 and N == 1 else None
+
+
+def _wheel(m: int, n: int) -> tuple[str, int] | None:
+    # C_2m v O_1, also cycle-join-complete's C_2m v K_1
+    return ("wheels C_2m v O_1", 3) if m >= 2 and n == 1 else None
+
+
 # A NamedTuple rather than a frozen dataclass: the class is built at every
 # import, and a dataclass takes about 1 ms longer to build.
 class Family(NamedTuple):
@@ -642,55 +657,81 @@ class Family(NamedTuple):
     Generic families label a caller's graph; ``seed`` is their default
     one, ``(kind, order)`` of a base family with edges labeled 1..q in
     order, and it is also the graph the sweep and ``q`` assume.
+
+    ``parts`` and ``cited`` take the generator's arguments, a generic
+    family's labeled graph left out and ``which`` only when given.
+    ``parts`` gives the ``build_family`` arguments of the two parts that
+    the point's graph joins, first then second (a generic family gives
+    only the second; its first is ``seed``), then, for a minus-edge
+    family, the edge deleted from that join. ``cited``, when set, gives
+    ``(what, chi_la)`` at a point left to cited work and None elsewhere;
+    no sweep point is cited.
     """
 
     name: str
     params: tuple[str, ...]
     build: Callable[..., ConstructionResult]
     q: Callable[..., int]
+    parts: Callable[..., tuple]
     axes: tuple[tuple[str, int, int], ...] = ()
     which_values: tuple[str, ...] = ()
     excluded: Callable[..., bool] | None = None
     seed: tuple[str, int] | None = None
+    cited: Callable[..., tuple[str, int] | None] | None = None
 
 
-# In FAMILIES.md order. Cited points (fans, wheels, double-apex joins) and
-# the K_1 and K_3 reroutes lie outside the axes.
+# In FAMILIES.md order.
 FAMILIES = (
     Family("path-join-null", ("m", "N"), label_path_join_null,
-           q=lambda m, N: 2 * m - 1 + 2 * m * N, axes=(("m", 2, 1), ("N", 2, 1))),
-    Family("p7-o3", (), label_p7_o3, q=lambda: 27),
+           q=lambda m, N: 2 * m - 1 + 2 * m * N, parts=lambda m, N: (("path", 2 * m), ("null", N)),
+           axes=(("m", 2, 1), ("N", 2, 1)),
+           cited=lambda m, N: ("P_2 v O_N joins", 3) if m == 1 and N >= 1 else _fan(m, N)),
+    Family("p7-o3", (), label_p7_o3, q=lambda: 27, parts=lambda: (("path", 7), ("null", 3))),
     Family("path-join-cycle", ("m", "n"), label_path_join_cycle,
-           q=lambda m, n: 4 * m * n + 2 * n - 2, axes=(("m", 1, 1), ("n", 2, 1))),
+           q=lambda m, n: 4 * m * n + 2 * n - 2, parts=lambda m, n: (("path", 2 * m), ("cycle", 2 * n - 1)),
+           axes=(("m", 1, 1), ("n", 2, 1))),
     Family("path-join-complete", ("m", "r"), label_path_join_complete,
-           q=lambda m, r: 2 * m - 1 + 2 * m * r + r * (r - 1) // 2, axes=(("m", 2, 1), ("r", 2, 1))),
+           q=lambda m, r: 2 * m - 1 + 2 * m * r + r * (r - 1) // 2,
+           # at m = 1 the whole graph is K_{r+2}, labeled as one
+           parts=lambda m, r: (("path", 2 * m), ("complete", r) if m == 1 else _complete_part(r)),
+           axes=(("m", 2, 1), ("r", 2, 1)), cited=_fan),
     Family("cycle-join-null", ("m", "n"), label_cycle_join_null,
-           q=lambda m, n: 4 * m * n, axes=(("m", 2, 1), ("n", 2, 1))),
+           q=lambda m, n: 4 * m * n, parts=lambda m, n: (("cycle", 2 * m), ("null", 2 * n - 1)),
+           axes=(("m", 2, 1), ("n", 2, 1)), cited=_wheel),
     Family("odd-cycle-join-even-null", ("n",), label_odd_cycle_join_even_null,
-           q=lambda n: (2 * n + 1) ** 2, axes=(("n", 1, 1),)),
+           q=lambda n: (2 * n + 1) ** 2, parts=lambda n: (("cycle", 2 * n + 1), ("null", 2 * n)),
+           axes=(("n", 1, 1),)),
     Family("cycle-join-null-minus-edge", ("m", "n", "which"), label_cycle_join_null_minus_edge,
-           q=lambda m, n, which: 4 * m * n - 1, axes=(("m", 2, 1), ("n", 2, 1)),
-           which_values=("cycle-edge", "join-edge"),
+           q=lambda m, n, which: 4 * m * n - 1,
+           parts=lambda m, n, which="cycle-edge": (
+               ("cycle", 2 * m), ("null", 2 * n - 1), _deleted_edge(m, which)),
+           axes=(("m", 2, 1), ("n", 2, 1)), which_values=("cycle-edge", "join-edge"),
            excluded=lambda seed, m, n, which: which == "join-edge" and (m, n) == JOIN_EDGE_COLLISION),
     Family("cycle-join-cycle", ("m", "n"), label_cycle_join_cycle,
-           q=lambda m, n: 4 * m * n + 2 * n - 1, axes=(("m", 2, 1), ("n", 2, 1)),
-           excluded=_cycle_cycle_collision),
+           q=lambda m, n: 4 * m * n + 2 * n - 1, parts=lambda m, n: (("cycle", 2 * m), ("cycle", 2 * n - 1)),
+           axes=(("m", 2, 1), ("n", 2, 1)), excluded=_cycle_cycle_collision),
     Family("cycle-join-cycle-minus-edge", ("m", "n", "which"), label_cycle_join_cycle_minus_edge,
-           q=lambda m, n: 4 * m * n + 2 * n - 2, axes=(("m", 2, 1), ("n", 2, 1)),
-           excluded=_cycle_cycle_collision),
+           q=lambda m, n: 4 * m * n + 2 * n - 2,
+           parts=lambda m, n, which="cycle-edge": (
+               ("cycle", 2 * m), ("cycle", 2 * n - 1), _deleted_edge(m, which, join_edge=False)),
+           axes=(("m", 2, 1), ("n", 2, 1)), excluded=_cycle_cycle_collision),
     Family("cycle-join-complete", ("m", "r"), label_cycle_join_complete,
-           q=lambda m, r: 2 * m * (r + 1) + r * (r - 1) // 2, axes=(("m", 2, 1), ("r", 5, 2))),
+           q=lambda m, r: 2 * m * (r + 1) + r * (r - 1) // 2,
+           parts=lambda m, r: (("cycle", 2 * m), _complete_part(r)),
+           axes=(("m", 2, 1), ("r", 5, 2)), cited=_wheel),
     Family("complete-join-odd-cycle", ("n", "m"), label_complete_join_odd_cycle,
-           q=lambda n, m: (2 * n + 1) * (2 * m - 1) + n * (2 * n - 1), axes=(("n", 1, 1), ("m", 2, 1))),
+           q=lambda n, m: (2 * n + 1) * (2 * m - 1) + n * (2 * n - 1),
+           parts=lambda n, m: (("complete", 2 * n), ("cycle", 2 * m - 1)), axes=(("n", 1, 1), ("m", 2, 1))),
     Family("generic-join-null", ("n",), label_generic_join_null,
-           q=lambda n: 4 + 4 * n, axes=(("n", 2, 2),), seed=("cycle", 4),
+           q=lambda n: 4 + 4 * n, parts=lambda n: (("null", n),), axes=(("n", 2, 2),), seed=("cycle", 4),
            excluded=lambda seed, n: _clash(seed.sums, *_null_colors(seed.graph, n)) is not None),
     Family("generic-join-complete-bipartite", ("m", "n"), label_generic_join_complete_bipartite,
-           q=lambda m, n: 3 + 4 * (m + n) + m * n, axes=(("m", 2, 1), ("n", 2, 1)), seed=("path", 4),
+           q=lambda m, n: 3 + 4 * (m + n) + m * n, parts=lambda m, n: (("complete-bipartite", m, n),),
+           axes=(("m", 2, 1), ("n", 2, 1)), seed=("path", 4),
            excluded=lambda seed, m, n: not _bipartite_parts_ok(m, n)
            or _clash(seed.sums, *_bipartite_colors(seed.graph, m, n)) is not None),
     Family("generic-join-cycle", ("m",), label_generic_join_cycle,
-           q=lambda m: 3 + 4 * m, axes=(("m", 3, 2),), seed=("complete", 3),
+           q=lambda m: 3 + 4 * m, parts=lambda m: (("cycle", m),), axes=(("m", 3, 2),), seed=("complete", 3),
            excluded=lambda seed, m: _clash(seed.sums, *_cycle_colors(seed.graph, m)) is not None),
 )
 
@@ -736,13 +777,41 @@ def edge_count(family: str, params: dict) -> int:
     return fam.q(*values)
 
 
+def _args(fam: Family, params: dict) -> list:
+    # The generator's arguments, a generic family's labeled graph left out.
+    return [params[key] for key in fam.params if key in params]
+
+
+def family_graph(family: str, params: dict) -> Graph:
+    """The graph of a family point, built from the registry's ``parts``
+    with no labeling, at parameters ``check_params`` accepts.
+
+    It is the graph ``build_construction`` labels or cites, and it exists
+    also at points the generator refuses; ParameterError where no such
+    graph exists.
+    """
+    fam = check_params(family, params)
+    parts = fam.parts(*_args(fam, params))
+    first, second, *deleted = (fam.seed, *parts) if fam.seed else parts
+    g = join(build_family(*first), build_family(*second))
+    return delete_edge(g, *deleted) if deleted else g
+
+
 def build_construction(family: str, params: dict) -> ConstructionResult:
     """Run the named family generator on parameters ``check_params`` accepts.
 
     Generic families label their seed joined with the requested second part.
+    A point the registry leaves to cited work raises CitedCaseError, with
+    its ``family_graph`` and cited value; nothing else raises it.
     """
     fam = check_params(family, params)
-    args = [params[key] for key in fam.params if key in params]
+    args = _args(fam, params)
+    cited = fam.cited and fam.cited(*args)
+    if cited:
+        what, chi_la = cited
+        raise CitedCaseError(
+            f"{what} are covered by cited work; use the exact solver", family_graph(family, params), chi_la
+        )
     if fam.seed is None:
         return fam.build(*args)
     return fam.build(*generic_seed(family), *args)

@@ -68,12 +68,10 @@ SLOW_CITED = ("cycle-join-null", {"m": 3, "n": 1})
 
 @functools.cache
 def slow_cited_graph() -> Graph:
-    """The graph of SLOW_CITED, carried by its CitedCaseError."""
-    from lajoin.constructions import CitedCaseError, build_construction
+    """The graph of SLOW_CITED, built from the family registry."""
+    from lajoin.constructions import family_graph
 
-    with pytest.raises(CitedCaseError) as info:
-        build_construction(*SLOW_CITED)
-    return info.value.graph
+    return family_graph(*SLOW_CITED)
 
 
 @functools.cache

@@ -12,16 +12,23 @@ from pathlib import Path
 
 import pytest
 
+from lajoin.constructions import CitedCaseError, build_construction, family_graph
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _literal(file: str, name: str):
+    # The literal value that perfbench/``file`` assigns to ``name``
+    tree = ast.parse((PERFBENCH / file).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/{file} assigns no {name}")
 
 
 def _traced() -> tuple:
     # perfbench/tracing.py's TRACED, a literal tuple of (module, attribute)
-    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/tracing.py assigns no TRACED")
+    return _literal("tracing.py", "TRACED")
 
 
 def _workload_references() -> set[tuple[str, str]]:
@@ -55,3 +62,18 @@ def test_every_name_the_workloads_read_exists():
     assert ("graphs", "delete_edge") in refs
     missing = [(m, n) for m, n in sorted(refs) if not hasattr(importlib.import_module(f"lajoin.{m}"), n)]
     assert not missing
+
+
+def test_desk_points_keep_their_graphs():
+    # solve-desk takes each desk point's graph from build_construction, or
+    # from the CitedCaseError of a cited point; that is the point's
+    # family_graph, and the desk keeps its 12 instances.
+    points = _literal("workloads.py", "DESK_POINTS")
+    assert len(points) + len(_literal("workloads.py", "DESK_DELETIONS")) == 12
+    for family, params, _ in points:
+        try:
+            graph = build_construction(family, params).graph
+        except CitedCaseError as exc:
+            graph = exc.graph
+        want = family_graph(family, params)
+        assert (graph.n, graph.edges, graph.roles, graph.family) == (want.n, want.edges, want.roles, want.family)

@@ -24,7 +24,7 @@ from lajoin.constructions import (
     build_construction,
     sweep_points,
 )
-from lajoin.graphs import build_family
+from lajoin.graphs import ParameterError, build_family
 from lajoin.labelings import EdgeLabeling, verify_local_antimagic
 from lajoin.solver import exact_chi_la
 
@@ -281,6 +281,20 @@ def test_solve_family(tmp_path):
     assert data["witness"]["labels"]
 
 
+@pytest.mark.parametrize("family,params,q", [
+    ("generic-join-null", {"n": 3}, 16),  # the parts' orders differ in parity
+    ("cycle-join-cycle", {"m": 3, "n": 6}, 83),  # the scheme's colour collision
+], ids=["parity", "collision"])
+def test_solve_family_at_a_point_the_generator_refuses(capsys, family, params, q):
+    # solve takes the point's graph from the registry, not from a labeling
+    with pytest.raises(ParameterError):
+        build_construction(family, params)
+    flags = [x for key, value in params.items() for x in (f"--{key}", str(value))]
+    assert run_cli("solve", "--family", family, *flags, "--max-edges", str(q), "--budget", "0.2") == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["schema"] == "v1" and len(data["witness"]["labels"]) == q
+
+
 def test_solve_graph_input(tmp_path):
     path = tmp_path / "c3.json"
     path.write_text(dump_json(build_family("cycle", 3).to_json()))
@@ -502,6 +516,11 @@ def test_missing_family_parameter_exits_2():
         (["sweep", "--family", "path-join-null", "--m", "2..3"], "path-join-null needs parameter N"),
         (["sweep", "--family", "cycle-join-null", "--m", "2", "--n", "2", "--which", "join-edge"],
          "cycle-join-null does not take parameter which"),
+        # a which value the family does not define
+        (["solve", "--family", "cycle-join-cycle-minus-edge", "--m", "2", "--n", "2", "--which", "join-edge",
+          "--max-edges", "20"],
+         "only even-cycle edges can be deleted here; 'join-edge' deletion is an open problem "
+         "with no claimed color count"),
     ],
 )
 def test_parameter_a_family_does_not_take_or_lacks_exits_2(capsys, argv, message):

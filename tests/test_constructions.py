@@ -18,6 +18,7 @@ from lajoin.constructions import (
     antimagic_complete,
     build_construction,
     edge_count,
+    family_graph,
     generic_seed,
     label_complete_join_odd_cycle,
     label_cycle_join_complete,
@@ -76,13 +77,23 @@ def test_path_join_null_two_apex():
     assert_verified(res)
 
 
+def assert_refused_plainly(generator, *args):
+    # A generator refuses a cited point as it refuses any point it does not
+    # label; only build_construction raises CitedCaseError.
+    with pytest.raises(ParameterError) as exc:
+        generator(*args)
+    assert type(exc.value) is ParameterError
+
+
 def test_path_join_null_cited_routes():
+    assert_refused_plainly(label_path_join_null, 2, 1)
     with pytest.raises(CitedCaseError) as exc:
-        label_path_join_null(2, 1)
+        build_construction("path-join-null", {"m": 2, "N": 1})
     assert exc.value.cited_chi_la == 4
     assert exc.value.graph.q == 7
+    assert_refused_plainly(label_path_join_null, 1, 4)
     with pytest.raises(CitedCaseError) as exc:
-        label_path_join_null(1, 4)
+        build_construction("path-join-null", {"m": 1, "N": 4})
     assert exc.value.cited_chi_la == 3
 
 
@@ -162,8 +173,9 @@ def test_cycle_join_null_sweep(m, n):
 
 
 def test_cycle_join_null_wheel_cited():
+    assert_refused_plainly(label_cycle_join_null, 3, 1)
     with pytest.raises(CitedCaseError) as exc:
-        label_cycle_join_null(3, 1)
+        build_construction("cycle-join-null", {"m": 3, "n": 1})
     assert exc.value.cited_chi_la == 3
 
 
@@ -317,8 +329,9 @@ def test_cycle_join_complete_parity_and_routes():
     res = label_cycle_join_complete(2, 3)
     assert res.claimed_chi_la == 5
     assert_verified(res)
+    assert_refused_plainly(label_cycle_join_complete, 2, 1)
     with pytest.raises(CitedCaseError):
-        label_cycle_join_complete(2, 1)
+        build_construction("cycle-join-complete", {"m": 2, "r": 1})
 
 
 @pytest.mark.parametrize(
@@ -894,23 +907,39 @@ def test_null_join_grids_match_the_per_cell_tables():
             assert cells(_odd_null_join(m, n)) == _reference_odd_null_join(m, n), (m, n)
 
 
+def _graph_data(g: Graph) -> tuple:
+    return g.n, g.edges, g.roles, g.family
+
+
 def test_edge_count_is_the_built_graphs_edge_count():
     # gen, matrix and solve refuse an oversized request by edge_count
     # before building, so it must be q at every point that builds, cited
-    # points and reroutes included.
-    checked = cited = 0
+    # points and reroutes included, and at every refused point whose graph
+    # exists, which solve takes from family_graph. That graph is the one
+    # built or cited, in edge order, roles and family descriptor too.
+    counts = collections.Counter()
     for fam in FAMILIES:
         keys = [key for key in fam.params if key != "which"]
         for values in itertools.product(range(1, 7), repeat=len(keys)):
             for which in fam.which_values or (None,):
                 params = dict(zip(keys, values), **({"which": which} if which else {}))
                 try:
-                    g = build_construction(fam.name, params).graph
-                except CitedCaseError as exc:
-                    g = exc.graph
-                    cited += 1
+                    graph = family_graph(fam.name, params)
                 except ParameterError:
+                    graph = None
+                try:
+                    built, kind = build_construction(fam.name, params).graph, "built"
+                except CitedCaseError as exc:
+                    built, kind = exc.graph, "cited"
+                except ParameterError:
+                    built, kind = graph, "refused"
+                if built is None:
                     continue
-                assert edge_count(fam.name, params) == g.q, (fam.name, params)
-                checked += 1
-    assert (checked, cited) == (292, 26)
+                assert graph is not None and _graph_data(graph) == _graph_data(built), (fam.name, params)
+                assert edge_count(fam.name, params) == graph.q, (fam.name, params)
+                counts[kind] += 1
+    assert counts == {"built": 266, "cited": 26, "refused": 63}
+    # No sweep point is cited: the cited points lie outside the axes.
+    for fam in FAMILIES:
+        for params in sweep_points(fam.name, 400) if fam.cited else ():
+            assert fam.cited(*(params[key] for key in fam.params if key in params)) is None, (fam.name, params)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SLOW_CITED, random_graph, slow_cited_graph, slow_cited_nodes
-from lajoin.constructions import CitedCaseError, build_construction, sweep_points
+from lajoin.constructions import CitedCaseError, build_construction, family_graph, sweep_points
 from lajoin.graphs import (
     Graph,
     ParameterError,
@@ -400,6 +400,14 @@ def test_confirm_reports_a_point_the_family_does_not_cover():
     assert verdict.detail == "need m >= 2 and r >= 1"
     assert (verdict.claimed_chi_la, verdict.measured_colors, verdict.chi_lower_bound,
             verdict.solver_chi_la) == (None, None, None, None)
+    # next to a cited point, outside the family's domain: the generator's reason
+    for family, params, detail in [
+        ("path-join-null", {"m": 1, "N": 0}, "need m >= 1 and a null part of order >= 1"),
+        ("path-join-complete", {"m": 0, "r": 1}, "need m >= 1 and r >= 1"),
+        ("cycle-join-null", {"m": 2, "n": 0}, "need n >= 1"),
+    ]:
+        verdict = confirm_theorem(family, params)
+        assert (verdict.verdict, verdict.detail) == ("out-of-range", detail), family
 
 
 @pytest.mark.parametrize("family,params", [
@@ -506,10 +514,7 @@ def test_desk_searches_are_pinned(family, params, chi_la, nodes, digest):
     elif family == "C v O":
         g = join(build_family("cycle", params[0]), build_family("null", params[1]))
     else:
-        try:
-            g = build_construction(family, params).graph
-        except CitedCaseError as exc:
-            g = exc.graph
+        g = family_graph(family, params)
     report = exact_chi_la(g, SearchConfig(max_edges=15))
     witness = json.dumps(report.witness.to_json(), sort_keys=True).encode()
     assert (report.chi_la, report.exact, report.nodes_explored) == (chi_la, True, nodes)

@@ -91,8 +91,9 @@ def arrays(section) -> int:
     return 2 * len(shapes)
 
 
-# One point per kind of graph: own edges on the first side only, on both
-# sides, a deleted join edge, and a cited case that gen solves.
+# One point per kind of graph, each the last budget-40 sweep point of its
+# family, none of them cited: own edges on the first side only, on both
+# sides, a deleted join edge, and the stored P_7 v O_3 table.
 _INPUT_FAMILIES = ("path-join-null", "cycle-join-cycle", "cycle-join-null-minus-edge", "p7-o3")
 _DROP = object()
 
