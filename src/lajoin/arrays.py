@@ -22,7 +22,7 @@ Each array is built once per shape per process: ``siamese_magic_square``,
 ``magic_rectangle`` and ``nearly_magic_rectangle`` are cached on their
 arguments, and every later call returns the same ``MagicArray``. Sharing it
 is safe because the result depends on the shape alone and cannot be
-changed: ``MagicArray`` is frozen and its entries are tuples of ints. A
+changed: ``MagicArray`` is a NamedTuple and its entries are tuples of ints. A
 shape with no array raises ``ArrayError`` on every call, since exceptions
 are not cached, and so does a side that is not an int, refused before the
 cache is read, where ``(4.0, 6)`` would find ``(4, 6)``. The cache is
@@ -33,15 +33,14 @@ unbounded: every array built stays in memory until the process ends (the
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ArrayError(ValueError):
     """An array request is out of range or a generated array failed checks."""
 
 
-@dataclass(frozen=True)
-class MagicArray:
+class MagicArray(NamedTuple):
     """A rows x cols arrangement of [1..rows*cols] with prescribed sums.
 
     ``row_constants`` holds the expected sum of each row in order; for a
@@ -57,8 +56,7 @@ class MagicArray:
     col_constant: int
 
 
-@dataclass(frozen=True)
-class LabelGrid:
+class LabelGrid(NamedTuple):
     """A rectangular table of distinct labels plus its per-row sums.
 
     Unlike MagicArray the entries need not form an interval [1..k]; this is

@@ -129,9 +129,9 @@ def _collect_params(args) -> dict:
 
 
 def _add_search_flags(sub) -> None:
-    sub.add_argument("--max-edges", type=int, default=SearchConfig.max_edges,
+    sub.add_argument("--max-edges", type=int, default=SearchConfig._field_defaults["max_edges"],
                      help="largest edge count the solver searches")
-    sub.add_argument("--budget", type=float, default=SearchConfig.time_budget,
+    sub.add_argument("--budget", type=float, default=SearchConfig._field_defaults["time_budget"],
                      help="solver time budget in seconds")
 
 

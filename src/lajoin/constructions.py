@@ -22,7 +22,6 @@ may route those to the exact solver.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .arrays import drop_column_and_rotate, magic_rectangle, nearly_magic_rectangle, siamese_magic_square
@@ -52,8 +51,7 @@ class CitedCaseError(ParameterError):
         self.cited_chi_la = cited_chi_la
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     """A generated labeling plus the color data its scheme claims."""
 
     graph: Graph
@@ -559,7 +557,8 @@ def _generic_join(
     u = _clash(sums, u_shift, new_colors)
     if u is not None:
         raise ParameterError(f"vertex {u} carries the forbidden sum {sums[u]}")
-    grid = [[x + g.q for x in row] for row in magic_rectangle(g.n, second.n).entries]
+    e = g.q
+    grid = [[x + e for x in row] for row in magic_rectangle(g.n, second.n).entries]
     joined, lab = _assemble(g, second, f.values, grid, v_labels)
     colors = {s + u_shift for s in cert.color_classes} | new_colors
     return _result(joined, lab, colors, cert.color_count + len(new_colors))
@@ -642,8 +641,6 @@ def _wheel(m: int, n: int) -> tuple[str, int] | None:
     return ("wheels C_2m v O_1", 3) if m >= 2 and n == 1 else None
 
 
-# A NamedTuple rather than a frozen dataclass: the class is built at every
-# import, and a dataclass takes about 1 ms longer to build.
 class Family(NamedTuple):
     """What lajoin knows about one family, and the one place it says so.
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Mapping
+from typing import Collection, Mapping, NamedTuple
 
 Edge = tuple[int, int]
 
@@ -40,6 +39,12 @@ def is_int_pair(x) -> bool:
     return isinstance(x, list) and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
 
 
+def _refuse_assignment(self, name, value):
+    # Fields are read-only already; this also keeps a cached property from
+    # being overwritten, which would leave it out of step with the fields.
+    raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
+
+
 def edge(a: int, b: int) -> Edge:
     """Normalized undirected edge: smaller endpoint first."""
     if a == b:
@@ -47,8 +52,14 @@ def edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class Graph:
+class _GraphFields(NamedTuple):
+    n: int
+    edges: tuple[Edge, ...]
+    roles: tuple[str, ...]
+    family: tuple | None = None
+
+
+class Graph(_GraphFields):
     """An immutable simple graph with role-tagged, 1-based vertices.
 
     ``family`` is a structural descriptor such as ``("path", 6)``,
@@ -66,12 +77,8 @@ class Graph:
     construction and are not checked again (see ``_unchecked``).
     """
 
-    n: int
-    edges: tuple[Edge, ...]
-    roles: tuple[str, ...]
-    family: tuple | None = None
-
-    def __post_init__(self):
+    def __new__(cls, *fields, **named):
+        self = super().__new__(cls, *fields, **named)
         if type(self.n) is not int:
             raise ParameterError(f"graph order must be an integer, got {self.n!r}")
         if self.n < 1:
@@ -79,19 +86,14 @@ class Graph:
         if len(self.roles) != self.n:
             raise ParameterError("one role tag required per vertex")
         self._check_edges()
+        return self
 
     @classmethod
     def _unchecked(cls, n: int, edges: tuple[Edge, ...], roles: tuple[str, ...], family) -> "Graph":
         """A graph whose fields are valid by construction, built without the checks."""
-        # Not ``g.__dict__.update``: reading ``__dict__`` on a new instance
-        # moves its attributes into a plain dict, and every later attribute
-        # read gets slower (the verifier, over the sweep, by about a third).
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
-        object.__setattr__(g, "roles", roles)
-        object.__setattr__(g, "family", family)
-        return g
+        return tuple.__new__(cls, (n, edges, roles, family))
+
+    __setattr__ = _refuse_assignment
 
     def _check_edges(self) -> None:
         # Raises on the first bad edge in order.
@@ -169,7 +171,7 @@ class Graph:
         ``edges`` list of integer pairs. Roles must be unique and match
         ``u<i>`` or ``v<j>`` with 1 <= i, j < 10**9, the form of every role
         the library builds; matrix export sorts by their index. The role
-        check is made here and not in ``__post_init__``, which also runs for
+        check is made here and not in ``Graph.__new__``, which also runs for
         graphs built in code with ``Graph(...)``, where roles are valid by
         construction.
         ``family``, when present, is null or a list nested at most 32 deep.

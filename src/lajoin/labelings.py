@@ -11,19 +11,22 @@ what broke (bijection, adjacency) so callers can surface the reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .graphs import Edge, Graph, ParameterError, _delete_edge_at, edge, is_int_pair
+from .graphs import Edge, Graph, ParameterError, _delete_edge_at, _refuse_assignment, edge, is_int_pair
 
 
 class LabelingError(ValueError):
     """A labeling is structurally unusable (wrong domain or label set)."""
 
 
-@dataclass(frozen=True, init=False)
-class EdgeLabeling:
+class _LabelingFields(NamedTuple):
+    graph: Graph
+    values: tuple[int, ...]
+
+
+class EdgeLabeling(_LabelingFields):
     """A labeling of the edges of ``graph``, treated as immutable.
 
     ``values[i]`` is the label of ``graph.edges[i]``, so ``values`` is always
@@ -34,17 +37,14 @@ class EdgeLabeling:
     labels in edge order, does for a count other than q.
     """
 
-    graph: Graph
-    values: tuple[int, ...]
-
-    def __init__(self, graph: Graph, labels: Mapping[Edge, int]):
+    def __new__(cls, graph: Graph, labels: Mapping[Edge, int]):
         if len(labels) != graph.q:
             raise LabelingError(_OFF_EDGES)
         try:
             values = tuple(map(labels.__getitem__, graph.edges))
         except KeyError:
             raise LabelingError(_OFF_EDGES) from None
-        self._set(graph, values)
+        return tuple.__new__(cls, (graph, values))
 
     @classmethod
     def from_values(cls, graph: Graph, values) -> "EdgeLabeling":
@@ -52,13 +52,13 @@ class EdgeLabeling:
         values = tuple(values)
         if len(values) != graph.q:
             raise LabelingError(f"{len(values)} labels for the {graph.q} edges")
-        f = object.__new__(cls)
-        f._set(graph, values)
-        return f
+        return tuple.__new__(cls, (graph, values))
 
-    def _set(self, graph: Graph, values: tuple) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "values", values)
+    __setattr__ = _refuse_assignment
+
+    def __getnewargs__(self):
+        # a copy or unpickling calls ``EdgeLabeling(graph, labels)``
+        return self.graph, self.labels
 
     @cached_property
     def labels(self) -> dict[Edge, int]:
@@ -119,8 +119,7 @@ class EdgeLabeling:
         return f"EdgeLabeling(q={self.q}, graph={self.graph!r})"
 
 
-@dataclass(frozen=True)
-class LabelingCertificate:
+class LabelingCertificate(NamedTuple):
     """Outcome of checking a labeling for the local antimagic property."""
 
     bijection_ok: bool
@@ -336,8 +335,7 @@ def _label_one_index(g: Graph, values: tuple | None, e: Edge) -> int | None:
     return i if values is not None and values[i] == 1 else None
 
 
-@dataclass(frozen=True)
-class LabelingMatrix:
+class LabelingMatrix(NamedTuple):
     """The tabular view of a join labeling.
 
     One row per first-side vertex u_i, one column per second-side vertex

@@ -60,22 +60,26 @@ and label orders.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .constructions import GENERIC_FAMILIES, CitedCaseError, build_construction, check_params
 from .graphs import Edge, Graph, ParameterError, chromatic_lower_bound, edge
 from .labelings import EdgeLabeling, verify_local_antimagic
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Limits of the exact search: its size, an early-stop target, its time."""
-
+class _Limits(NamedTuple):
     max_edges: int = 12
     target_colors: int | None = None
     time_budget: float = 60.0
 
-    def __post_init__(self):
+
+class SearchConfig(_Limits):
+    """Limits of the exact search: its size, an early-stop target, its time."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named):
+        self = super().__new__(cls, *fields, **named)
         # exact types: neither True nor "12" is a count
         if type(self.max_edges) is not int:
             raise ParameterError(f"max_edges must be an integer, got {self.max_edges!r}")
@@ -89,10 +93,10 @@ class SearchConfig:
             raise ParameterError("target colors must be at least 1")
         if not self.time_budget > 0:  # also rejects NaN
             raise ParameterError("time budget must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Result of an exact search. ``exact`` is False on timeout, and when a
     target stopped the search above the chromatic lower bound."""
 
@@ -297,8 +301,7 @@ def exact_chi_la(g: Graph, cfg: SearchConfig = SearchConfig()) -> SolveReport:
     return SolveReport(best_count, exact, EdgeLabeling(g, best_labels), nodes, elapsed)
 
 
-@dataclass(frozen=True)
-class ConfirmationVerdict:
+class ConfirmationVerdict(NamedTuple):
     """Outcome of cross-checking a family construction."""
 
     family: str
@@ -311,7 +314,7 @@ class ConfirmationVerdict:
     detail: str
 
     def to_json(self) -> dict:
-        return {"schema": "v1", **asdict(self)}
+        return {"schema": "v1", **self._asdict(), "params": dict(self.params)}
 
 
 def confirm_theorem(family: str, params: dict, cfg: SearchConfig = SearchConfig()) -> ConfirmationVerdict:

@@ -34,15 +34,29 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_subprocess(*argv, interpreter_flags=(), env=()):
+def run_python(*args, env=()):
     # The child imports the same lajoin as this process, also when it was
     # found through pytest's ``pythonpath`` setting rather than PYTHONPATH.
     src = str(Path(lajoin.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *interpreter_flags, "-m", "lajoin.cli", *argv], capture_output=True,
+        [sys.executable, *args], capture_output=True,
         text=True, encoding="utf-8", env=dict(os.environ, PYTHONPATH=path, **dict(env)),
     )
+
+
+def run_subprocess(*argv, interpreter_flags=(), env=()):
+    return run_python(*interpreter_flags, "-m", "lajoin.cli", *argv, env=env)
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # lajoin's value types are NamedTuples: dataclasses, and the inspect,
+    # ast and tokenize it pulls in, would add about 7 ms to every command.
+    # -S: no site hook may import them first.
+    code = "import sys, lajoin.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    child = run_python("-S", "-c", code)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
 
 
 def test_gen_then_verify_round_trip(tmp_path):

@@ -1,11 +1,9 @@
-import dataclasses
 import functools
 import hashlib
 import itertools
 import json
 import random
 import re
-import sys
 import types
 from pathlib import Path
 
@@ -214,12 +212,7 @@ def load_solver(edit=None):
         source = source.replace(old, new)
     module = types.ModuleType("lajoin._solver_mutant")
     module.__package__ = "lajoin"
-    # dataclass reads its class's module from sys.modules while it runs
-    sys.modules[module.__name__] = module
-    try:
-        exec(compile(source, str(path), "exec"), module.__dict__)
-    finally:
-        del sys.modules[module.__name__]
+    exec(compile(source, str(path), "exec"), module.__dict__)
     return module
 
 
@@ -455,7 +448,7 @@ def test_confirm_construction_mismatches(monkeypatch, claim_shift, solver_chi_la
     import lajoin.solver as solver
 
     res = build_construction("generic-join-null", {"n": 2})
-    res = dataclasses.replace(res, claimed_chi_la=res.claimed_chi_la + claim_shift)
+    res = res._replace(claimed_chi_la=res.claimed_chi_la + claim_shift)
     monkeypatch.setattr(solver, "build_construction", lambda family, params: res)
     verdict = confirm_theorem("cycle-join-null", {"m": 2, "n": 2})
     assert verdict.verdict == "mismatch" and verdict.detail == detail
@@ -467,7 +460,7 @@ def test_verdict_json_is_the_fields_plus_schema():
     verdict = confirm_theorem("cycle-join-null", {"m": 3, "n": 3})
     data = verdict.to_json()
     assert data.pop("schema") == "v1"
-    assert data == {f.name: getattr(verdict, f.name) for f in dataclasses.fields(verdict)}
+    assert data == {name: getattr(verdict, name) for name in verdict._fields}
 
 
 # Each desk instance's search, and two larger ones, pinned: (chi_la,
