@@ -212,14 +212,9 @@ def _carve_table(pools: list[list[int]], targets: list[int]) -> tuple[tuple[int,
             work[c].remove(v)
         rows_out.append(row)
         if len(rows_out) == n_rows - 1:
-            last = [p[0] for p in work]
-            if sum(last) == targets[-1]:
-                rows_out.append(last)
-                return tuple(tuple(r) for r in rows_out)
-            undo = rows_out.pop()
-            for c, v in enumerate(undo):
-                work[c].append(v)
-            continue
+            # The targets add up to every value dealt, so the one value left in each pool hits the last.
+            rows_out.append([p[0] for p in work])
+            return tuple(tuple(r) for r in rows_out)
         gens.append(_row_candidates(work, targets[len(rows_out)], len(rows_out) % 2 == 0))
     raise ArrayError(f"no arrangement found for targets {targets}")
 
@@ -319,22 +314,19 @@ def nearly_magic_rectangle(rows: int, cols: int) -> MagicArray:
     return m
 
 
-def drop_column_and_rotate(square: MagicArray, col_index: int) -> LabelGrid:
+def drop_column_and_rotate(square: MagicArray) -> LabelGrid:
     """Delete the middle column of an odd magic square and reorder rows.
 
-    ``col_index`` is the 0-based index of the middle column (equal to n for
-    order 2n+1); it must hold the progression 1 + 2(n+1)(i-1). Rows are
-    reordered so the last row comes first, even rows stay put, and odd rows
-    slide down two places. The resulting row sums are, in order,
-    K-1-4n(n+1) for row 1, then K-1-2(n+1)(2i-1) for row 2i and
-    K-1-2(n+1)(2i-2) for row 2i+1, with K the magic constant.
+    The middle column, index n for order 2n+1, must hold the progression
+    1 + 2(n+1)(i-1). Rows are reordered so the last row comes first, even
+    rows stay put, and odd rows slide down two places. The resulting row
+    sums are, in order, K-1-4n(n+1) for row 1, then K-1-2(n+1)(2i-1) for
+    row 2i and K-1-2(n+1)(2i-2) for row 2i+1, with K the magic constant.
     """
     if square.kind != "square" or square.rows % 2 == 0:
         raise ArrayError("input must be an odd-order magic square")
     order = square.rows
     n = (order - 1) // 2
-    if col_index != n:
-        raise ArrayError(f"column to delete must be the middle one (index {n}), got {col_index}")
     step = 2 * (n + 1)
     for i in range(order):
         if square.entries[i][n] != 1 + step * i:

@@ -316,17 +316,11 @@ def _cycle_null_colors(m: int, n: int) -> tuple[set[int], int]:
     return u_colors, m * (4 * m * n + 2 * m + 1)
 
 
-def _deleted_edge(m: int, which: str, join_edge: bool = True) -> Edge:
+def _deleted_edge(m: int, which: str) -> Edge:
     # The edge ``which`` deletes from C_2m v H: "cycle-edge" is the cycle
-    # edge (u_{2m-1}, u_2m), "join-edge", where ``join_edge``, the join edge
-    # (u_2m, v_1).
+    # edge (u_{2m-1}, u_2m), "join-edge" the join edge (u_2m, v_1).
     if which == "cycle-edge":
         return (2 * m - 1, 2 * m)
-    if not join_edge:
-        raise ParameterError(
-            f"only even-cycle edges can be deleted here; {which!r} deletion is an "
-            "open problem with no claimed color count"
-        )
     if which != "join-edge":
         raise ParameterError(f"which must be cycle-edge or join-edge, got {which!r}")
     return (2 * m, 2 * m + 1)
@@ -371,7 +365,7 @@ def label_odd_cycle_join_even_null(n: int) -> ConstructionResult:
     # Cycle edge k: (u_{2i-1}, u_{2i}) and the closing edge, k = 2i - 1,
     # get 1 + 2(n+1)(i-1); (u_{2i}, u_{2i+1}) gets 1 + 2(n+1)(n+i).
     cyc = [1 + (n + 1) * (k - 1 if k % 2 == 1 else 2 * n + k) for k in range(1, order + 1)]
-    grid = drop_column_and_rotate(square, n).entries
+    grid = drop_column_and_rotate(square).entries
     g, f = _assemble(build_family("cycle", order), build_family("null", 2 * n), cyc, grid)
     k = square.col_constant
     colors = {
@@ -434,7 +428,7 @@ def label_cycle_join_cycle(m: int, n: int) -> ConstructionResult:
     return _result(g, f, colors, 5)
 
 
-def label_cycle_join_cycle_minus_edge(m: int, n: int, which: str = "cycle-edge") -> ConstructionResult:
+def label_cycle_join_cycle_minus_edge(m: int, n: int) -> ConstructionResult:
     """C_2m v C_{2n-1} minus the label-1 cycle edge, still five colors.
 
     Only edges of the even cycle are supported; removing odd-cycle or join
@@ -442,7 +436,7 @@ def label_cycle_join_cycle_minus_edge(m: int, n: int, which: str = "cycle-edge")
     """
     if m < 2 or n < 2:
         raise ParameterError("need m, n >= 2")
-    e = _deleted_edge(m, which, join_edge=False)
+    e = _deleted_edge(m, "cycle-edge")
     base = label_cycle_join_cycle(m, n)
     u_colors, _ = _cycle_null_colors(m, n)
     # The five claimed colors are distinct, so the odd-cycle side holds the
@@ -621,7 +615,7 @@ def label_generic_join_cycle(g: Graph, f: EdgeLabeling, m: int) -> ConstructionR
 # the family registry
 
 
-def _cycle_cycle_collision(seed, m: int, n: int) -> bool:
+def _cycle_cycle_collision(m: int, n: int) -> bool:
     return (m, n) == CYCLE_CYCLE_COLLISION
 
 
@@ -641,95 +635,101 @@ def _wheel(m: int, n: int) -> tuple[str, int] | None:
     return ("wheels C_2m v O_1", 3) if m >= 2 and n == 1 else None
 
 
+def _seed(kind: str, order: int) -> EdgeLabeling:
+    # A generic family's seed: a base family graph, its edges labeled 1..q in order.
+    return _in_edge_order(build_family(kind, order))
+
+
+# The generic families' seeds, built once per process and never changed.
+_C4, _P4, _K3 = _seed("cycle", 4), _seed("path", 4), _seed("complete", 3)
+
+
 class Family(NamedTuple):
     """What lajoin knows about one family, and the one place it says so.
 
-    ``params`` name the generator's parameters in its order; a ``which``
-    among them is last, optional, and defaults to ``cycle-edge``. ``q``
-    is the closed-form edge count of the built graph. The sweep walks
-    ``which`` over ``which_values``, outermost, then each ``(parameter,
-    start, step)`` axis in turn; the axes follow ``params`` in order, and
-    ``q(*values)`` and ``excluded(seed, *values)`` take a point's values in
-    that order. ``excluded``, when set, names the points the sweep skips.
-    Generic families label a caller's graph; ``seed`` is their default
-    one, ``(kind, order)`` of a base family with edges labeled 1..q in
-    order, and it is also the graph the sweep and ``q`` assume.
-
-    ``parts`` and ``cited`` take the generator's arguments, a generic
-    family's labeled graph left out and ``which`` only when given.
-    ``parts`` gives the ``build_family`` arguments of the two parts that
-    the point's graph joins, first then second (a generic family gives
-    only the second; its first is ``seed``), then, for a minus-edge
-    family, the edge deleted from that join. ``cited``, when set, gives
-    ``(what, chi_la)`` at a point left to cited work and None elsewhere;
-    no sweep point is cited.
+    A point is its value on each ``(parameter, start, step)`` of ``axes``,
+    then, for a family with ``which_values``, its ``which``, the first of
+    them when not given; ``params`` names these in that order, and every
+    callable takes a point's values in that order. ``build`` labels the
+    point; ``q`` is the closed-form edge count of its graph; ``parts``
+    gives the ``build_family`` arguments of the two parts that graph
+    joins, then, for a minus-edge family, the edge deleted from the join.
+    ``excluded``, when set, is true at the points the sweep skips, and
+    ``cited``, when set, gives ``(what, chi_la)`` at a point left to cited
+    work and None elsewhere; no sweep point is cited. The sweep walks
+    ``which`` over ``which_values``, outermost, then each axis in turn. A
+    generic family labels a caller's graph; ``seed`` is its default one,
+    which the family's callables bind.
     """
 
     name: str
-    params: tuple[str, ...]
     build: Callable[..., ConstructionResult]
     q: Callable[..., int]
     parts: Callable[..., tuple]
     axes: tuple[tuple[str, int, int], ...] = ()
     which_values: tuple[str, ...] = ()
     excluded: Callable[..., bool] | None = None
-    seed: tuple[str, int] | None = None
+    seed: EdgeLabeling | None = None
     cited: Callable[..., tuple[str, int] | None] | None = None
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return tuple(key for key, _, _ in self.axes) + (("which",) if self.which_values else ())
 
 
 # In FAMILIES.md order.
 FAMILIES = (
-    Family("path-join-null", ("m", "N"), label_path_join_null,
+    Family("path-join-null", label_path_join_null,
            q=lambda m, N: 2 * m - 1 + 2 * m * N, parts=lambda m, N: (("path", 2 * m), ("null", N)),
            axes=(("m", 2, 1), ("N", 2, 1)),
            cited=lambda m, N: ("P_2 v O_N joins", 3) if m == 1 and N >= 1 else _fan(m, N)),
-    Family("p7-o3", (), label_p7_o3, q=lambda: 27, parts=lambda: (("path", 7), ("null", 3))),
-    Family("path-join-cycle", ("m", "n"), label_path_join_cycle,
+    Family("p7-o3", label_p7_o3, q=lambda: 27, parts=lambda: (("path", 7), ("null", 3))),
+    Family("path-join-cycle", label_path_join_cycle,
            q=lambda m, n: 4 * m * n + 2 * n - 2, parts=lambda m, n: (("path", 2 * m), ("cycle", 2 * n - 1)),
            axes=(("m", 1, 1), ("n", 2, 1))),
-    Family("path-join-complete", ("m", "r"), label_path_join_complete,
+    Family("path-join-complete", label_path_join_complete,
            q=lambda m, r: 2 * m - 1 + 2 * m * r + r * (r - 1) // 2,
            # at m = 1 the whole graph is K_{r+2}, labeled as one
            parts=lambda m, r: (("path", 2 * m), ("complete", r) if m == 1 else _complete_part(r)),
            axes=(("m", 2, 1), ("r", 2, 1)), cited=_fan),
-    Family("cycle-join-null", ("m", "n"), label_cycle_join_null,
+    Family("cycle-join-null", label_cycle_join_null,
            q=lambda m, n: 4 * m * n, parts=lambda m, n: (("cycle", 2 * m), ("null", 2 * n - 1)),
            axes=(("m", 2, 1), ("n", 2, 1)), cited=_wheel),
-    Family("odd-cycle-join-even-null", ("n",), label_odd_cycle_join_even_null,
+    Family("odd-cycle-join-even-null", label_odd_cycle_join_even_null,
            q=lambda n: (2 * n + 1) ** 2, parts=lambda n: (("cycle", 2 * n + 1), ("null", 2 * n)),
            axes=(("n", 1, 1),)),
-    Family("cycle-join-null-minus-edge", ("m", "n", "which"), label_cycle_join_null_minus_edge,
+    Family("cycle-join-null-minus-edge", label_cycle_join_null_minus_edge,
            q=lambda m, n, which: 4 * m * n - 1,
-           parts=lambda m, n, which="cycle-edge": (
-               ("cycle", 2 * m), ("null", 2 * n - 1), _deleted_edge(m, which)),
+           parts=lambda m, n, which: (("cycle", 2 * m), ("null", 2 * n - 1), _deleted_edge(m, which)),
            axes=(("m", 2, 1), ("n", 2, 1)), which_values=("cycle-edge", "join-edge"),
-           excluded=lambda seed, m, n, which: which == "join-edge" and (m, n) == JOIN_EDGE_COLLISION),
-    Family("cycle-join-cycle", ("m", "n"), label_cycle_join_cycle,
+           excluded=lambda m, n, which: which == "join-edge" and (m, n) == JOIN_EDGE_COLLISION),
+    Family("cycle-join-cycle", label_cycle_join_cycle,
            q=lambda m, n: 4 * m * n + 2 * n - 1, parts=lambda m, n: (("cycle", 2 * m), ("cycle", 2 * n - 1)),
            axes=(("m", 2, 1), ("n", 2, 1)), excluded=_cycle_cycle_collision),
-    Family("cycle-join-cycle-minus-edge", ("m", "n", "which"), label_cycle_join_cycle_minus_edge,
+    Family("cycle-join-cycle-minus-edge", label_cycle_join_cycle_minus_edge,
            q=lambda m, n: 4 * m * n + 2 * n - 2,
-           parts=lambda m, n, which="cycle-edge": (
-               ("cycle", 2 * m), ("cycle", 2 * n - 1), _deleted_edge(m, which, join_edge=False)),
+           parts=lambda m, n: (("cycle", 2 * m), ("cycle", 2 * n - 1), _deleted_edge(m, "cycle-edge")),
            axes=(("m", 2, 1), ("n", 2, 1)), excluded=_cycle_cycle_collision),
-    Family("cycle-join-complete", ("m", "r"), label_cycle_join_complete,
+    Family("cycle-join-complete", label_cycle_join_complete,
            q=lambda m, r: 2 * m * (r + 1) + r * (r - 1) // 2,
            parts=lambda m, r: (("cycle", 2 * m), _complete_part(r)),
            axes=(("m", 2, 1), ("r", 5, 2)), cited=_wheel),
-    Family("complete-join-odd-cycle", ("n", "m"), label_complete_join_odd_cycle,
+    Family("complete-join-odd-cycle", label_complete_join_odd_cycle,
            q=lambda n, m: (2 * n + 1) * (2 * m - 1) + n * (2 * n - 1),
            parts=lambda n, m: (("complete", 2 * n), ("cycle", 2 * m - 1)), axes=(("n", 1, 1), ("m", 2, 1))),
-    Family("generic-join-null", ("n",), label_generic_join_null,
-           q=lambda n: 4 + 4 * n, parts=lambda n: (("null", n),), axes=(("n", 2, 2),), seed=("cycle", 4),
-           excluded=lambda seed, n: _clash(seed.sums, *_null_colors(seed.graph, n)) is not None),
-    Family("generic-join-complete-bipartite", ("m", "n"), label_generic_join_complete_bipartite,
-           q=lambda m, n: 3 + 4 * (m + n) + m * n, parts=lambda m, n: (("complete-bipartite", m, n),),
-           axes=(("m", 2, 1), ("n", 2, 1)), seed=("path", 4),
-           excluded=lambda seed, m, n: not _bipartite_parts_ok(m, n)
-           or _clash(seed.sums, *_bipartite_colors(seed.graph, m, n)) is not None),
-    Family("generic-join-cycle", ("m",), label_generic_join_cycle,
-           q=lambda m: 3 + 4 * m, parts=lambda m: (("cycle", m),), axes=(("m", 3, 2),), seed=("complete", 3),
-           excluded=lambda seed, m: _clash(seed.sums, *_cycle_colors(seed.graph, m)) is not None),
+    Family("generic-join-null", lambda n: label_generic_join_null(_C4.graph, _C4, n),
+           q=lambda n: 4 + 4 * n, parts=lambda n: (_C4.graph.family, ("null", n)), axes=(("n", 2, 2),),
+           excluded=lambda n: _clash(_C4.sums, *_null_colors(_C4.graph, n)) is not None, seed=_C4),
+    Family("generic-join-complete-bipartite",
+           lambda m, n: label_generic_join_complete_bipartite(_P4.graph, _P4, m, n),
+           q=lambda m, n: 3 + 4 * (m + n) + m * n,
+           parts=lambda m, n: (_P4.graph.family, ("complete-bipartite", m, n)),
+           axes=(("m", 2, 1), ("n", 2, 1)), seed=_P4,
+           excluded=lambda m, n: not _bipartite_parts_ok(m, n)
+           or _clash(_P4.sums, *_bipartite_colors(_P4.graph, m, n)) is not None),
+    Family("generic-join-cycle", lambda m: label_generic_join_cycle(_K3.graph, _K3, m),
+           q=lambda m: 3 + 4 * m, parts=lambda m: (_K3.graph.family, ("cycle", m)), axes=(("m", 3, 2),),
+           excluded=lambda m: _clash(_K3.sums, *_cycle_colors(_K3.graph, m)) is not None, seed=_K3),
 )
 
 _BY_NAME = {fam.name: fam for fam in FAMILIES}
@@ -744,39 +744,42 @@ def _family(name: str) -> Family:
 
 
 def generic_seed(family: str) -> tuple[Graph, EdgeLabeling]:
-    """Default labeled first part of a generic family, used by the CLI and sweeps."""
+    """Default labeled first part of a generic family: the seed its record binds.
+
+    It is built once per process and shared by every caller, so its cached
+    ``sums`` and ``labels`` must not be changed.
+    """
     fam = _BY_NAME.get(family)
     if fam is None or fam.seed is None:
         raise ParameterError(f"no generic seed for {family!r}")
-    g = build_family(*fam.seed)
-    return g, _in_edge_order(g)
+    return fam.seed.graph, fam.seed
 
 
 def check_params(family: str, params: dict) -> Family:
     """The family's record; raises ParameterError on an unknown family, a
     parameter the family does not take, or a missing one other than ``which``."""
     fam = _family(family)
+    keys = fam.params
     for key in params:
-        if key not in fam.params:
+        if key not in keys:
             raise ParameterError(f"{family} does not take parameter {key}")
-    for key in fam.params:
+    for key in keys:
         if key not in params and key != "which":
             raise ParameterError(f"{family} needs parameter {key}")
     return fam
 
 
+def _args(fam: Family, params: dict) -> tuple:
+    # The registry callables' arguments at the point ``params``: the axis
+    # values, then ``which``, the first of ``which_values`` when not given.
+    args = tuple(params[key] for key, _, _ in fam.axes)
+    return args + (params.get("which", fam.which_values[0]),) if fam.which_values else args
+
+
 def edge_count(family: str, params: dict) -> int:
     """The closed-form edge count ``q`` at parameters ``check_params`` accepts."""
     fam = check_params(family, params)
-    values = [params[key] for key, _, _ in fam.axes]
-    if fam.which_values:
-        values.append(params.get("which", fam.which_values[0]))
-    return fam.q(*values)
-
-
-def _args(fam: Family, params: dict) -> list:
-    # The generator's arguments, a generic family's labeled graph left out.
-    return [params[key] for key in fam.params if key in params]
+    return fam.q(*_args(fam, params))
 
 
 def family_graph(family: str, params: dict) -> Graph:
@@ -788,8 +791,7 @@ def family_graph(family: str, params: dict) -> Graph:
     graph exists.
     """
     fam = check_params(family, params)
-    parts = fam.parts(*_args(fam, params))
-    first, second, *deleted = (fam.seed, *parts) if fam.seed else parts
+    first, second, *deleted = fam.parts(*_args(fam, params))
     g = join(build_family(*first), build_family(*second))
     return delete_edge(g, *deleted) if deleted else g
 
@@ -809,9 +811,7 @@ def build_construction(family: str, params: dict) -> ConstructionResult:
         raise CitedCaseError(
             f"{what} are covered by cited work; use the exact solver", family_graph(family, params), chi_la
         )
-    if fam.seed is None:
-        return fam.build(*args)
-    return fam.build(*generic_seed(family), *args)
+    return fam.build(*args)
 
 
 def sweep_points(family: str, max_edges: int = 400) -> list[dict]:
@@ -822,8 +822,7 @@ def sweep_points(family: str, max_edges: int = 400) -> list[dict]:
     ``max_edges``; excluded points are skipped.
     """
     fam = _family(family)
-    seed = generic_seed(family)[1] if fam.seed else None
-    names = [key for key, _, _ in fam.axes] + ["which"]
+    names = fam.params
     points: list[dict] = []
 
     def walk(depth: int, values: list) -> None:
@@ -838,7 +837,7 @@ def sweep_points(family: str, max_edges: int = 400) -> list[dict]:
                 break
             if not innermost:
                 walk(depth + 1, values)
-            elif fam.excluded is None or not fam.excluded(seed, *values):
+            elif fam.excluded is None or not fam.excluded(*values):
                 point[key] = value  # an existing key keeps its place
                 points.append(point.copy())
         values[depth] = start

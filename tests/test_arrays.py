@@ -142,12 +142,12 @@ def test_nearly_rectangle_resummation_sweep(rows, cols):
 
 
 def test_drop_column_and_rotate_order_3():
-    grid = drop_column_and_rotate(siamese_magic_square(3), 1)
+    grid = drop_column_and_rotate(siamese_magic_square(3))
     assert grid.row_sums == (6, 10, 14)
 
 
 def test_drop_column_and_rotate_order_7():
-    grid = drop_column_and_rotate(siamese_magic_square(7), 3)
+    grid = drop_column_and_rotate(siamese_magic_square(7))
     assert grid.row_sums == (126, 166, 174, 150, 158, 134, 142)
     k = 175
     expected = [k - 1 - 4 * 3 * 4]
@@ -157,11 +157,15 @@ def test_drop_column_and_rotate_order_7():
 
 
 def test_drop_column_wrong_index_rejected():
+    # The column dropped is always the middle one; a square whose middle
+    # column is not the siamese progression is refused, as is a rectangle.
     sq = siamese_magic_square(7)
+    flipped = sq._replace(entries=sq.entries[::-1])
+    verify_magic_array(flipped)
+    with pytest.raises(ArrayError, match="^middle column does not follow the siamese progression$"):
+        drop_column_and_rotate(flipped)
     with pytest.raises(ArrayError):
-        drop_column_and_rotate(sq, 2)
-    with pytest.raises(ArrayError):
-        drop_column_and_rotate(magic_rectangle(4, 6), 2)
+        drop_column_and_rotate(magic_rectangle(4, 6))
 
 
 def test_csv_export_round_trip():

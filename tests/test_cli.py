@@ -238,8 +238,8 @@ def test_gen_cited_case_timeout_exits_2_without_output(tmp_path):
 
 @pytest.mark.parametrize("family,flags,params", [
     ("cycle-join-null-minus-edge", ["--m", "2", "--n", "2"], {"m": 2, "n": 2}),
-    ("cycle-join-cycle-minus-edge", ["--m", "2", "--n", "2", "--which", "cycle-edge"],
-     {"m": 2, "n": 2, "which": "cycle-edge"}),
+    ("cycle-join-null-minus-edge", ["--m", "2", "--n", "2", "--which", "join-edge"],
+     {"m": 2, "n": 2, "which": "join-edge"}),
     ("path-join-complete", ["--m", "2", "--r", "3"], {"m": 2, "r": 3}),
     ("path-join-null", ["--m", "2", "--N", "1"], {"m": 2, "N": 1}),
     ("p7-o3", [], {}),
@@ -364,6 +364,16 @@ def test_arrays_usage_error():
 def test_arrays_zero_size_reaches_the_range_check(capsys, argv, message):
     assert run_cli("arrays", *argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["arrays", "--kind", "square"], "square needs --order"),
+    (["verify", "MISSING"], "cannot access MISSING: No such file or directory"),
+], ids=["square-without-order", "verify-missing-file"])
+def test_missing_input_exits_2_with_one_line(tmp_path, capsys, argv, message):
+    missing = str(tmp_path / "missing.json")
+    assert run_cli(*[missing if a == "MISSING" else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.replace('MISSING', missing)}\n")
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])
@@ -530,11 +540,10 @@ def test_missing_family_parameter_exits_2():
         (["sweep", "--family", "path-join-null", "--m", "2..3"], "path-join-null needs parameter N"),
         (["sweep", "--family", "cycle-join-null", "--m", "2", "--n", "2", "--which", "join-edge"],
          "cycle-join-null does not take parameter which"),
-        # a which value the family does not define
+        # only the even-cycle edge has a claimed value, so which is no parameter here
         (["solve", "--family", "cycle-join-cycle-minus-edge", "--m", "2", "--n", "2", "--which", "join-edge",
           "--max-edges", "20"],
-         "only even-cycle edges can be deleted here; 'join-edge' deletion is an open problem "
-         "with no claimed color count"),
+         "cycle-join-cycle-minus-edge does not take parameter which"),
     ],
 )
 def test_parameter_a_family_does_not_take_or_lacks_exits_2(capsys, argv, message):

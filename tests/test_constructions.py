@@ -14,6 +14,7 @@ from lajoin.constructions import (
     GENERIC_FAMILIES,
     JOIN_EDGE_COLLISION,
     CitedCaseError,
+    _args,
     _in_edge_order,
     antimagic_complete,
     build_construction,
@@ -83,6 +84,20 @@ def assert_refused_plainly(generator, *args):
     with pytest.raises(ParameterError) as exc:
         generator(*args)
     assert type(exc.value) is ParameterError
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: label_path_join_complete(2, 1), "this scheme needs r >= 2 when m >= 2"),
+        (lambda: label_cycle_join_null_minus_edge(2, 2, "x"), "which must be cycle-edge or join-edge, got 'x'"),
+    ],
+    ids=["path-complete-r1", "minus-edge-unknown-which"],
+)
+def test_generator_refusals_name_the_reason(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert type(info.value) is ParameterError and str(info.value) == message
 
 
 def test_path_join_null_cited_routes():
@@ -300,8 +315,10 @@ def test_cycle_join_cycle_minus_edge():
 
 
 def test_cycle_join_cycle_minus_edge_rejects_other_sides():
-    with pytest.raises(ParameterError, match="open problem"):
-        label_cycle_join_cycle_minus_edge(2, 2, "join-edge")
+    # Only the even-cycle edge has a claimed value, so the family takes no which.
+    for which in ("cycle-edge", "join-edge"):
+        with pytest.raises(ParameterError, match="^cycle-join-cycle-minus-edge does not take parameter which$"):
+            build_construction("cycle-join-cycle-minus-edge", {"m": 2, "n": 2, "which": which})
 
 
 def test_cycle_join_cycle_minus_edge_shifted_order():
@@ -942,4 +959,4 @@ def test_edge_count_is_the_built_graphs_edge_count():
     # No sweep point is cited: the cited points lie outside the axes.
     for fam in FAMILIES:
         for params in sweep_points(fam.name, 400) if fam.cited else ():
-            assert fam.cited(*(params[key] for key in fam.params if key in params)) is None, (fam.name, params)
+            assert fam.cited(*_args(fam, params)) is None, (fam.name, params)

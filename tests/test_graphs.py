@@ -139,9 +139,13 @@ def test_build_family_refuses_non_int_parameters(kind, params):
         (lambda: delete_edge(build_family("path", 4), (1, 2, 3)), "an edge is a pair of endpoints, got (1, 2, 3)"),
         (lambda: delete_edge(build_family("path", 4), (1,)), "an edge is a pair of endpoints, got (1,)"),
         (lambda: delete_edge(build_family("path", 4), 2), "an edge is a pair of endpoints, got 2"),
+        (lambda: build_family("star", 3), "unknown family kind 'star'"),
+        (lambda: build_family("complete-bipartite", 0, 2), "complete bipartite parts must be >= 1, got (0,2)"),
+        (lambda: Graph(0, (), ()), "graph needs at least one vertex"),
+        (lambda: Graph(2, (), ("u1",)), "one role tag required per vertex"),
     ],
     ids=["path-none", "path-two", "null-two", "bipartite-one", "bipartite-three", "edge-three", "edge-one",
-         "edge-int"],
+         "edge-int", "unknown-kind", "bipartite-empty-side", "graph-no-vertex", "graph-roles-short"],
 )
 def test_wrong_argument_counts_name_the_input(call, message):
     with pytest.raises(ParameterError) as info:

@@ -25,7 +25,7 @@ INSTANCES = {
     "EdgeLabeling": lambda: _result().labeling,
     "SearchConfig": lambda: SearchConfig(max_edges=9, target_colors=3),
     "MagicArray": lambda: magic_rectangle(2, 4),
-    "LabelGrid": lambda: drop_column_and_rotate(siamese_magic_square(5), 2),
+    "LabelGrid": lambda: drop_column_and_rotate(siamese_magic_square(5)),
     "ConstructionResult": _result,
     "LabelingCertificate": lambda: verify_local_antimagic(_result().graph, _result().labeling),
     "LabelingMatrix": lambda: export_matrix(_result().graph, _result().labeling),
