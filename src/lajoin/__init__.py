@@ -8,7 +8,6 @@ minimum color count.
 
 from .arrays import (
     ArrayError,
-    LabelGrid,
     MagicArray,
     drop_column_and_rotate,
     magic_rectangle,
@@ -21,7 +20,6 @@ from .constructions import (
     FAMILIES,
     CitedCaseError,
     ConstructionResult,
-    antimagic_complete,
     build_construction,
     family_graph,
     label_complete_join_odd_cycle,
@@ -39,7 +37,6 @@ from .constructions import (
     label_path_join_cycle,
     label_path_join_null,
     sweep_points,
-    three_color_odd_cycle,
 )
 from .graphs import (
     Edge,

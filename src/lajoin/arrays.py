@@ -56,20 +56,6 @@ class MagicArray(NamedTuple):
     col_constant: int
 
 
-class LabelGrid(NamedTuple):
-    """A rectangular table of distinct labels plus its per-row sums.
-
-    Unlike MagicArray the entries need not form an interval [1..k]; this is
-    the shape produced by deleting a column from a magic square and
-    rotating rows.
-    """
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-    row_sums: tuple[int, ...]
-
-
 def resummed(entries) -> tuple[list[int], list[int]]:
     """Recompute row and column sums directly from the entries."""
     row_sums = [sum(row) for row in entries]
@@ -314,14 +300,16 @@ def nearly_magic_rectangle(rows: int, cols: int) -> MagicArray:
     return m
 
 
-def drop_column_and_rotate(square: MagicArray) -> LabelGrid:
+def drop_column_and_rotate(square: MagicArray) -> tuple[tuple[int, ...], ...]:
     """Delete the middle column of an odd magic square and reorder rows.
 
     The middle column, index n for order 2n+1, must hold the progression
     1 + 2(n+1)(i-1). Rows are reordered so the last row comes first, even
     rows stay put, and odd rows slide down two places. The resulting row
     sums are, in order, K-1-4n(n+1) for row 1, then K-1-2(n+1)(2i-1) for
-    row 2i and K-1-2(n+1)(2i-2) for row 2i+1, with K the magic constant.
+    row 2i and K-1-2(n+1)(2i-2) for row 2i+1, with K the magic constant;
+    other sums raise ArrayError. Returns the rotated rows; their values
+    are not an interval [1..k], so they form no ``MagicArray``.
     """
     if square.kind != "square" or square.rows % 2 == 0:
         raise ArrayError("input must be an odd-order magic square")
@@ -345,10 +333,10 @@ def drop_column_and_rotate(square: MagicArray) -> LabelGrid:
         expected.append(k - 1 - step * (2 * i - 2))
     if list(row_sums) != expected:
         raise ArrayError(f"rotated row sums {row_sums} do not match expected {expected}")
-    return LabelGrid(order, order - 1, tuple(tuple(r) for r in rotated), row_sums)
+    return tuple(tuple(r) for r in rotated)
 
 
-def array_to_csv(m: MagicArray | LabelGrid) -> str:
+def array_to_csv(m: MagicArray) -> str:
     lines = [",".join(str(x) for x in row) for row in m.entries]
     return "\n".join(lines) + "\n"
 

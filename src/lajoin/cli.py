@@ -4,7 +4,9 @@ Exit codes: 0 success (sweep: no row is a mismatch; ``inconclusive`` rows
 exit 0), 1 verification failure or claim mismatch, 2 usage, parameter or
 input-file error, reported as one line on stderr. gen, matrix and arrays
 output is byte-stable across runs; solve reports include elapsed time and
-are not.
+are not. Every file read or written is UTF-8, whatever the locale. Input
+files are parsed by ``Graph.from_json`` and ``EdgeLabeling.from_json``,
+which check one item at a time and word the error for the first bad one.
 """
 
 from __future__ import annotations

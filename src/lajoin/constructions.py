@@ -5,7 +5,8 @@ labeling, and returns it together with the color values and color count
 the scheme is designed to achieve. A join generator writes each part's
 own labels as a sequence in that part's edge order and the join labels
 as a grid, as the paper's tables do; ``_assemble`` chains them in
-``join``'s edge order. Verification is deliberately left to
+``join``'s edge order. Every join labeling goes through ``_assemble``, and
+no generator builds a dict keyed by edge. Verification is deliberately left to
 the caller (``verify_local_antimagic`` or the solver harness) so claimed
 and recomputed data stay independent.
 
@@ -100,15 +101,16 @@ def _even_cycle_labels(m: int) -> list[int]:
 def _wrapped_cycle_labels(count: int, base: int) -> list[int]:
     # Odd cycle v_1..v_count: edge j (closing at j = count) gets
     # base + j/2 for even j and base + count - (j-1)/2 for odd j,
-    # a bijection onto [base+1, base+count].
+    # a bijection onto [base+1, base+count]. At base 0, with count = 2m-1,
+    # the sums are 3m-1 at v_1, 2m-1 at the other odd vertices and 2m at
+    # the even ones.
     return [base + j // 2 if j % 2 == 0 else base + count - (j - 1) // 2 for j in range(1, count + 1)]
 
 
 def _wrapped_cycle_colors(join_sum: int, base: int, count: int) -> set[int]:
     # The three colors of _wrapped_cycle_labels(count, base) when each cycle
     # vertex also carries ``join_sum`` from the join: its own labels add
-    # 2*base plus count, count + 1 or (3*count + 1)/2. three_color_odd_cycle
-    # is that labeling at base 0.
+    # 2*base plus count, count + 1 or (3*count + 1)/2.
     return {join_sum + 2 * base + c for c in (count, count + 1, (3 * count + 1) // 2)}
 
 
@@ -191,28 +193,6 @@ def _assemble(
         raise RuntimeError("the assembled labels do not cover exactly the graph's edges")
     g = join(first, second)
     return g, EdgeLabeling.from_values(g, itertools.chain(u_labels, v_labels, *grid))
-
-
-def antimagic_complete(r: int) -> EdgeLabeling:
-    """Labeling of K_r with pairwise distinct vertex sums (r >= 3)."""
-    if r < 3:
-        raise ParameterError(f"complete graph labeling needs order >= 3, got {r}")
-    f = _in_edge_order(build_family("complete", r))
-    if len(set(f.sums.values())) != r:
-        raise RuntimeError("complete graph labeling produced equal sums")
-    return f
-
-
-def three_color_odd_cycle(length: int) -> EdgeLabeling:
-    """Odd cycle labeling with sums 3m-1 at u_1, 2m-1 on other odd, 2m on even.
-
-    length = 2m-1; the edge (u_{2j-1}, u_{2j}) gets 2m-j (the closing edge
-    at j = m) and (u_{2j}, u_{2j+1}) gets j. This is the wrapped cycle
-    labeling at base 0.
-    """
-    if length < 3 or length % 2 == 0:
-        raise ParameterError(f"needs an odd cycle length >= 3, got {length}")
-    return EdgeLabeling.from_values(build_family("cycle", length), _wrapped_cycle_labels(length, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +345,7 @@ def label_odd_cycle_join_even_null(n: int) -> ConstructionResult:
     # Cycle edge k: (u_{2i-1}, u_{2i}) and the closing edge, k = 2i - 1,
     # get 1 + 2(n+1)(i-1); (u_{2i}, u_{2i+1}) gets 1 + 2(n+1)(n+i).
     cyc = [1 + (n + 1) * (k - 1 if k % 2 == 1 else 2 * n + k) for k in range(1, order + 1)]
-    grid = drop_column_and_rotate(square).entries
+    grid = drop_column_and_rotate(square)
     g, f = _assemble(build_family("cycle", order), build_family("null", 2 * n), cyc, grid)
     k = square.col_constant
     colors = {
@@ -659,7 +639,9 @@ class Family(NamedTuple):
     work and None elsewhere; no sweep point is cited. The sweep walks
     ``which`` over ``which_values``, outermost, then each axis in turn. A
     generic family labels a caller's graph; ``seed`` is its default one,
-    which the family's callables bind.
+    which the family's callables bind. A seed is built once per process and
+    shared by every caller, so its cached ``sums`` and ``labels`` must not
+    be changed.
     """
 
     name: str
@@ -741,18 +723,6 @@ def _family(name: str) -> Family:
     if name not in _BY_NAME:
         raise ParameterError(f"unknown family {name!r}")
     return _BY_NAME[name]
-
-
-def generic_seed(family: str) -> tuple[Graph, EdgeLabeling]:
-    """Default labeled first part of a generic family: the seed its record binds.
-
-    It is built once per process and shared by every caller, so its cached
-    ``sums`` and ``labels`` must not be changed.
-    """
-    fam = _BY_NAME.get(family)
-    if fam is None or fam.seed is None:
-        raise ParameterError(f"no generic seed for {family!r}")
-    return fam.seed.graph, fam.seed
 
 
 def check_params(family: str, params: dict) -> Family:

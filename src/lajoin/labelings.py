@@ -7,6 +7,13 @@ sums, and the induced sums then color the graph.
 
 Verification never raises on mathematical failure: a certificate records
 what broke (bijection, adjacency) so callers can surface the reason.
+
+Each certificate wraps a core that takes f's sums on the graph
+(``check_complement_sums``, ``check_deletion_sums``), and
+``complement_sums`` derives the reflected labeling's sums from f's. So a
+caller that already holds the sums, such as a minus-edge construction or
+a generic join reading its seed's sums from the verifier's color classes,
+runs the vertex-sum kernel once.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ class EdgeLabeling(_LabelingFields):
     [1..q]. ``EdgeLabeling(graph, labels)`` aligns a mapping from edges to
     labels with one lookup per edge and raises LabelingError unless its
     keys are exactly the graph's edges, as ``from_values``, which takes the
-    labels in edge order, does for a count other than q.
+    labels in edge order, does for a count other than q. ``labels`` is the
+    same labeling as a dict, built on first read.
     """
 
     def __new__(cls, graph: Graph, labels: Mapping[Edge, int]):
@@ -149,7 +157,9 @@ class LabelingCertificate(NamedTuple):
 
 def _sum_list(pairs, n: int) -> list[int]:
     """The vertex-sum kernel over (edge, label) pairs: entry v is the total
-    of v's incident labels.
+    of v's incident labels. Only ``induced_sums`` (and so
+    ``EdgeLabeling.sums`` and both certificates), ``verify_local_antimagic``
+    and ``export_matrix`` run it.
 
     Entry 0 is unused. Endpoints are not checked: the caller ensures they
     lie in 1..n, since a list would take 0 and wrap a negative one.
@@ -209,7 +219,8 @@ def verify_local_antimagic(
     """Check bijection, adjacent-sum distinctness, and count the colors.
 
     Failures are reported in the certificate, never raised; the first
-    offending adjacent pair is recorded when the labeling is not proper.
+    offending adjacent pair is recorded when the labeling is not proper. A
+    labeling whose graph lacks g's edge tuple gets a failed certificate.
     """
     values = _values_on(g, f)
     if values is None:

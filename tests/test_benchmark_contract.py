@@ -1,8 +1,10 @@
-"""The names of lajoin that the benchmark harness in ``perfbench/`` reads.
+"""The names of lajoin that the tooling outside the package reads.
 
-The harness is read as text and never imported, so these tests write
-nothing under ``perfbench/``. A function deleted or renamed in lajoin but
-still named there fails here, not only in a traced benchmark run.
+That is the benchmark harness in ``perfbench/`` and the refactor gate
+``tools/output_digest.py``. Both are read as text and never imported, so
+these tests write nothing under ``perfbench/`` and run no digest. A
+function deleted or renamed in lajoin but still named there fails here,
+not only in a traced benchmark run or a digest run.
 """
 
 import ast
@@ -14,7 +16,8 @@ import pytest
 
 from lajoin.constructions import CitedCaseError, build_construction, family_graph
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _literal(file: str, name: str):
@@ -44,6 +47,18 @@ def _workload_references() -> set[tuple[str, str]]:
     return refs
 
 
+def _digest_imports() -> list[tuple[str, str]]:
+    # Each (module, name) that tools/output_digest.py imports as
+    # ``from lajoin<.module> import <name>``
+    tree = ast.parse((ROOT / "tools" / "output_digest.py").read_text(encoding="utf-8"))
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lajoin"
+        for alias in node.names
+    ]
+
+
 @pytest.mark.parametrize("module,attr", _traced())
 def test_every_traced_name_resolves(module, attr):
     home = importlib.import_module(f"lajoin.{module}")
@@ -61,6 +76,13 @@ def test_every_name_the_workloads_read_exists():
     assert ("solver", "exact_chi_la") in refs and ("constructions", "CitedCaseError") in refs
     assert ("graphs", "delete_edge") in refs
     missing = [(m, n) for m, n in sorted(refs) if not hasattr(importlib.import_module(f"lajoin.{m}"), n)]
+    assert not missing
+
+
+def test_every_name_the_output_digest_imports_resolves():
+    refs = _digest_imports()
+    assert ("lajoin.cli", "main") in refs and ("lajoin.constructions", "sweep_points") in refs
+    missing = [(m, n) for m, n in refs if not hasattr(importlib.import_module(m), n)]
     assert not missing
 
 

@@ -16,11 +16,10 @@ from lajoin.constructions import (
     CitedCaseError,
     _args,
     _in_edge_order,
-    antimagic_complete,
+    _wrapped_cycle_labels,
     build_construction,
     edge_count,
     family_graph,
-    generic_seed,
     label_complete_join_odd_cycle,
     label_cycle_join_complete,
     label_cycle_join_cycle,
@@ -36,7 +35,6 @@ from lajoin.constructions import (
     label_path_join_cycle,
     label_path_join_null,
     sweep_points,
-    three_color_odd_cycle,
 )
 from lajoin.arrays import magic_rectangle
 from lajoin.graphs import Graph, ParameterError, build_family, edge, join
@@ -409,21 +407,11 @@ def test_p7_o3_table():
     assert_verified(res)
 
 
-def test_antimagic_complete_small():
-    f = antimagic_complete(3)
-    assert sorted(f.sums.values()) == [3, 4, 5]
-    for r in (4, 5, 8):
-        f = antimagic_complete(r)
-        assert len(set(f.sums.values())) == r
-    with pytest.raises(ParameterError):
-        antimagic_complete(2)
-
-
-def test_antimagic_complete_4_matches_brute_force():
+def test_in_edge_order_k4_matches_brute_force():
     # every labeling of the 6 edges keeps some adjacent pair equal unless
-    # all four sums are distinct; the constructed one achieves 4 distinct
+    # all four sums are distinct; the labels in edge order achieve 4 distinct
     g = build_family("complete", 4)
-    f = antimagic_complete(4)
+    f = _in_edge_order(g)
     assert len(set(f.sums.values())) == 4
     found = False
     for perm in itertools.permutations(range(1, 7)):
@@ -441,23 +429,30 @@ def test_antimagic_complete_4_matches_brute_force():
 def test_lexicographic_complete_sums_increase_with_the_vertex():
     # complete-join-odd-cycle renames K_2n's vertices by position alone,
     # which keeps its sums in order only because they increase with the
-    # vertex; the budget-400 sweep's largest K_2n is K_24.
+    # vertex; the budget-400 sweep's largest K_2n is K_24. So K_r's sums
+    # are pairwise distinct, as K_3's seed and the K_r parts need.
+    assert _in_edge_order(build_family("complete", 3)).sums == {1: 3, 2: 4, 3: 5}
     for r in range(3, 61):
         sums = list(_in_edge_order(build_family("complete", r)).sums.values())
         assert all(a < b for a, b in zip(sums, sums[1:])), r
 
 
-def test_three_color_odd_cycle():
-    f = three_color_odd_cycle(3)
-    assert f.sums == {1: 5, 2: 4, 3: 3}
-    f = three_color_odd_cycle(5)
-    assert f.sums == {1: 8, 2: 6, 3: 5, 4: 6, 5: 5}
-    with pytest.raises(ParameterError):
-        three_color_odd_cycle(4)
+def test_wrapped_cycle_labels_at_base_0_give_three_sums():
+    # C_{2m-1}: 3m-1 at v_1, 2m-1 at the other odd vertices, 2m at the even ones
+    for m in range(2, 16):
+        f = EdgeLabeling.from_values(build_family("cycle", 2 * m - 1), _wrapped_cycle_labels(2 * m - 1, 0))
+        expected = {v: 3 * m - 1 if v == 1 else 2 * m - 1 if v % 2 == 1 else 2 * m for v in range(1, 2 * m)}
+        assert f.sums == expected, m
+
+
+def _seed(family):
+    # The labeled first part a generic family's record binds, and its graph.
+    f = next(fam.seed for fam in FAMILIES if fam.name == family)
+    return f.graph, f
 
 
 def test_generic_join_null_seed():
-    g, f = generic_seed("generic-join-null")
+    g, f = _seed("generic-join-null")
     res = label_generic_join_null(g, f, 2)
     assert res.claimed_chi_la == 4
     assert_verified(res)
@@ -491,7 +486,7 @@ def test_generic_join_reads_the_sums_on_the_given_graph():
     # The seed's labeling labels exactly g's edges, but its own graph lacks
     # g's isolated fifth vertex: that vertex's sum 0 is a color, and at
     # n = 5 it is the forbidden one.
-    seed, f = generic_seed("generic-join-null")
+    seed, f = _seed("generic-join-null")
     g = Graph(5, seed.edges, seed.roles + ("u5",))
     for n in (3, 7):
         res = label_generic_join_null(g, f, n)
@@ -502,13 +497,13 @@ def test_generic_join_reads_the_sums_on_the_given_graph():
 
 
 def test_generic_join_null_parity():
-    g, f = generic_seed("generic-join-null")
+    g, f = _seed("generic-join-null")
     with pytest.raises(ParameterError):
         label_generic_join_null(g, f, 3)
 
 
 def test_generic_join_complete_bipartite_seed():
-    g, f = generic_seed("generic-join-complete-bipartite")
+    g, f = _seed("generic-join-complete-bipartite")
     res = label_generic_join_complete_bipartite(g, f, 2, 4)
     assert res.claimed_chi_la == 5  # seed has three colors; two parts add two
     cert = assert_verified(res)
@@ -523,7 +518,7 @@ def test_generic_join_complete_bipartite_seed():
 
 
 def test_generic_join_complete_bipartite_rejects():
-    g, f = generic_seed("generic-join-complete-bipartite")
+    g, f = _seed("generic-join-complete-bipartite")
     with pytest.raises(ParameterError):
         label_generic_join_complete_bipartite(g, f, 2, 2)
     with pytest.raises(ParameterError):
@@ -531,7 +526,7 @@ def test_generic_join_complete_bipartite_rejects():
 
 
 def test_generic_join_cycle_seed():
-    g, f = generic_seed("generic-join-cycle")
+    g, f = _seed("generic-join-cycle")
     res = label_generic_join_cycle(g, f, 3)
     assert res.claimed_chi_la == 6
     assert_verified(res)
@@ -542,7 +537,7 @@ def test_generic_join_cycle_seed():
 
 
 def test_generic_join_cycle_rejects_even():
-    g, f = generic_seed("generic-join-cycle")
+    g, f = _seed("generic-join-cycle")
     with pytest.raises(ParameterError):
         label_generic_join_cycle(g, f, 4)
 
@@ -606,12 +601,12 @@ def test_swept_points_fit_the_budget_and_the_closed_form_q(budget):
             assert fam.q(**params) == q, (fam.name, params)
 
 
-def test_generic_seed_only_for_generic_families():
+def test_generic_families_are_the_three_seeded_ones():
     assert GENERIC_FAMILIES == (
         "generic-join-null", "generic-join-complete-bipartite", "generic-join-cycle"
     )
-    with pytest.raises(ParameterError, match="no generic seed"):
-        generic_seed("cycle-join-null")
+    seeds = [_seed(family)[0].family for family in GENERIC_FAMILIES]
+    assert seeds == [("cycle", 4), ("path", 4), ("complete", 3)]
 
 
 def test_build_construction_checks_parameter_names():
@@ -740,7 +735,7 @@ def _own_tables(res, first, second):
 
 
 def test_own_part_sequences_match_the_per_edge_tables():
-    from lajoin.constructions import _even_cycle_labels, _path_labels, _wrapped_cycle_labels
+    from lajoin.constructions import _even_cycle_labels, _path_labels
 
     for m in range(1, 16):
         path = build_family("path", 2 * m)
@@ -776,7 +771,7 @@ def test_own_part_sequences_match_the_per_edge_tables():
             table = {e: lab + shift for e, lab in _reference_complete_table(r).items()}
             assert _own_tables(label_cycle_join_complete(m, r), *parts)[1] == table, (m, r)
     # the K_{m,n} rectangle, keyed (j, m+k) as the rectangle's cell (j, k)
-    g, f = generic_seed("generic-join-complete-bipartite")
+    g, f = _seed("generic-join-complete-bipartite")
     for m, n in itertools.product(range(2, 9), repeat=2):
         if m == n or m % 2 != n % 2:
             continue
@@ -806,23 +801,17 @@ def _supplied_first_parts():
     # Labeled graphs a caller might supply: no generic family's seed, and
     # one with its edges out of sorted order.
     for r in range(3, 8):
-        yield antimagic_complete(r)
+        yield _in_edge_order(build_family("complete", r))
     for length in range(5, 12, 2):
-        yield three_color_odd_cycle(length)
+        yield EdgeLabeling.from_values(build_family("cycle", length), _wrapped_cycle_labels(length, 0))
     shuffled = Graph(4, ((3, 4), (1, 2), (2, 3), (1, 4), (1, 3)), ("u1", "u2", "u3", "u4"))
     yield EdgeLabeling.from_values(shuffled, [5, 1, 4, 2, 3])
 
 
 def test_outputs_off_the_sweep_match_the_dict_built_labelings():
     for r in range(3, 12):
-        assert antimagic_complete(r).values == EdgeLabeling(
-            build_family("complete", r), _reference_complete_table(r)
-        ).values, r
-    for length in range(3, 30, 2):
-        cycle = build_family("cycle", length)
-        assert three_color_odd_cycle(length).values == EdgeLabeling(
-            cycle, _reference_wrapped_cycle_table(length, 0)
-        ).values, length
+        complete = build_family("complete", r)
+        assert _in_edge_order(complete).values == EdgeLabeling(complete, _reference_complete_table(r)).values, r
     for r in range(1, 12):
         res = label_path_join_complete(1, r)
         g = join(build_family("path", 2), build_family("complete", r))

@@ -1,6 +1,6 @@
-"""What callers rely on in lajoin's ten value types, all NamedTuples.
+"""What callers rely on in lajoin's nine value types, all NamedTuples.
 
-Seven are plain records; ``Graph``, ``EdgeLabeling`` and ``SearchConfig``
+Six are plain records; ``Graph``, ``EdgeLabeling`` and ``SearchConfig``
 subclass a NamedTuple to check their fields on construction.
 """
 
@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from lajoin.arrays import drop_column_and_rotate, magic_rectangle, siamese_magic_square
+from lajoin.arrays import magic_rectangle
 from lajoin.constructions import build_construction
 from lajoin.graphs import ParameterError, build_family, join
 from lajoin.labelings import export_matrix, verify_local_antimagic
@@ -25,7 +25,6 @@ INSTANCES = {
     "EdgeLabeling": lambda: _result().labeling,
     "SearchConfig": lambda: SearchConfig(max_edges=9, target_colors=3),
     "MagicArray": lambda: magic_rectangle(2, 4),
-    "LabelGrid": lambda: drop_column_and_rotate(siamese_magic_square(5)),
     "ConstructionResult": _result,
     "LabelingCertificate": lambda: verify_local_antimagic(_result().graph, _result().labeling),
     "LabelingMatrix": lambda: export_matrix(_result().graph, _result().labeling),
