@@ -407,6 +407,16 @@ def test_p7_o3_table():
     assert_verified(res)
 
 
+def test_antimagic_complete_small():
+    # K_r labeled in edge order has r distinct sums from r = 3 on; K_2's
+    # single edge gives both ends the same sum, so the complete parts start at K_3
+    assert sorted(_in_edge_order(build_family("complete", 3)).sums.values()) == [3, 4, 5]
+    for r in (4, 5, 8):
+        f = _in_edge_order(build_family("complete", r))
+        assert len(set(f.sums.values())) == r
+    assert _in_edge_order(build_family("complete", 2)).sums == {1: 1, 2: 1}
+
+
 def test_in_edge_order_k4_matches_brute_force():
     # every labeling of the 6 edges keeps some adjacent pair equal unless
     # all four sums are distinct; the labels in edge order achieve 4 distinct
@@ -431,7 +441,6 @@ def test_lexicographic_complete_sums_increase_with_the_vertex():
     # which keeps its sums in order only because they increase with the
     # vertex; the budget-400 sweep's largest K_2n is K_24. So K_r's sums
     # are pairwise distinct, as K_3's seed and the K_r parts need.
-    assert _in_edge_order(build_family("complete", 3)).sums == {1: 3, 2: 4, 3: 5}
     for r in range(3, 61):
         sums = list(_in_edge_order(build_family("complete", r)).sums.values())
         assert all(a < b for a, b in zip(sums, sums[1:])), r
