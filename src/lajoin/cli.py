@@ -79,8 +79,8 @@ def dump_labeling(res: ConstructionResult, family: str, params: dict) -> str:
     ``claimed_chi_la`` and ``claimed_colors`` added.
 
     The graph's edges and vertices and the labels are written straight
-    from the edge tuple, the roles and the label tuple, one ``%`` template
-    per item, with no dict or list per edge; the other fields go through
+    from the edge tuple, the roles and the label tuple, one ``%`` format
+    per list, with no dict or list per edge; the other fields go through
     ``_dumps``. Ids, endpoints and labels are ints, as in every labeling
     lajoin builds.
     """
@@ -104,10 +104,17 @@ def dump_labeling(res: ConstructionResult, family: str, params: dict) -> str:
 
 def _items(template: str, rows, newline: str) -> str:
     """A list whose items are ``template % row``, as ``json.dumps`` with an
-    indent of 2 writes it on a line indented as ``newline``."""
+    indent of 2 writes it on a line indented as ``newline``.
+
+    The whole list is one ``%``: the template once per row, joined by the
+    separator, applied to the rows' values in order.
+    """
+    rows = tuple(rows)
+    if not rows:
+        return "[]"
     inner = newline + "  "
-    body = ("," + inner).join(map(template.__mod__, rows))
-    return "[" + inner + body + newline + "]" if body else "[]"
+    body = ("," + inner).join([template] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    return "[" + inner + body + newline + "]"
 
 
 def _dumps(obj, newline: str) -> str:

@@ -35,7 +35,10 @@ class ParameterError(ValueError):
 
 
 def is_int_pair(x) -> bool:
-    """True for a JSON edge: a list of two integers (``true`` is no integer)."""
+    """True for a JSON edge: a list of two integers (``true`` is no integer).
+
+    The JSON readers make the same test inline, one edge at a time.
+    """
     return isinstance(x, list) and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
 
 
@@ -175,6 +178,11 @@ class Graph(_GraphFields):
         graphs built in code with ``Graph(...)``, where roles are valid by
         construction.
         ``family``, when present, is null or a list nested at most 32 deep.
+
+        Each edge's shape and types are tested inline, with no call per
+        edge, and the graph is built through ``Graph(...)``. Faults are
+        reported in this order: vertex shape, edge shape, ids, roles, the
+        first self-loop, ``family``, then the first fault ``Graph(...)`` finds.
         """
         if not isinstance(data, dict):
             raise ParameterError("a graph must be a JSON object")
@@ -183,8 +191,20 @@ class Graph(_GraphFields):
             isinstance(v, dict) and type(v.get("id")) is int and isinstance(v.get("role"), str) for v in verts
         ):
             raise ParameterError('graph "vertices" must be a list of {"id": int, "role": str} objects')
-        if not isinstance(pairs, list) or not all(map(is_int_pair, pairs)):
+        if not isinstance(pairs, list):
             raise ParameterError('graph "edges" must be a list of integer pairs')
+        # A bad shape or type is refused at once, each pair is ordered, and
+        # the first self-loop waits for the vertex checks.
+        edges, loop = [], None
+        for e in pairs:
+            if not isinstance(e, list) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+                raise ParameterError('graph "edges" must be a list of integer pairs')
+            a, b = e
+            if a > b:
+                a, b = b, a
+            elif a == b and loop is None:
+                loop = a
+            edges.append((a, b))
         ids = [v["id"] for v in verts]
         if sorted(ids) != list(range(1, len(ids) + 1)):
             raise ParameterError("vertex ids must be exactly 1..n")
@@ -196,8 +216,9 @@ class Graph(_GraphFields):
             roles[v["id"] - 1] = role
         if len(set(roles)) != len(roles):
             raise ParameterError("vertex roles must be unique")
-        edges = tuple(edge(a, b) for a, b in pairs)
-        return Graph(len(ids), edges, tuple(roles), _family_from_json(data.get("family")))
+        if loop is not None:
+            raise ParameterError(f"self-loop at vertex {loop}")
+        return Graph(len(ids), tuple(edges), tuple(roles), _family_from_json(data.get("family")))
 
     def __repr__(self):
         return f"Graph(n={self.n}, q={self.q}, family={self.family!r})"

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .graphs import Edge, Graph, ParameterError, _delete_edge_at, _refuse_assignment, edge, is_int_pair
+from .graphs import Edge, Graph, ParameterError, _delete_edge_at, _refuse_assignment, edge
 
 
 class LabelingError(ValueError):
@@ -98,6 +98,10 @@ class EdgeLabeling(_LabelingFields):
         compare equal to 1 and 2 in Python and would otherwise pass the
         bijection check. A malformed ``graph`` is reported as a LabelingError
         too, and so is a labeling whose edges are not exactly the graph's.
+
+        The label items are checked in one pass, each inline (a list of two
+        ints, an int label, no self-loop, not a repeat once reversed pairs
+        are ordered), and the first bad item is named.
         """
         if not isinstance(data, dict) or data.get("schema") != "v1":
             raise LabelingError('a labeling must be a JSON object with "schema": "v1"')
@@ -109,11 +113,14 @@ class EdgeLabeling(_LabelingFields):
             labels = {}
             for item in items:
                 e, lab = item["edge"], item["label"]
-                if not is_int_pair(e):
+                if not isinstance(e, list) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
                     raise LabelingError(f"edge {e!r} is not a pair of integers")
                 if type(lab) is not int:
                     raise LabelingError(f"label {lab!r} on edge {e} is not an integer")
-                key = edge(*e)  # reversed edges normalized; errors name ``e`` as given
+                a, b = e
+                if a == b:
+                    raise LabelingError(f"malformed labeling: self-loop at vertex {a}")
+                key = (a, b) if a < b else (b, a)  # errors name ``e`` as given
                 if key in labels:
                     raise LabelingError(f"edge {e} is labeled twice")
                 labels[key] = lab

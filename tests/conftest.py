@@ -1,10 +1,13 @@
 import functools
 import random
+import re
+import time
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings, strategies as st
 
-from lajoin.graphs import Graph, build_family, delete_edge, edge, join
+from lajoin.graphs import Graph, ParameterError, build_family, delete_edge, edge, join
 
 settings.register_profile("default", derandomize=True, database=None, deadline=None)
 settings.load_profile("default")
@@ -87,3 +90,61 @@ def slow_cited_nodes() -> int:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def per_vertex_roles(verts):
+    """The roles in id order, checked one vertex at a time: the reference
+    for Graph.from_json, which raises these messages in this order."""
+    if not isinstance(verts, list) or not all(
+        isinstance(v, dict) and type(v.get("id")) is int and isinstance(v.get("role"), str)
+        for v in verts
+    ):
+        raise ParameterError('graph "vertices" must be a list of {"id": int, "role": str} objects')
+    ids = [v["id"] for v in verts]
+    if sorted(ids) != list(range(1, len(ids) + 1)):
+        raise ParameterError("vertex ids must be exactly 1..n")
+    roles = [""] * len(ids)
+    for v in verts:
+        role = v["role"]
+        if not re.fullmatch(r"[uv][1-9][0-9]{0,8}", role):
+            raise ParameterError(f"vertex role {role!r} is not u<i> or v<j> with i, j >= 1")
+        roles[v["id"] - 1] = role
+    if len(set(roles)) != len(roles):
+        raise ParameterError("vertex roles must be unique")
+    return tuple(roles)
+
+
+class SweepBuild(NamedTuple):
+    points: list  # (family, params, ConstructionResult) in sweep order
+    seconds: float  # time the builds took
+    arrays_asked: frozenset  # (cached array builder, args) of every array call
+
+
+@pytest.fixture(scope="session")
+def budget_400_sweep() -> SweepBuild:
+    """Every budget-400 sweep point of every family, built once per session.
+
+    The array builders are wrapped while the points are built, so that the
+    calls the sweep makes can be checked against fresh builds.
+    """
+    from lajoin import arrays, constructions
+
+    asked = set()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("siamese_magic_square", "magic_rectangle", "nearly_magic_rectangle"):
+            cached = getattr(arrays, name)
+
+            def record(*args, _cached=cached):
+                asked.add((_cached, args))
+                return _cached(*args)
+
+            patch.setattr(arrays, name, record)
+            patch.setattr(constructions, name, record)
+        start = time.monotonic()
+        points = [
+            (family, params, constructions.build_construction(family, params))
+            for family in constructions.ALL_FAMILIES
+            for params in constructions.sweep_points(family, 400)
+        ]
+        seconds = time.monotonic() - start
+    return SweepBuild(points, seconds, frozenset(asked))

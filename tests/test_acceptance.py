@@ -16,6 +16,7 @@ Criteria:
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -28,14 +29,11 @@ from lajoin.arrays import (
     siamese_magic_square,
 )
 from lajoin.constructions import (
-    ALL_FAMILIES,
-    build_construction,
     label_cycle_join_cycle,
     label_cycle_join_null,
     label_odd_cycle_join_even_null,
     label_p7_o3,
     label_path_join_null,
-    sweep_points,
 )
 from lajoin.graphs import build_family, delete_edge, edge, join
 from lajoin.labelings import (
@@ -180,22 +178,20 @@ EXPECTED_SWEEP_COUNTS = {
 }
 
 
-def test_criterion_2_construction_sweep():
+def test_criterion_2_construction_sweep(budget_400_sweep):
+    # The points are built once per session; their build time counts here.
     start = time.monotonic()
-    total = 0
-    for family in ALL_FAMILIES:
-        points = sweep_points(family, 400)
-        assert len(points) == EXPECTED_SWEEP_COUNTS[family], family
-        for params in points:
-            res = build_construction(family, params)
-            assert res.graph.q <= 400
-            assert tuple(res.labeling.labels) == res.graph.edges, (family, params)
-            cert = verify_local_antimagic(res.graph, res.labeling)
-            assert cert.ok, (family, params, cert.failure)
-            assert cert.color_count == res.claimed_chi_la, (family, params)
-            assert frozenset(cert.color_classes) == res.claimed_colors, (family, params)
-            total += 1
-    elapsed = time.monotonic() - start
+    counts = Counter(family for family, _, _ in budget_400_sweep.points)
+    assert counts == EXPECTED_SWEEP_COUNTS
+    for family, params, res in budget_400_sweep.points:
+        assert res.graph.q <= 400
+        assert tuple(res.labeling.labels) == res.graph.edges, (family, params)
+        cert = verify_local_antimagic(res.graph, res.labeling)
+        assert cert.ok, (family, params, cert.failure)
+        assert cert.color_count == res.claimed_chi_la, (family, params)
+        assert frozenset(cert.color_classes) == res.claimed_colors, (family, params)
+    total = len(budget_400_sweep.points)
+    elapsed = budget_400_sweep.seconds + time.monotonic() - start
     assert total == sum(EXPECTED_SWEEP_COUNTS.values())
     assert elapsed < 30.0
     print(f"criterion 2: PASS ({total} points, {elapsed:.1f}s)")

@@ -266,26 +266,11 @@ def test_non_int_sides_raise_whether_or_not_the_shape_is_cached(build, sides):
     assert outcomes[1] == build.__wrapped__(*sides).entries
 
 
-def test_cached_arrays_equal_fresh_builds_over_the_sweep(monkeypatch):
-    # Record every array shape the budget-400 sweep asks for, then rebuild
-    # each uncached. A tall shape is carved from its own transpose's pools,
-    # not built through its wide twin, so only shapes the sweep asks for count.
-    from lajoin import arrays, constructions
-
-    asked = set()
-    for name in ("siamese_magic_square", "magic_rectangle", "nearly_magic_rectangle"):
-        cached = getattr(arrays, name)
-
-        def record(*args, _cached=cached):
-            asked.add((_cached, args))
-            return _cached(*args)
-
-        monkeypatch.setattr(arrays, name, record)
-        monkeypatch.setattr(constructions, name, record)
-    for family in constructions.ALL_FAMILIES:
-        for params in constructions.sweep_points(family, 400):
-            constructions.build_construction(family, params)
-    monkeypatch.undo()
+def test_cached_arrays_equal_fresh_builds_over_the_sweep(budget_400_sweep):
+    # Every array shape the budget-400 sweep asks for, rebuilt uncached. A
+    # tall shape is carved from its own transpose's pools, not built through
+    # its wide twin, so only shapes the sweep asks for count.
+    asked = budget_400_sweep.arrays_asked
     shapes = {build: sum(b is build for b, _ in asked) for build, _ in asked}
     assert shapes == {magic_rectangle: 379, nearly_magic_rectangle: 208, siamese_magic_square: 9}
     for build, args in asked:

@@ -937,14 +937,12 @@ def gen_payload(res, family, params):
     return payload
 
 
-def test_dump_labeling_is_dump_json_on_the_sweep():
+def test_dump_labeling_is_dump_json_on_the_sweep(budget_400_sweep):
     count = 0
-    for family in ALL_FAMILIES:
-        for params in sweep_points(family, 400):
-            res = build_construction(family, params)
-            assert dump_labeling(res, family, params) == dump_json(gen_payload(res, family, params)), \
-                (family, params)
-            count += 1
+    for family, params, res in budget_400_sweep.points:
+        assert dump_labeling(res, family, params) == dump_json(gen_payload(res, family, params)), \
+            (family, params)
+        count += 1
     assert count == 3395
 
 
@@ -972,12 +970,18 @@ def test_gen_on_the_solver_route_writes_dump_json_of_the_payload(capsys):
     assert out == dump_json(gen_payload(res, "path-join-null", params))
 
 
-def test_dump_labeling_writes_empty_lists_as_dump_json_does():
-    g = build_family("null", 3)
-    res = ConstructionResult(g, EdgeLabeling.from_values(g, ()), frozenset(), 1)
-    text = dump_labeling(res, "null", {})
-    assert text == dump_json(gen_payload(res, "null", {}))
-    assert '"edges": [],' in text and '"labels": [],' in text and '"claimed_colors": [],' in text
+@pytest.mark.parametrize("graph,labels,lists", [
+    (build_family("null", 3), (), ('"edges": [],', '"labels": [],', '"claimed_colors": [],')),
+    (build_family("path", 2), (1,), ('"edges": [\n      [\n        1,\n        2\n      ]\n    ],',
+                                     '"label": 1\n    }\n  ],')),
+], ids=["edgeless", "one-edge"])
+def test_dump_labeling_writes_empty_lists_as_dump_json_does(graph, labels, lists):
+    # The one-format list writer at 0 and 1 items.
+    res = ConstructionResult(graph, EdgeLabeling.from_values(graph, labels), frozenset(), 1)
+    family = graph.family[0]
+    text = dump_labeling(res, family, {})
+    assert text == dump_json(gen_payload(res, family, {}))
+    assert all(part in text for part in lists)
 
 
 def test_gen_stdout_is_the_out_file(tmp_path, capsys):

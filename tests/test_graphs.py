@@ -1,13 +1,12 @@
 import itertools
 import json
 import random
-import re
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import SMALLEST_ORDER, built_graphs, random_graph
+from conftest import SMALLEST_ORDER, built_graphs, per_vertex_roles, random_graph
 from lajoin.graphs import (
     Graph,
     ParameterError,
@@ -191,7 +190,7 @@ def _outcome(fn, *args):
 @st.composite
 def edge_lists(draw):
     """Mostly valid edges, each possibly replaced by a reversed, 0, n+1,
-    1.0, True, repeated or non-pair one, in any order."""
+    1.0, True, self-loop, repeated or non-pair one, in any order."""
     n = draw(st.integers(1, 7))
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     edges = list(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
@@ -201,6 +200,7 @@ def edge_lists(draw):
         st.integers(1, n).map(lambda v: (v, n + 1)),
         st.integers(1, n).map(lambda v: (1.0, v)),
         st.integers(1, n).map(lambda v: (True, v)),
+        st.integers(1, n).map(lambda v: (v, v)),
         st.sampled_from(edges) if edges else st.just((1, 1)),
         st.tuples(st.integers(0, n + 1)),
         st.tuples(st.integers(0, n + 1), st.integers(0, n + 1), st.integers(0, n + 1)),
@@ -426,28 +426,6 @@ def test_graph_from_json_rejects_malformed(mutate):
         Graph.from_json(data)
 
 
-def _per_vertex_roles(verts):
-    """The roles in id order, checked one vertex at a time: the reference
-    for Graph.from_json, which raises these messages in this order."""
-    if not isinstance(verts, list) or not all(
-        isinstance(v, dict) and type(v.get("id")) is int and isinstance(v.get("role"), str)
-        for v in verts
-    ):
-        raise ParameterError('graph "vertices" must be a list of {"id": int, "role": str} objects')
-    ids = [v["id"] for v in verts]
-    if sorted(ids) != list(range(1, len(ids) + 1)):
-        raise ParameterError("vertex ids must be exactly 1..n")
-    roles = [""] * len(ids)
-    for v in verts:
-        role = v["role"]
-        if not re.fullmatch(r"[uv][1-9][0-9]{0,8}", role):
-            raise ParameterError(f"vertex role {role!r} is not u<i> or v<j> with i, j >= 1")
-        roles[v["id"] - 1] = role
-    if len(set(roles)) != len(roles):
-        raise ParameterError("vertex roles must be unique")
-    return tuple(roles)
-
-
 @st.composite
 def vertex_lists(draw):
     """Vertex lists of 1..6 items in any id order, some items faulty: an id
@@ -482,11 +460,11 @@ def vertex_lists(draw):
 def test_graph_from_json_checks_vertices_as_the_per_vertex_loop_did(verts):
     # same outcome, message included, as the one-vertex-at-a-time check;
     # an edgeless graph, so that only the vertices can fail
-    expected = _outcome(_per_vertex_roles, verts)
+    expected = _outcome(per_vertex_roles, verts)
     doc = {"schema": "v1", "vertices": verts, "edges": []}
     assert _outcome(Graph.from_json, doc) == expected
     if expected is None:
-        assert Graph.from_json(doc).roles == _per_vertex_roles(verts)
+        assert Graph.from_json(doc).roles == per_vertex_roles(verts)
 
 
 def test_graph_from_json_role_and_family_limits():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import built_graphs, random_graph, random_labeling
+from conftest import built_graphs, per_vertex_roles, random_graph, random_labeling
 from lajoin.constructions import (
     ALL_FAMILIES,
     GENERIC_FAMILIES,
@@ -15,7 +15,7 @@ from lajoin.constructions import (
     label_path_join_null,
     sweep_points,
 )
-from lajoin.graphs import Graph, ParameterError, build_family, delete_edge, edge, is_int_pair, join
+from lajoin.graphs import Graph, ParameterError, _family_from_json, build_family, delete_edge, edge, is_int_pair, join
 from lajoin.labelings import (
     EdgeLabeling,
     LabelingCertificate,
@@ -494,9 +494,32 @@ def test_labeling_json_round_trip():
         lambda d: d["graph"]["vertices"][0].update(role="ux"),
         lambda d: d["graph"].pop("vertices"),
         lambda d: d["labels"].insert(1, {"edge": d["labels"][0]["edge"][::-1], "label": 2}),
+        lambda d: d["labels"][0].update(edge=[2, 2]),
+        lambda d: d["labels"][0]["edge"].append(1),
+        lambda d: d["labels"][0].update(edge="1,2"),
+        lambda d: d["labels"][0]["edge"].__setitem__(0, True),
+        lambda d: d["labels"][0].pop("label"),
+        lambda d: d["labels"].__setitem__(0, [1, 2]),
+        # two faults: the one the per-item loop met first is named
+        lambda d: (d["graph"]["vertices"].clear(), d["graph"].update(family=5)),
+        lambda d: (d["graph"]["vertices"].clear(), d["graph"]["edges"].append([3, 3])),
+        lambda d: (d["graph"]["edges"].append([3, 3]), d["graph"].update(family=5)),
+        lambda d: (d["graph"]["edges"].append([3, 3]), d["graph"]["vertices"][0].update(role="ux")),
+        lambda d: (d["graph"]["edges"].append([3, 1.0]), d["graph"]["vertices"][0].update(id=0)),
+        lambda d: (d["graph"]["edges"].insert(0, [1, 99]), d["graph"]["edges"].append([3, 3])),
+        lambda d: (d["graph"]["edges"].append([3, 3]), d["graph"]["edges"].append([2, 2])),
+        lambda d: (d["graph"]["edges"].insert(0, [1, 99]), d["graph"]["edges"].append(d["graph"]["edges"][1])),
+        lambda d: (d["graph"]["edges"].insert(0, d["graph"]["edges"][0][::-1]), d["graph"]["edges"].append([1, 99])),
+        lambda d: d["labels"][0].update(edge=[2, 2], label=True),
+        lambda d: d["labels"][0].update(edge=[2, 2, 1], label=True),
+        lambda d: (d["labels"].append(dict(d["labels"][0])), d["labels"].append({"edge": [4, 4], "label": 1})),
     ],
     ids=["bool-label", "float-label", "no-schema", "wrong-schema", "no-labels", "no-edge",
-         "labels-not-list", "float-endpoint", "bad-role", "graph-no-vertices", "edge-twice"],
+         "labels-not-list", "float-endpoint", "bad-role", "graph-no-vertices", "edge-twice",
+         "self-loop", "three-endpoints", "string-edge", "bool-endpoint", "no-label", "item-is-list",
+         "no-vertices+family", "no-vertices+self-loop", "self-loop+family", "self-loop+role", "float+id",
+         "range+self-loop", "self-loop+self-loop", "range+repeat", "repeat+range", "label-self-loop+bool", "label-triple+bool",
+         "label-twice+self-loop"],
 )
 def test_labeling_from_json_rejects_malformed(mutate):
     res = label_path_join_null(2, 3)
@@ -505,23 +528,37 @@ def test_labeling_from_json_rejects_malformed(mutate):
     data["labels"].remove(first)
     data["labels"].insert(0, first)  # label 1, so True and 1.0 keep a bijection
     mutate(data)
-    with pytest.raises(LabelingError):
+    with pytest.raises(LabelingError) as exc:
         EdgeLabeling.from_json(data)
+    assert (LabelingError, str(exc.value)) == _read(per_item_labeling, data)
 
 
-def per_item_graph(data: dict, base: Graph) -> Graph:
-    # Reference: Graph.from_json reading the edges one at a time, for a
-    # document whose vertices and family are those of ``base``.
-    pairs = data["edges"]
-    if not all(is_int_pair(e) for e in pairs):
+def per_item_graph(data: dict) -> Graph:
+    # Reference: Graph.from_json checking one edge at a time: every edge a
+    # JSON integer pair (is_int_pair), then the vertices, then each edge
+    # through edge(), then the family, then the checks of Graph(...).
+    if not isinstance(data, dict):
+        raise ParameterError("a graph must be a JSON object")
+    verts, pairs = data.get("vertices"), data.get("edges")
+    if not isinstance(verts, list) or not all(
+        isinstance(v, dict) and type(v.get("id")) is int and isinstance(v.get("role"), str) for v in verts
+    ):
+        raise ParameterError('graph "vertices" must be a list of {"id": int, "role": str} objects')
+    if not isinstance(pairs, list) or not all(is_int_pair(e) for e in pairs):
         raise ParameterError('graph "edges" must be a list of integer pairs')
-    return Graph(base.n, tuple(edge(a, b) for a, b in pairs), base.roles, base.family)
+    roles = per_vertex_roles(verts)
+    edges = tuple(edge(a, b) for a, b in pairs)
+    return Graph(len(roles), edges, roles, _family_from_json(data.get("family")))
 
 
-def per_item_labeling(data: dict, base: Graph) -> EdgeLabeling:
+def per_item_labeling(data: dict) -> EdgeLabeling:
     # Reference: EdgeLabeling.from_json with the per-item loop alone.
+    if not isinstance(data, dict) or data.get("schema") != "v1":
+        raise LabelingError('a labeling must be a JSON object with "schema": "v1"')
     try:
-        g = per_item_graph(data["graph"], base)
+        g = per_item_graph(data["graph"])
+        if not isinstance(data["labels"], list):
+            raise LabelingError('"labels" must be a list of {"edge", "label"} objects')
         labels = {}
         for item in data["labels"]:
             e, lab = item["edge"], item["label"]
@@ -565,21 +602,25 @@ _EDGE_FAULTS = [
     lambda e: [e[0], float(e[1])],
     lambda e: e[:1],
     lambda e: [*e, e[0]],
+    lambda e: [0, e[1]],
+    lambda e: [e[0], 99],
 ]
 
 
 @st.composite
 def mutated_labelings(draw):
-    """A labeling document and the graph it was built from, with up to four
-    faults: a reversed, self-loop, true, 2.0, 1- or 3-item edge in either
-    list, an edge given twice, a true or 2.0 label, a missing key, or an
-    item that is not a dict."""
+    """A labeling document with up to four faults: a reversed, self-loop,
+    true, 2.0, 1- or 3-item or out-of-range edge in either list, an edge
+    given twice, a true or 2.0 label, a missing key, an item that is not a
+    dict, a bad vertex or no vertices, or a bad family. Faults of every
+    kind can meet, so the order in which they are reported is checked."""
     base = draw(st.sampled_from(_READER_BASES))
     doc = json.loads(json.dumps(base.to_json()))
-    edges, items = doc["graph"]["edges"], doc["labels"]
+    graph, items = doc["graph"], doc["labels"]
+    edges, verts = graph["edges"], graph["vertices"]
     for _ in range(draw(st.integers(0, 4))):
         fault = draw(st.sampled_from(["reverse", "edge", "label-edge", "edge-twice", "label-edge-twice",
-                                      "label", "missing", "not-dict"]))
+                                      "label", "missing", "not-dict", "vertex", "family"]))
         i = draw(st.integers(0, len(items) - 1))
         j = i % len(edges)
         if fault == "reverse":  # valid: both readers normalize a reversed edge
@@ -590,6 +631,18 @@ def mutated_labelings(draw):
             edges[j] = draw(st.sampled_from(_EDGE_FAULTS))(edges[j])
         elif fault == "edge-twice":
             edges.insert(draw(st.integers(0, len(edges))), list(draw(st.sampled_from(edges))))
+        elif fault == "vertex":
+            k = draw(st.integers(0, len(verts) - 1)) if verts else 0
+            change = draw(st.sampled_from(["role", "id", "not-dict", "none"]))
+            if change == "none":
+                verts.clear()
+            elif verts and isinstance(verts[k], dict):
+                if change == "not-dict":
+                    verts[k] = 1
+                else:
+                    verts[k][change] = "ux" if change == "role" else 0
+        elif fault == "family":
+            graph["family"] = draw(st.sampled_from([5, ["join", {}]]))
         elif not isinstance(items[i], dict):
             continue
         elif fault == "label-edge" and isinstance(items[i].get("edge"), list) and len(items[i]["edge"]) == 2:
@@ -602,15 +655,14 @@ def mutated_labelings(draw):
             items[i].pop(draw(st.sampled_from(["edge", "label"])), None)
         elif fault == "not-dict":
             items[i] = draw(st.sampled_from([items[i].get("edge"), "edge", None, 3, []]))
-    return doc, base.graph
+    return doc
 
 
 @settings(max_examples=300)
 @given(mutated_labelings())
-def test_bulk_readers_agree_with_the_per_item_loop(case):
-    doc, base = case
-    assert _read(Graph.from_json, doc["graph"]) == _read(per_item_graph, doc["graph"], base)
-    assert _read(EdgeLabeling.from_json, doc) == _read(per_item_labeling, doc, base)
+def test_bulk_readers_agree_with_the_per_item_loop(doc):
+    assert _read(Graph.from_json, doc["graph"]) == _read(per_item_graph, doc["graph"])
+    assert _read(EdgeLabeling.from_json, doc) == _read(per_item_labeling, doc)
 
 
 @pytest.mark.parametrize("family,params", [
