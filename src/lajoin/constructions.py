@@ -115,17 +115,23 @@ def _wrapped_cycle_colors(join_sum: int, base: int, count: int) -> set[int]:
 
 
 def _even_null_join(m: int, n: int) -> list[list[int]]:
-    # Join labels of P_2m v O_2n for m, n >= 2; row a - 1 is (u_a, v_1), ..., (u_a, v_2n).
-    J = []
-    for i in range(1, m + 1):
-        J.append([  # u_{2i-1}
-            4 * m - i, 3 * m - i, 4 * m * n - m + i - 1, 5 * m - 1 + i,
-            *[x for j in range(3, n + 1) for x in ((4 * n + 4 - 2 * j) * m - i, (2 * j + 1) * m - 1 + i)],
-        ])
-        J.append([  # u_{2i}
-            4 * m * n + m - 1 - i, 4 * m * n + m - 2 + i, 4 * m + i, (4 * n - 1) * m - i,
-            *[x for j in range(3, n + 1) for x in (2 * j * m - 1 + i, (4 * n + 3 - 2 * j) * m - i)],
-        ])
+    """Join labels of P_2m v O_2n for m, n >= 2; row a - 1 is (u_a, v_1), ..., (u_a, v_2n).
+
+    Each column runs as one arithmetic progression down the odd rows
+    u_{2i-1}, i = 1..m, and as another down the even rows u_{2i}: the cell
+    is c - i or c + i - 1 for a constant c. So each half column is built as
+    a ``range``, the half columns are transposed with ``zip`` into rows, and
+    the cells of the two rows that break the pattern are set last.
+    """
+    odd = [range(4 * m - 1, 3 * m - 1, -1), range(3 * m - 1, 2 * m - 1, -1),
+           range(4 * m * n - m, 4 * m * n), range(5 * m, 6 * m)]
+    even = [range(4 * m * n + m - 2, 4 * m * n - 2, -1), range(4 * m * n + m - 1, 4 * m * n + 2 * m - 1),
+            range(4 * m + 1, 5 * m + 1), range((4 * n - 1) * m - 1, (4 * n - 2) * m - 1, -1)]
+    for j in range(3, n + 1):
+        c, d = (4 * n + 4 - 2 * j) * m, 2 * j * m
+        odd += range(c - 1, c - m - 1, -1), range(d + m, d + 2 * m)
+        even += range(d, d + m), range(c - m - 1, c - 2 * m - 1, -1)
+    J = [list(row) for pair in zip(zip(*odd), zip(*even)) for row in pair]
     # u_{2m-1} and u_2m break the pattern at v_1, v_2 and v_3.
     J[-2][0], J[-2][1] = 2 * m, 3 * m
     J[-1][0], J[-1][2] = 4 * m * n + 2 * m - 1, 4 * m
@@ -133,19 +139,21 @@ def _even_null_join(m: int, n: int) -> list[list[int]]:
 
 
 def _odd_null_join(m: int, n: int, s: int = 0) -> list[list[int]]:
-    # Join labels of P_2m v O_{2n-1} for m, n >= 2, plus s, laid out as in _even_null_join.
-    J = []
-    for i in range(1, m + 1):
-        J.append([  # u_{2i-1}
-            4 * m - i + s, 3 * m - i + s,
-            *[x for j in range(2, n) for x in ((4 * n + 2 - 2 * j) * m - i + s, (2 * j + 1) * m + i - 1 + s)],
-            2 * m * n + 2 * (i - 1) + s,
-        ])
-        J.append([  # u_{2i}
-            4 * m * n - 2 * m + i - 1 + s, 4 * m * n - m - 2 + i + s,
-            *[x for j in range(2, n) for x in (2 * j * m + i - 1 + s, (4 * n + 1 - 2 * j) * m - i + s)],
-            2 * m * n + 2 * m + 1 - 2 * i + s,
-        ])
+    """Join labels of P_2m v O_{2n-1} for m, n >= 2, plus s, laid out as in ``_even_null_join``.
+
+    Built as ``_even_null_join`` is, column by column, except that the
+    last column steps by 2 down the odd rows and by -2 down the even ones.
+    """
+    odd = [range(4 * m - 1 + s, 3 * m - 1 + s, -1), range(3 * m - 1 + s, 2 * m - 1 + s, -1)]
+    even = [range(4 * m * n - 2 * m + s, 4 * m * n - m + s), range(4 * m * n - m - 1 + s, 4 * m * n - 1 + s)]
+    for j in range(2, n):
+        c, d = (4 * n + 2 - 2 * j) * m + s, 2 * j * m + s
+        odd += range(c - 1, c - m - 1, -1), range(d + m, d + 2 * m)
+        even += range(d, d + m), range(c - m - 1, c - 2 * m - 1, -1)
+    t = 2 * m * n + s
+    odd.append(range(t, t + 2 * m, 2))
+    even.append(range(t + 2 * m - 1, t - 1, -2))
+    J = [list(row) for pair in zip(zip(*odd), zip(*even)) for row in pair]
     # u_{2m-1} and u_2m break the pattern at v_1 and v_2.
     J[-2][0], J[-2][1] = 2 * m + s, 3 * m + s
     J[-1][0] = 4 * m * n - 1 + s

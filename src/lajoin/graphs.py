@@ -34,14 +34,6 @@ class ParameterError(ValueError):
     """A routine was called outside its documented parameter range."""
 
 
-def is_int_pair(x) -> bool:
-    """True for a JSON edge: a list of two integers (``true`` is no integer).
-
-    The JSON readers make the same test inline, one edge at a time.
-    """
-    return isinstance(x, list) and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
-
-
 def _refuse_assignment(self, name, value):
     # Fields are read-only already; this also keeps a cached property from
     # being overwritten, which would leave it out of step with the fields.
@@ -128,10 +120,35 @@ class Graph(_GraphFields):
         return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
     @cached_property
+    def _join_block(self) -> tuple[int, int] | None:
+        """The join block ``(p, offset)``, or None when the edges end in none.
+
+        The block is the p·(n-p) edges (i, p+j), row by row, that join
+        vertices 1..p to all of p+1..n, laid out as ``join`` lays out its
+        join edges; ``edges[offset:]`` is the block and ``edges[:offset]``
+        the own edges. It is read from the edges alone: the last edge must
+        be (p, n), which fixes p. ``join`` fills it in, and ``delete_edge``
+        carries it over when the deleted edge is an own edge.
+        """
+        edges, n = self.edges, self.n
+        if not edges or edges[-1][1] != n:
+            return None
+        p = edges[-1][0]
+        offset = len(edges) - p * (n - p)
+        if offset < 0 or edges[offset:] != tuple(itertools.product(range(1, p + 1), range(p + 1, n + 1))):
+            return None
+        return p, offset
+
+    @cached_property
     def _degrees(self) -> dict[int, int]:
-        # a list counts faster; the dict makes ``degree`` refuse ids outside 1..n
-        degs = [0] * (self.n + 1)
-        for a, b in self.edges:
+        # A list counts faster; the dict makes ``degree`` refuse ids outside
+        # 1..n. Only the own edges are counted one by one: the join block
+        # gives each of 1..p the n - p vertices above it and each of p+1..n
+        # the p below.
+        n, block = self.n, self._join_block
+        p, own = block or (0, len(self.edges))
+        degs = [0] + [n - p] * p + [p] * (n - p)
+        for a, b in self.edges[:own]:
             degs[a] += 1
             degs[b] += 1
         return dict(enumerate(degs[1:], 1))
@@ -316,7 +333,9 @@ def join(a: Graph, b: Graph) -> Graph:
     edges.extend((x + off, y + off) for x, y in b.edges)
     edges.extend(itertools.product(a.vertices, range(off + 1, off + b.n + 1)))
     roles = _role_names("u", a.n) + _role_names("v", b.n)
-    return Graph._unchecked(a.n + b.n, tuple(edges), roles, ("join", a.family, b.family))
+    g = Graph._unchecked(a.n + b.n, tuple(edges), roles, ("join", a.family, b.family))
+    vars(g)["_join_block"] = (a.n, a.q + b.q)
+    return g
 
 
 def delete_edge(g: Graph, e: Edge) -> Graph:
@@ -339,9 +358,17 @@ def delete_edge(g: Graph, e: Edge) -> Graph:
 
 
 def _delete_edge_at(g: Graph, i: int) -> Graph:
-    """``g`` without ``g.edges[i]``, for a caller that has found the index."""
+    """``g`` without ``g.edges[i]``, for a caller that has found the index.
+
+    Deleting an own edge leaves ``g``'s join block one place earlier; after
+    a block edge, the new graph derives its own.
+    """
     edges = g.edges[:i] + g.edges[i + 1:]
-    return Graph._unchecked(g.n, edges, g.roles, ("minus-edge", g.family, g.edges[i]))
+    h = Graph._unchecked(g.n, edges, g.roles, ("minus-edge", g.family, g.edges[i]))
+    block = g._join_block
+    if block and i < block[1]:
+        vars(h)["_join_block"] = (block[0], block[1] - 1)
+    return h
 
 
 # The largest graph chromatic_number_exact accepts.

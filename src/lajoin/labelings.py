@@ -234,11 +234,7 @@ def verify_local_antimagic(
         return LabelingCertificate(False, False, {}, 0, lower_bound, None, None)
     bijection_ok = _is_bijection(values, g.q)
     sums = _sum_list(zip(g.edges, values), g.n)
-    failure = None
-    for a, b in g.edges:
-        if sums[a] == sums[b]:
-            failure = (a, b)
-            break
+    failure = _equal_sum_edge(g, sums)
     proper = failure is None
     classes: dict[int, list[int]] = {}
     for v in g.vertices:
@@ -256,6 +252,27 @@ def verify_local_antimagic(
     return LabelingCertificate(bijection_ok, proper, color_classes, count, lower_bound, verdict, failure)
 
 
+def _equal_sum_edge(g: Graph, sums) -> Edge | None:
+    """The first edge of g, in edge order, whose ends have equal sums.
+
+    ``sums[v]`` is v's sum, entry 0 unused. The own edges are scanned one
+    by one. A join block (see ``Graph._join_block``) joins every vertex of
+    1..p to every one of p+1..n, so one of its edges has equal ends exactly
+    when the two sides share a sum; only then are its edges walked, to name
+    the first.
+    """
+    block = g._join_block
+    p, own = block or (0, g.q)
+    for a, b in g.edges[:own]:
+        if sums[a] == sums[b]:
+            return a, b
+    if block and not set(sums[1:p + 1]).isdisjoint(sums[p + 1:]):
+        for a, b in g.edges[own:]:
+            if sums[a] == sums[b]:
+                return a, b
+    return None
+
+
 def complement_labeling(g: Graph, f: EdgeLabeling) -> EdgeLabeling:
     """The reflected labeling e -> q+1-f(e); sums become deg(v)(q+1)-f+(v)."""
     q = g.q
@@ -264,8 +281,8 @@ def complement_labeling(g: Graph, f: EdgeLabeling) -> EdgeLabeling:
 
 def complement_sums(g: Graph, sums: Mapping[int, int]) -> dict[int, int]:
     """The sums of ``complement_labeling(g, f)`` from f's sums on g: deg(v)(q+1) - f+(v)."""
-    q1, degree = g.q + 1, g.degree
-    return {v: degree(v) * q1 - sums[v] for v in g.vertices}
+    q1 = g.q + 1
+    return {v: d * q1 - sums[v] for v, d in g._degrees.items()}
 
 
 def check_complement_valid(g: Graph, f: EdgeLabeling) -> tuple[bool, tuple[int, int] | None]:
@@ -313,17 +330,16 @@ def check_deletion_certificate(g: Graph, f: EdgeLabeling, e: Edge) -> bool:
 
 def check_deletion_sums(g: Graph, sums: Mapping[int, int]) -> bool:
     """``check_deletion_certificate`` after its f(e) = 1 test, on f's sums on g."""
-    for a, b in g.edges:
-        if sums[a] == sums[b]:
-            return False
-    class_degree: dict[int, int] = {}
-    for v in g.vertices:
-        d = g.degree(v)
-        if class_degree.setdefault(sums[v], d) != d:
-            return False
-    minus = {s - d for s, d in class_degree.items()}
-    plus = {s + d for s, d in class_degree.items()}
-    return len(minus) == len(plus) == len(class_degree)
+    table = [0, *map(sums.__getitem__, g.vertices)]
+    if _equal_sum_edge(g, table) is not None:
+        return False
+    # one (sum, degree) pair per class, unless a class holds two degrees
+    classes = set(zip(table[1:], g._degrees.values()))
+    if len(dict(classes)) != len(classes):
+        return False
+    minus = {s - d for s, d in classes}
+    plus = {s + d for s, d in classes}
+    return len(minus) == len(plus) == len(classes)
 
 
 def delete_labeled_edge(g: Graph, f: EdgeLabeling, e: Edge) -> tuple[Graph, EdgeLabeling]:

@@ -92,6 +92,15 @@ def rng():
     return random.Random(20240817)
 
 
+def is_int_pair(x) -> bool:
+    """True for a JSON edge: a list of two integers (``true`` is no integer).
+
+    The JSON readers make the same test inline, one edge at a time; the
+    per-item references of the tests make it through this function.
+    """
+    return isinstance(x, list) and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
+
+
 def per_vertex_roles(verts):
     """The roles in id order, checked one vertex at a time: the reference
     for Graph.from_json, which raises these messages in this order."""

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import SMALLEST_ORDER, built_graphs, per_vertex_roles, random_graph
+from conftest import SMALLEST_ORDER, built_graphs, is_int_pair, per_vertex_roles, random_graph
 from lajoin.graphs import (
     Graph,
     ParameterError,
@@ -15,7 +15,6 @@ from lajoin.graphs import (
     chromatic_number_exact,
     delete_edge,
     edge,
-    is_int_pair,
     join,
 )
 
@@ -247,6 +246,46 @@ def test_graphs_built_without_the_check_pass_it(g):
     assert Graph(g.n, g.edges, g.roles, g.family) == g
     degrees = Counter(v for e in g.edges for v in e)
     assert all(g.degree(v) == degrees[v] for v in g.vertices)
+    assert g._join_block == Graph._unchecked(*g)._join_block
+
+
+def _desk_graphs():
+    """The graphs solve-desk searches: ten registry points, then C_3 v O_2
+    less a join edge and less a cycle edge."""
+    from lajoin.constructions import family_graph
+
+    points = [
+        ("path-join-null", {"m": 2, "N": 1}), ("path-join-null", {"m": 3, "N": 1}),
+        ("path-join-null", {"m": 1, "N": 2}), ("path-join-null", {"m": 1, "N": 4}),
+        ("path-join-null", {"m": 2, "N": 2}), ("path-join-cycle", {"m": 1, "n": 2}),
+        ("path-join-complete", {"m": 1, "r": 3}), ("cycle-join-null", {"m": 2, "n": 1}),
+        ("odd-cycle-join-even-null", {"n": 1}), ("complete-join-odd-cycle", {"n": 1, "m": 2}),
+    ]
+    c3_o2 = join(build_family("cycle", 3), build_family("null", 2))
+    return [family_graph(*point) for point in points] + [delete_edge(c3_o2, (1, 4)), delete_edge(c3_o2, (1, 2))]
+
+
+def test_join_and_delete_edge_leave_the_block_a_fresh_graph_derives(budget_400_sweep):
+    # join fills in the join block, and delete_edge carries it over past an
+    # own edge, so every block these graphs have was left there, not derived;
+    # past a join edge none is left and none is found. A fresh copy, with
+    # nothing cached, must derive the same block and degree table from its
+    # edges alone, and the degrees must be those counted edge by edge.
+    graphs = [res.graph for _, _, res in budget_400_sweep.points]
+    graphs += _desk_graphs()
+    blockless = 0
+    for g in graphs:
+        fresh = Graph._unchecked(*g)
+        assert not vars(fresh)
+        if fresh._join_block is None:
+            blockless += 1
+        else:
+            assert "_join_block" in vars(g), g
+        assert g._join_block == fresh._join_block, g
+        counted = Counter(v for e in g.edges for v in e)
+        assert g._degrees == fresh._degrees == {v: counted[v] for v in g.vertices}, g
+    # the join-edge points of cycle-join-null-minus-edge, and C_3 v O_2 less (1, 4)
+    assert blockless == sum(params.get("which") == "join-edge" for _, params, _ in budget_400_sweep.points) + 1
 
 
 def test_chromatic_small():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import built_graphs, per_vertex_roles, random_graph, random_labeling
+from conftest import built_graphs, is_int_pair, per_vertex_roles, random_graph, random_labeling
 from lajoin.constructions import (
     ALL_FAMILIES,
     GENERIC_FAMILIES,
@@ -15,14 +15,16 @@ from lajoin.constructions import (
     label_path_join_null,
     sweep_points,
 )
-from lajoin.graphs import Graph, ParameterError, _family_from_json, build_family, delete_edge, edge, is_int_pair, join
+from lajoin.graphs import Graph, ParameterError, _family_from_json, build_family, delete_edge, edge, join
 from lajoin.labelings import (
     EdgeLabeling,
     LabelingCertificate,
     LabelingError,
     check_complement_valid,
     check_deletion_certificate,
+    check_deletion_sums,
     complement_labeling,
+    complement_sums,
     delete_labeled_edge,
     export_matrix,
     induced_sums,
@@ -824,6 +826,83 @@ def test_labelings_from_values_mappings_and_json_agree(case):
         assert h == delete_edge(g, e) and deleted.graph is h
         assert deleted.labels == {x: lab - 1 for x, lab in labels.items() if x != e}
         assert tuple(deleted.labels) == h.edges
+
+
+# -- the adjacency check on a join block (all p·(n-p) edges between 1..p
+# and p+1..n), against a loop over every edge
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 5))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, tuple(edges), tuple(f"u{i}" for i in range(1, n + 1)))
+
+
+def _cross_ties(g, p, values):
+    """Each swap (i, j) of two labels after which a vertex of 1..p and one
+    of p+1..n share a sum."""
+    sums = [0] * (g.n + 1)
+    for (a, b), lab in zip(g.edges, values):
+        sums[a] += lab
+        sums[b] += lab
+    for i, j in itertools.combinations(range(g.q), 2):
+        d = values[j] - values[i]
+        after = sums.copy()
+        for v in g.edges[i]:
+            after[v] += d
+        for v in g.edges[j]:
+            after[v] -= d
+        if not set(after[1:p + 1]).isdisjoint(after[p + 1:]):
+            yield i, j
+
+
+@st.composite
+def joined_labelings(draw):
+    """join(A, B) of two small random graphs, at times less one own edge or
+    one join edge, labeled by a permutation of 1..q; at times two labels
+    are then swapped so that a vertex of A and one of B share a sum."""
+    a, b = draw(small_graphs()), draw(small_graphs())
+    g = join(a, b)
+    own = a.q + b.q
+    cut = draw(st.sampled_from(["none", "own", "join"] if own else ["none", "join"]))
+    if cut != "none":
+        i = draw(st.integers(0, own - 1) if cut == "own" else st.integers(own, g.q - 1))
+        g = delete_edge(g, g.edges[i])
+    values = list(draw(st.permutations(range(1, g.q + 1))))
+    if draw(st.booleans()):
+        swaps = list(_cross_ties(g, a.n, values))
+        if swaps:
+            i, j = draw(st.sampled_from(swaps))
+            values[i], values[j] = values[j], values[i]
+    return g, EdgeLabeling.from_values(g, values)
+
+
+def _reference_deletion_sums(g, sums):
+    # check_deletion_sums as one loop over every edge, then one over every
+    # vertex with its degree counted from the edges
+    if any(sums[a] == sums[b] for a, b in g.edges):
+        return False
+    class_degree = {}
+    for v in g.vertices:
+        d = sum(v in e for e in g.edges)
+        if class_degree.setdefault(sums[v], d) != d:
+            return False
+    minus = {s - d for s, d in class_degree.items()}
+    plus = {s + d for s, d in class_degree.items()}
+    return len(minus) == len(plus) == len(class_degree)
+
+
+@settings(max_examples=300)
+@given(joined_labelings())
+def test_block_adjacency_check_matches_the_edge_loop(case):
+    g, f = case
+    assert repr(verify_local_antimagic(g, f)) == repr(_reference_verify(g, f))
+    sums = _reference_vertex_sums(f.labels, g.n)
+    assert check_deletion_sums(g, sums) == _reference_deletion_sums(g, sums)
+    degree = {v: sum(v in e for e in g.edges) for v in g.vertices}
+    assert complement_sums(g, sums) == {v: degree[v] * (g.q + 1) - sums[v] for v in g.vertices}
 
 
 def test_from_values_needs_one_label_per_edge():
