@@ -913,7 +913,8 @@ def test_null_join_grids_match_the_per_cell_tables():
     # Each cell of a grid labels one edge, so a sweep point with at most 400
     # edges asks only for grids of at most 400 cells: P_2m v O_2 has 4m,
     # P_2m v O_2n 4mn and P_2m v O_{2n-1} 2m(2n - 1). Every such grid is
-    # checked, the odd one also shifted by 1 as every cycle join takes it.
+    # checked, and every grid with m and n in 2..15, the odd one also shifted
+    # by 1 as every cycle join takes it.
     from lajoin.constructions import _even_null_join, _null2_join, _odd_null_join
 
     def cells(grid):
@@ -923,15 +924,16 @@ def test_null_join_grids_match_the_per_cell_tables():
     for m in range(2, 101):
         assert cells(_null2_join(m)) == _reference_null2_join(m), m
         for n in range(2, 101):
-            if 4 * m * n <= 400:
+            square = m <= 15 and n <= 15
+            if square or 4 * m * n <= 400:
                 assert cells(_even_null_join(m, n)) == _reference_even_null_join(m, n), (m, n)
                 checked["even"] += 1
-            if 2 * m * (2 * n - 1) <= 400:
+            if square or 2 * m * (2 * n - 1) <= 400:
                 odd = _reference_odd_null_join(m, n)
                 assert cells(_odd_null_join(m, n)) == odd, (m, n)
                 assert cells(_odd_null_join(m, n, 1)) == {key: x + 1 for key, x in odd.items()}, (m, n)
                 checked["odd"] += 1
-    assert checked == {"even": 283, "odd": 317}
+    assert checked == {"even": 334, "odd": 365}
 
 
 def _graph_data(g: Graph) -> tuple:

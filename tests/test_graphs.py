@@ -266,22 +266,27 @@ def _desk_graphs():
 
 
 def test_join_and_delete_edge_leave_the_block_a_fresh_graph_derives(budget_400_sweep):
-    # join fills in the join block, and delete_edge carries it over past an
-    # own edge, so every block these graphs have was left there, not derived;
-    # past a join edge none is left and none is found. A fresh copy, with
-    # nothing cached, must derive the same block and degree table from its
-    # edges alone, and the degrees must be those counted edge by edge.
+    # Every graph here is a join, or a join less one edge. A join's block is
+    # its u side against its v side, after the own edges; deleting an own edge
+    # keeps it and deleting a join edge leaves none. The block and degree
+    # table that join and delete_edge leave must be those a fresh copy, with
+    # nothing cached, derives from its edges alone, and the degrees those
+    # counted edge by edge.
     graphs = [res.graph for _, _, res in budget_400_sweep.points]
     graphs += _desk_graphs()
     blockless = 0
     for g in graphs:
-        fresh = Graph._unchecked(*g)
-        assert not vars(fresh)
-        if fresh._join_block is None:
+        p = sum(role.startswith("u") for role in g.roles)
+        kind, *_, deleted = g.family
+        assert kind in ("join", "minus-edge"), g
+        if kind == "minus-edge" and deleted[0] <= p < deleted[1]:
+            expected = None
             blockless += 1
         else:
-            assert "_join_block" in vars(g), g
-        assert g._join_block == fresh._join_block, g
+            expected = (p, g.q - p * (g.n - p))
+        fresh = Graph._unchecked(*g)
+        assert not vars(fresh)
+        assert g._join_block == fresh._join_block == expected, g
         counted = Counter(v for e in g.edges for v in e)
         assert g._degrees == fresh._degrees == {v: counted[v] for v in g.vertices}, g
     # the join-edge points of cycle-join-null-minus-edge, and C_3 v O_2 less (1, 4)
