@@ -11,10 +11,10 @@ the caller (``verify_local_antimagic`` or the solver harness) so claimed
 and recomputed data stay independent.
 
 ``FAMILIES`` is the registry: one record per family states its parameters,
-generator, closed-form edge count, the parts of each point's graph, sweep
-domain, excluded points and the points left to cited work, and
-``build_construction``, ``family_graph``, ``sweep_points`` and the CLI
-flags are read from it. The cited points (fans, wheels, double-apex
+generator, the parts of each point's graph, sweep domain, excluded points
+and the points left to cited work, and ``build_construction``,
+``family_graph``, ``edge_count``, ``sweep_points`` and the CLI flags are
+read from it. The cited points (fans, wheels, double-apex
 joins) are refused by their generators; ``build_construction`` raises
 CitedCaseError there, carrying the graph and the cited value, and callers
 may route those to the exact solver.
@@ -26,7 +26,7 @@ import itertools
 from typing import Callable, NamedTuple, Sequence
 
 from .arrays import drop_column_and_rotate, magic_rectangle, nearly_magic_rectangle, siamese_magic_square
-from .graphs import Edge, Graph, ParameterError, build_family, delete_edge, edge, join
+from .graphs import FAMILY_SIZE, Edge, Graph, ParameterError, build_family, delete_edge, edge, join
 from .labelings import (
     EdgeLabeling,
     check_complement_sums,
@@ -639,9 +639,9 @@ class Family(NamedTuple):
     then, for a family with ``which_values``, its ``which``, the first of
     them when not given; ``params`` names these in that order, and every
     callable takes a point's values in that order. ``build`` labels the
-    point; ``q`` is the closed-form edge count of its graph; ``parts``
-    gives the ``build_family`` arguments of the two parts that graph
-    joins, then, for a minus-edge family, the edge deleted from the join.
+    point; ``parts`` gives the ``build_family`` arguments of the two parts
+    its graph joins, then, for a minus-edge family, the edge deleted from
+    the join; the graph and its edge count are read from them.
     ``excluded``, when set, is true at the points the sweep skips, and
     ``cited``, when set, gives ``(what, chi_la)`` at a point left to cited
     work and None elsewhere; no sweep point is cited. The sweep walks
@@ -654,7 +654,6 @@ class Family(NamedTuple):
 
     name: str
     build: Callable[..., ConstructionResult]
-    q: Callable[..., int]
     parts: Callable[..., tuple]
     axes: tuple[tuple[str, int, int], ...] = ()
     which_values: tuple[str, ...] = ()
@@ -670,55 +669,46 @@ class Family(NamedTuple):
 # In FAMILIES.md order.
 FAMILIES = (
     Family("path-join-null", label_path_join_null,
-           q=lambda m, N: 2 * m - 1 + 2 * m * N, parts=lambda m, N: (("path", 2 * m), ("null", N)),
-           axes=(("m", 2, 1), ("N", 2, 1)),
+           parts=lambda m, N: (("path", 2 * m), ("null", N)), axes=(("m", 2, 1), ("N", 2, 1)),
            cited=lambda m, N: ("P_2 v O_N joins", 3) if m == 1 and N >= 1 else _fan(m, N)),
-    Family("p7-o3", label_p7_o3, q=lambda: 27, parts=lambda: (("path", 7), ("null", 3))),
+    Family("p7-o3", label_p7_o3, parts=lambda: (("path", 7), ("null", 3))),
     Family("path-join-cycle", label_path_join_cycle,
-           q=lambda m, n: 4 * m * n + 2 * n - 2, parts=lambda m, n: (("path", 2 * m), ("cycle", 2 * n - 1)),
-           axes=(("m", 1, 1), ("n", 2, 1))),
+           parts=lambda m, n: (("path", 2 * m), ("cycle", 2 * n - 1)), axes=(("m", 1, 1), ("n", 2, 1))),
     Family("path-join-complete", label_path_join_complete,
-           q=lambda m, r: 2 * m - 1 + 2 * m * r + r * (r - 1) // 2,
            # at m = 1 the whole graph is K_{r+2}, labeled as one
            parts=lambda m, r: (("path", 2 * m), ("complete", r) if m == 1 else _complete_part(r)),
            axes=(("m", 2, 1), ("r", 2, 1)), cited=_fan),
     Family("cycle-join-null", label_cycle_join_null,
-           q=lambda m, n: 4 * m * n, parts=lambda m, n: (("cycle", 2 * m), ("null", 2 * n - 1)),
+           parts=lambda m, n: (("cycle", 2 * m), ("null", 2 * n - 1)),
            axes=(("m", 2, 1), ("n", 2, 1)), cited=_wheel),
     Family("odd-cycle-join-even-null", label_odd_cycle_join_even_null,
-           q=lambda n: (2 * n + 1) ** 2, parts=lambda n: (("cycle", 2 * n + 1), ("null", 2 * n)),
-           axes=(("n", 1, 1),)),
+           parts=lambda n: (("cycle", 2 * n + 1), ("null", 2 * n)), axes=(("n", 1, 1),)),
     Family("cycle-join-null-minus-edge", label_cycle_join_null_minus_edge,
-           q=lambda m, n, which: 4 * m * n - 1,
            parts=lambda m, n, which: (("cycle", 2 * m), ("null", 2 * n - 1), _deleted_edge(m, which)),
            axes=(("m", 2, 1), ("n", 2, 1)), which_values=("cycle-edge", "join-edge"),
            excluded=lambda m, n, which: which == "join-edge" and (m, n) == JOIN_EDGE_COLLISION),
     Family("cycle-join-cycle", label_cycle_join_cycle,
-           q=lambda m, n: 4 * m * n + 2 * n - 1, parts=lambda m, n: (("cycle", 2 * m), ("cycle", 2 * n - 1)),
+           parts=lambda m, n: (("cycle", 2 * m), ("cycle", 2 * n - 1)),
            axes=(("m", 2, 1), ("n", 2, 1)), excluded=_cycle_cycle_collision),
     Family("cycle-join-cycle-minus-edge", label_cycle_join_cycle_minus_edge,
-           q=lambda m, n: 4 * m * n + 2 * n - 2,
            parts=lambda m, n: (("cycle", 2 * m), ("cycle", 2 * n - 1), _deleted_edge(m, "cycle-edge")),
            axes=(("m", 2, 1), ("n", 2, 1)), excluded=_cycle_cycle_collision),
     Family("cycle-join-complete", label_cycle_join_complete,
-           q=lambda m, r: 2 * m * (r + 1) + r * (r - 1) // 2,
            parts=lambda m, r: (("cycle", 2 * m), _complete_part(r)),
            axes=(("m", 2, 1), ("r", 5, 2)), cited=_wheel),
     Family("complete-join-odd-cycle", label_complete_join_odd_cycle,
-           q=lambda n, m: (2 * n + 1) * (2 * m - 1) + n * (2 * n - 1),
            parts=lambda n, m: (("complete", 2 * n), ("cycle", 2 * m - 1)), axes=(("n", 1, 1), ("m", 2, 1))),
     Family("generic-join-null", lambda n: label_generic_join_null(_C4.graph, _C4, n),
-           q=lambda n: 4 + 4 * n, parts=lambda n: (_C4.graph.family, ("null", n)), axes=(("n", 2, 2),),
+           parts=lambda n: (_C4.graph.family, ("null", n)), axes=(("n", 2, 2),),
            excluded=lambda n: _clash(_C4.sums, *_null_colors(_C4.graph, n)) is not None, seed=_C4),
     Family("generic-join-complete-bipartite",
            lambda m, n: label_generic_join_complete_bipartite(_P4.graph, _P4, m, n),
-           q=lambda m, n: 3 + 4 * (m + n) + m * n,
            parts=lambda m, n: (_P4.graph.family, ("complete-bipartite", m, n)),
            axes=(("m", 2, 1), ("n", 2, 1)), seed=_P4,
            excluded=lambda m, n: not _bipartite_parts_ok(m, n)
            or _clash(_P4.sums, *_bipartite_colors(_P4.graph, m, n)) is not None),
     Family("generic-join-cycle", lambda m: label_generic_join_cycle(_K3.graph, _K3, m),
-           q=lambda m: 3 + 4 * m, parts=lambda m: (_K3.graph.family, ("cycle", m)), axes=(("m", 3, 2),),
+           parts=lambda m: (_K3.graph.family, ("cycle", m)), axes=(("m", 3, 2),),
            excluded=lambda m: _clash(_K3.sums, *_cycle_colors(_K3.graph, m)) is not None, seed=_K3),
 )
 
@@ -754,10 +744,20 @@ def _args(fam: Family, params: dict) -> tuple:
     return args + (params.get("which", fam.which_values[0]),) if fam.which_values else args
 
 
+def _edge_count(fam: Family, args: Sequence) -> int:
+    # The join of parts of orders na, nb and sizes qa, qb has
+    # qa + qb + na·nb edges, less one for a deleted edge; nothing is built.
+    first, second, *deleted = fam.parts(*args)
+    na, qa = FAMILY_SIZE[first[0]](*first[1:])
+    nb, qb = FAMILY_SIZE[second[0]](*second[1:])
+    return qa + qb + na * nb - len(deleted)
+
+
 def edge_count(family: str, params: dict) -> int:
-    """The closed-form edge count ``q`` at parameters ``check_params`` accepts."""
+    """The edge count of ``family_graph(family, params)``, read from the registry's parts
+    before any graph is built."""
     fam = check_params(family, params)
-    return fam.q(*_args(fam, params))
+    return _edge_count(fam, _args(fam, params))
 
 
 def family_graph(family: str, params: dict) -> Graph:
@@ -811,7 +811,7 @@ def sweep_points(family: str, max_edges: int = 400) -> list[dict]:
         point = dict(zip(names, values))  # copied per point: cheaper than a new dict
         for value in itertools.count(start, step):
             values[depth] = value
-            if fam.q(*values) > max_edges:
+            if _edge_count(fam, values) > max_edges:
                 break
             if not innermost:
                 walk(depth + 1, values)
@@ -822,7 +822,7 @@ def sweep_points(family: str, max_edges: int = 400) -> list[dict]:
 
     for which in fam.which_values or (None,):
         values = [start for _, start, _ in fam.axes] + ([] if which is None else [which])
-        if fam.q(*values) > max_edges:
+        if _edge_count(fam, values) > max_edges:
             continue
         if fam.axes:
             walk(0, values)

@@ -119,25 +119,11 @@ class Graph(_GraphFields):
             adj[b].append(a)
         return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
-    @cached_property
-    def _join_block(self) -> tuple[int, int] | None:
-        """The join block ``(p, offset)``, or None when the edges end in none.
-
-        The block is the p·(n-p) edges (i, p+j), row by row, that join
-        vertices 1..p to all of p+1..n, laid out as ``join`` lays out its
-        join edges; ``edges[offset:]`` is the block and ``edges[:offset]``
-        the own edges. It is read from the edges alone: the last edge must
-        be (p, n), which fixes p. ``join`` fills it in, and ``delete_edge``
-        carries it over when the deleted edge is an own edge.
-        """
-        edges, n = self.edges, self.n
-        if not edges or edges[-1][1] != n:
-            return None
-        p = edges[-1][0]
-        offset = len(edges) - p * (n - p)
-        if offset < 0 or edges[offset:] != tuple(itertools.product(range(1, p + 1), range(p + 1, n + 1))):
-            return None
-        return p, offset
+    # The join block (p, offset): ``edges[offset:]`` are the p·(n-p) edges
+    # (i, p+j) joining 1..p to all of p+1..n, row by row as ``join`` lays them
+    # out, after the own edges. ``join`` records it and ``_delete_edge_at``
+    # carries it past a deleted own edge; every other graph has none.
+    _join_block: tuple[int, int] | None = None
 
     @cached_property
     def _degrees(self) -> dict[int, int]:
@@ -315,6 +301,16 @@ def build_family(kind: str, *params: int) -> Graph:
     return Graph._unchecked(m + n, edges, roles, ("complete-bipartite", m, n))
 
 
+# build_family kind -> (order, size) of the graph it builds from those parameters
+FAMILY_SIZE = {
+    "path": lambda m: (m, m - 1),
+    "cycle": lambda m: (m, m),
+    "null": lambda n: (n, 0),
+    "complete": lambda r: (r, r * (r - 1) // 2),
+    "complete-bipartite": lambda m, n: (m + n, m * n),
+}
+
+
 def join(a: Graph, b: Graph) -> Graph:
     """Join of two graphs: disjoint union plus all edges between the parts.
 
@@ -361,7 +357,7 @@ def _delete_edge_at(g: Graph, i: int) -> Graph:
     """``g`` without ``g.edges[i]``, for a caller that has found the index.
 
     Deleting an own edge leaves ``g``'s join block one place earlier; after
-    a block edge, the new graph derives its own.
+    a block edge, the new graph has none.
     """
     edges = g.edges[:i] + g.edges[i + 1:]
     h = Graph._unchecked(g.n, edges, g.roles, ("minus-edge", g.family, g.edges[i]))

@@ -246,7 +246,19 @@ def test_graphs_built_without_the_check_pass_it(g):
     assert Graph(g.n, g.edges, g.roles, g.family) == g
     degrees = Counter(v for e in g.edges for v in e)
     assert all(g.degree(v) == degrees[v] for v in g.vertices)
-    assert g._join_block == Graph._unchecked(*g)._join_block
+    _assert_block_holds(g)
+
+
+def _assert_block_holds(g: Graph) -> None:
+    # A recorded join block (p, offset) must be the edges (i, p+j) that
+    # close the edge list row by row. A fresh copy of the same fields has
+    # no block, so it counts every edge, and its degrees must agree.
+    if g._join_block is not None:
+        p, offset = g._join_block
+        assert g.edges[offset:] == tuple((i, p + j) for i in range(1, p + 1) for j in range(1, g.n - p + 1)), g
+    fresh = Graph._unchecked(*g)
+    assert fresh._join_block is None
+    assert fresh._degrees == g._degrees, g
 
 
 def _desk_graphs():
@@ -265,13 +277,12 @@ def _desk_graphs():
     return [family_graph(*point) for point in points] + [delete_edge(c3_o2, (1, 4)), delete_edge(c3_o2, (1, 2))]
 
 
-def test_join_and_delete_edge_leave_the_block_a_fresh_graph_derives(budget_400_sweep):
+def test_join_and_delete_edge_record_the_block(budget_400_sweep):
     # Every graph here is a join, or a join less one edge. A join's block is
     # its u side against its v side, after the own edges; deleting an own edge
-    # keeps it and deleting a join edge leaves none. The block and degree
-    # table that join and delete_edge leave must be those a fresh copy, with
-    # nothing cached, derives from its edges alone, and the degrees those
-    # counted edge by edge.
+    # keeps it and deleting a join edge leaves none. The block that join and
+    # delete_edge record must be those edges, and the degree table must be
+    # the one counted edge by edge, as in a fresh copy that has no block.
     graphs = [res.graph for _, _, res in budget_400_sweep.points]
     graphs += _desk_graphs()
     blockless = 0
@@ -284,11 +295,10 @@ def test_join_and_delete_edge_leave_the_block_a_fresh_graph_derives(budget_400_s
             blockless += 1
         else:
             expected = (p, g.q - p * (g.n - p))
-        fresh = Graph._unchecked(*g)
-        assert not vars(fresh)
-        assert g._join_block == fresh._join_block == expected, g
+        assert g._join_block == expected, g
+        _assert_block_holds(g)
         counted = Counter(v for e in g.edges for v in e)
-        assert g._degrees == fresh._degrees == {v: counted[v] for v in g.vertices}, g
+        assert g._degrees == {v: counted[v] for v in g.vertices}, g
     # the join-edge points of cycle-join-null-minus-edge, and C_3 v O_2 less (1, 4)
     assert blockless == sum(params.get("which") == "join-edge" for _, params, _ in budget_400_sweep.points) + 1
 
