@@ -60,17 +60,17 @@ def dump_json(obj) -> str:
     """``obj`` as ``json.dumps`` writes it with sorted keys and an indent
     of 2, plus a final newline.
 
-    Every JSON document lajoin emits is written here, apart from gen's
-    labeling document (see ``dump_labeling``).
+    Every JSON document lajoin emits is written here; gen's labeling
+    document (see ``dump_labeling``) splices its three long lists into it.
     """
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-# One item of each long list of gen's labeling document, indented where
-# dump_json puts it: graph edges and vertices at depth 3, labels at depth 2.
-_EDGE_ITEM = "[\n        %d,\n        %d\n      ]"
-_VERTEX_ITEM = '{\n        "id": %d,\n        "role": %s\n      }'
-_LABEL_ITEM = '{\n      "edge": [\n        %d,\n        %d\n      ],\n      "label": %d\n    }'
+# One item of each long list of gen's labeling document, as
+# json.dumps(item, indent=2) writes it; _items indents it to its list's depth.
+_EDGE_ITEM = "[\n  %d,\n  %d\n]"
+_VERTEX_ITEM = '{\n  "id": %d,\n  "role": %s\n}'
+_LABEL_ITEM = '{\n  "edge": [\n    %d,\n    %d\n  ],\n  "label": %d\n}'
 
 
 def dump_labeling(res: ConstructionResult, family: str, params: dict) -> str:
@@ -78,49 +78,48 @@ def dump_labeling(res: ConstructionResult, family: str, params: dict) -> str:
     ``res.labeling.to_json()`` with ``family``, ``params``,
     ``claimed_chi_la`` and ``claimed_colors`` added.
 
-    The graph's edges and vertices and the labels are written straight
-    from the edge tuple, the roles and the label tuple, one ``%`` format
-    per list, with no dict or list per edge; the other fields go through
-    ``_dumps``. Ids, endpoints and labels are ints, as in every labeling
-    lajoin builds.
+    ``dump_json`` writes it with its edge, vertex and label lists empty;
+    ``_items`` writes each list from the edge tuple, the roles and the
+    label tuple in place of the first ``"edges": []``, then
+    ``"vertices": []``, then ``"labels": []``, in sorted-key order. Each
+    first match is the list's own: the keys sort before ``"params"``, the
+    one field that may hold objects, and ``json.dumps`` writes a quote in
+    a string as ``\\"``, so no string holds a pattern. Ids, endpoints and
+    labels are ints, as in every labeling lajoin builds.
     """
     g, edges = res.graph, res.graph.edges
+    text = dump_json({
+        "claimed_chi_la": res.claimed_chi_la, "claimed_colors": sorted(res.claimed_colors),
+        "family": family, "labels": [], "params": params, "schema": "v1",
+        "graph": {"edges": [], "family": g.family, "schema": "v1", "vertices": []},
+    })
     firsts, seconds = map(itemgetter(0), edges), map(itemgetter(1), edges)
-    return "".join((
-        '{\n  "claimed_chi_la": ', _dumps(res.claimed_chi_la, "\n  "),
-        ',\n  "claimed_colors": ', _dumps(sorted(res.claimed_colors), "\n  "),
-        ',\n  "family": ', _dumps(family, "\n  "),
-        ',\n  "graph": {\n    "edges": ', _items(_EDGE_ITEM, edges, "\n    "),
-        # tuples are written as lists, as Graph.to_json gives them
-        ',\n    "family": ', _dumps(g.family, "\n    "),
-        ',\n    "schema": "v1",\n    "vertices": ',
-        _items(_VERTEX_ITEM, zip(g.vertices, map(_escape, g.roles)), "\n    "),
-        '\n  },\n  "labels": ',
-        _items(_LABEL_ITEM, sorted(zip(firsts, seconds, res.labeling.values)), "\n  "),
-        ',\n  "params": ', _dumps(params, "\n  "),
-        ',\n  "schema": "v1"\n}\n',
-    ))
+    parts = []
+    for key, template, rows in (
+        ('"edges": []', _EDGE_ITEM, edges),
+        ('"vertices": []', _VERTEX_ITEM, zip(g.vertices, map(_escape, g.roles))),
+        ('"labels": []', _LABEL_ITEM, sorted(zip(firsts, seconds, res.labeling.values))),
+    ):
+        head, _, text = text.partition(key)
+        # the key opens its line, so the head ends in that line's newline and indent
+        parts += head, key[:-2], _items(template, rows, head[head.rindex("\n"):])
+    return "".join(parts) + text
 
 
 def _items(template: str, rows, newline: str) -> str:
     """A list whose items are ``template % row``, as ``json.dumps`` with an
     indent of 2 writes it on a line indented as ``newline``.
 
-    The whole list is one ``%``: the template once per row, joined by the
-    separator, applied to the rows' values in order.
+    The whole list is one ``%``: the template, indented past ``newline``,
+    once per row, joined by the separator, applied to the rows' values.
     """
     rows = tuple(rows)
     if not rows:
         return "[]"
     inner = newline + "  "
-    body = ("," + inner).join([template] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    item = template.replace("\n", inner)
+    body = ("," + inner).join([item] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
     return "[" + inner + body + newline + "]"
-
-
-def _dumps(obj, newline: str) -> str:
-    # ``newline`` is "\n" plus the indent of the line that holds ``obj``;
-    # json escapes a newline inside a string, so each "\n" is a line break.
-    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline)
 
 
 def _read_json(path: str):

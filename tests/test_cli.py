@@ -24,7 +24,7 @@ from lajoin.constructions import (
     build_construction,
     sweep_points,
 )
-from lajoin.graphs import ParameterError, build_family
+from lajoin.graphs import Graph, ParameterError, build_family
 from lajoin.labelings import EdgeLabeling, verify_local_antimagic
 from lajoin.solver import exact_chi_la
 
@@ -970,18 +970,32 @@ def test_gen_on_the_solver_route_writes_dump_json_of_the_payload(capsys):
     assert out == dump_json(gen_payload(res, "path-join-null", params))
 
 
-@pytest.mark.parametrize("graph,labels,lists", [
-    (build_family("null", 3), (), ('"edges": [],', '"labels": [],', '"claimed_colors": [],')),
-    (build_family("path", 2), (1,), ('"edges": [\n      [\n        1,\n        2\n      ]\n    ],',
-                                     '"label": 1\n    }\n  ],')),
-], ids=["edgeless", "one-edge"])
-def test_dump_labeling_writes_empty_lists_as_dump_json_does(graph, labels, lists):
-    # The one-format list writer at 0 and 1 items.
+# Each splice pattern of dump_labeling, a quote, a backslash and non-ASCII text.
+_SPLICE_TEXT = '"edges": [] "vertices": [] "labels": [] \\ \u00e9\u4e2d'
+
+
+@pytest.mark.parametrize("graph,labels,family,params,lists", [
+    (build_family("null", 3), (), "null", {}, ('"edges": [],', '"labels": [],', '"claimed_colors": [],')),
+    (build_family("path", 2), (1,), "path", {}, ('"edges": [\n      [\n        1,\n        2\n      ]\n    ],',
+                                                 '"label": 1\n    }\n  ],')),
+    # the patterns in every string the document holds, and as keys in params
+    (Graph(2, ((1, 2),), ("u1", "v1"), ("join", _SPLICE_TEXT, ("path", 1))), (1,), _SPLICE_TEXT,
+     {"which": _SPLICE_TEXT, "edges": [], "labels": [], "vertices": []},
+     ('"label": 1\n    }\n  ],', '"params": {\n    "edges": [],\n    "labels": [],')),
+], ids=["edgeless", "one-edge", "patterns-in-strings"])
+def test_dump_labeling_writes_empty_lists_as_dump_json_does(graph, labels, family, params, lists):
+    # The one-format list writer at 0 and 1 items, and the splice of its lists.
     res = ConstructionResult(graph, EdgeLabeling.from_values(graph, labels), frozenset(), 1)
-    family = graph.family[0]
-    text = dump_labeling(res, family, {})
-    assert text == dump_json(gen_payload(res, family, {}))
+    text = dump_labeling(res, family, params)
+    assert text == dump_json(gen_payload(res, family, params))
     assert all(part in text for part in lists)
+    # each item template is json.dumps of one item, at no depth
+    for template, values, item in [
+        (cli._EDGE_ITEM, (3, 14), [3, 14]),
+        (cli._VERTEX_ITEM, (5, json.dumps("v12")), {"id": 5, "role": "v12"}),
+        (cli._LABEL_ITEM, (2, 7, 11), {"edge": [2, 7], "label": 11}),
+    ]:
+        assert template % values == json.dumps(item, sort_keys=True, indent=2)
 
 
 def test_gen_stdout_is_the_out_file(tmp_path, capsys):

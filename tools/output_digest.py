@@ -20,9 +20,18 @@ code, standard output, standard error and written files go into the hash:
   edges reversed, or their vertex ids listed in reverse order. Each
   labeling goes through ``verify`` and ``matrix --input``, and each graph
   through ``solve --input --max-edges 1``, which refuses every graph read
-  before it searches, so its output holds no elapsed time.
+  before it searches, so its output holds no elapsed time;
+- ``routes``: the command paths the sections above miss. ``gen --matrix``
+  at the 13 cited points with at most 12 edges (the solver route, its
+  stderr note included); ``sweep --format csv`` and ``--format pretty``
+  for each family at ``--max-total-edges 40``; ``sweep --format json``
+  over explicit ranges that hold cited, excluded and refused points;
+  ``matrix --family`` at the last budget-40 point of each family; and
+  ``verify`` as pretty text and JSON on one gen document, alone and with
+  ``--lower-bound`` at its colour count c - 1, c and c + 1. ``solve`` is
+  left out: its report holds the elapsed time.
 
-Stdlib only; it takes about 13 s on a 2-CPU virtual machine.
+Stdlib only; it takes about 25 s on a 2-CPU virtual machine.
 """
 
 from __future__ import annotations
@@ -204,6 +213,46 @@ def inputs(section) -> int:
     return count
 
 
+# The cited points within the solver's default 12 edges, which gen labels
+# through the exact solver.
+_CITED_POINTS = [
+    "path-join-null --m 1 --N 1", "path-join-null --m 1 --N 2", "path-join-null --m 1 --N 3",
+    "path-join-null --m 1 --N 4", "path-join-null --m 1 --N 5", "path-join-null --m 2 --N 1",
+    "path-join-null --m 3 --N 1", "path-join-complete --m 2 --r 1", "path-join-complete --m 3 --r 1",
+    "cycle-join-null --m 2 --n 1", "cycle-join-null --m 3 --n 1", "cycle-join-complete --m 2 --r 1",
+    "cycle-join-complete --m 3 --r 1",
+]
+# Explicit sweep ranges over cited, excluded and refused points.
+_SWEEP_RANGES = [
+    "path-join-null --m 1..3 --N 1..3",
+    "cycle-join-cycle --m 2..3 --n 5..6",
+    "cycle-join-null-minus-edge --m 4 --n 2..3 --which join-edge",
+    "generic-join-null --n 2..5",
+    "generic-join-complete-bipartite --m 2..4 --n 2..4",
+    "cycle-join-complete --m 2 --r 1..5",
+    "path-join-complete --m 1..2 --r 1..4",
+]
+
+
+def routes(section) -> int:
+    labeling = "cycle-join-null.labeling.json"
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        main(["gen", "--family", "cycle-join-null", "--m", "3", "--n", "3", "--out", "cycle-join-null"])
+    c = json.loads(Path(labeling).read_text(encoding="utf-8"))["claimed_chi_la"]
+    commands = [["gen", "--family", *point.split(), "--matrix"] for point in _CITED_POINTS]
+    commands += [["sweep", "--family", family, "--format", fmt, "--max-total-edges", "40"]
+                 for family in ALL_FAMILIES for fmt in ("csv", "pretty")]
+    commands += [["sweep", "--family", *ranges.split(), "--format", "json"] for ranges in _SWEEP_RANGES]
+    commands += [["matrix", *_point_flags(family, sweep_points(family, 40)[-1])] for family in ALL_FAMILIES]
+    commands += [["verify", labeling, *bound, "--format", fmt]
+                 for bound in [[], *(["--lower-bound", str(b)] for b in (c - 1, c, c + 1))]
+                 for fmt in ("pretty", "json")]
+    for argv in commands:
+        _run(argv, [], section)
+    Path(labeling).unlink()
+    return len(commands)
+
+
 def main_digest() -> str:
     total = hashlib.sha256()
     cwd = os.getcwd()
@@ -211,7 +260,7 @@ def main_digest() -> str:
         os.chdir(tmp)
         try:
             for name, part in (("gen+matrix", gen_and_matrix), ("sweep", sweeps), ("arrays", arrays),
-                               ("inputs", inputs)):
+                               ("inputs", inputs), ("routes", routes)):
                 section = hashlib.sha256()
                 count = part(section)
                 print(f"{name}: {count} items {section.hexdigest()}")
